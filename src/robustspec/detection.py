@@ -12,8 +12,8 @@ level alpha.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.special import logsumexp
@@ -23,9 +23,8 @@ from .gaussian_model import (
     SAMPLE_BLOCK,
     ToeplitzGaussian,
     build_model,
-    sample_blocks,
-    standard_normal_block,
-    white_model,
+    normal_blocks,
+    white_blocks,
 )
 from .spectral import UncertaintySet
 
@@ -86,9 +85,7 @@ class DetectorSpec:
     alpha: float
 
     def __post_init__(self):
-        if not np.isfinite(self.threshold) and self.threshold == self.threshold:
-            pass  # +-inf allowed for degenerate rules; NaN rejected below
-        if self.threshold != self.threshold:
+        if self.threshold != self.threshold:  # +-inf allowed for degenerate rules
             raise ParameterError("threshold must not be NaN")
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError(f"alpha must be in (0,1), got {self.alpha}")
@@ -117,6 +114,35 @@ def log_likelihood_ratios(
     return out
 
 
+def _scorer(
+    models: Sequence[ToeplitzGaussian],
+    detectors: Sequence[MixtureWeights],
+    null_sigma2: float,
+):
+    """Map a sample block to its (detector, row) array of g values.
+
+    Each model that some detector weights positively is scored once into a
+    shared log-ratio matrix; every detector's statistic is read from it.
+    """
+    if any(len(q) != len(models) for q in detectors):
+        raise ParameterError("detector weights must match the number of models")
+    active = [q.w > 0.0 for q in detectors]
+    scored = np.flatnonzero(np.any(active, axis=0))
+    scored_models = [models[k] for k in scored]
+    picks = [
+        (np.searchsorted(scored, np.flatnonzero(a)), q.w[np.newaxis, a])
+        for q, a in zip(detectors, active)
+    ]
+    n = models[0].n
+
+    def score(samples: np.ndarray) -> np.ndarray:
+        ratios = log_likelihood_ratios(samples, scored_models, null_sigma2)
+        stats = [logsumexp(ratios[:, cols], b=b, axis=1) for cols, b in picks]
+        return np.array(stats) / n
+
+    return score
+
+
 def mixture_statistics(
     samples: np.ndarray,
     weights: MixtureWeights,
@@ -124,14 +150,7 @@ def mixture_statistics(
     null_sigma2: float,
 ) -> np.ndarray:
     """Vector of g(y; q) over the sample rows (log-sum-exp combination)."""
-    if np.all(weights.w == 0.0):
-        raise ParameterError("at least one weight must be positive")
-    active = np.flatnonzero(weights.w > 0.0)
-    ratios = log_likelihood_ratios(
-        samples, [models[k] for k in active], null_sigma2
-    )
-    n = models[0].n
-    return logsumexp(ratios, b=weights.w[np.newaxis, active], axis=1) / n
+    return _scorer(models, [weights], null_sigma2)(samples)[0]
 
 
 def mixture_statistic(
@@ -152,16 +171,24 @@ def h0_statistics(
     seed: int,
 ) -> np.ndarray:
     """g values on `trials` fresh null draws (block-streamed, reproducible)."""
-    null = white_model(null_sigma2, models[0].n)
-    chunks = [
-        mixture_statistics(block, weights, models, null_sigma2)
-        for block in sample_blocks(null, trials, seed)
-    ]
-    return np.concatenate(chunks)
+    score = _scorer(models, [weights], null_sigma2)
+    blocks = white_blocks(null_sigma2, models[0].n, trials, seed)
+    return np.concatenate([score(block)[0] for block in blocks])
 
 
 def threshold_order_index(alpha: float, trials: int) -> int:
-    """0-based order-statistic index of the calibration threshold."""
+    """0-based order-statistic index of the calibration threshold.
+
+    Rejects alpha outside (0, 1) and fewer than 100 expected exceedances on
+    either side of the threshold.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must be in (0,1), got {alpha}")
+    needed = int(np.ceil(100.0 / min(alpha, 1.0 - alpha)))
+    if trials < needed:
+        raise ParameterError(
+            f"calibration needs >= {needed} trials at alpha={alpha}, got {trials}"
+        )
     return trials - int(np.ceil(alpha * trials))
 
 
@@ -178,15 +205,40 @@ def calibrate_threshold(
     With the returned threshold, regenerating the same trials yields exactly
     ceil(alpha*trials) - 1 strict exceedances (continuous statistics).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be in (0,1), got {alpha}")
-    needed = int(np.ceil(100.0 / min(alpha, 1.0 - alpha)))
-    if trials < needed:
-        raise ParameterError(
-            f"calibration needs >= {needed} trials at alpha={alpha}, got {trials}"
-        )
+    order = threshold_order_index(alpha, trials)
     g = np.sort(h0_statistics(weights, models, null_sigma2, trials, seed))
-    return float(g[threshold_order_index(alpha, trials)])
+    return float(g[order])
+
+
+def _error_counts(
+    score,
+    models: Sequence[ToeplitzGaussian],
+    thresholds: Sequence[float],
+    truths: Sequence[int],
+    null_sigma2: float,
+    trials: int,
+    seed: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """False-alarm counts per detector and miss counts per (detector, truth).
+
+    Null draws use substream (seed, "h0").  Signal draws use (seed, "h1"):
+    each block of white normals is drawn once and mapped through every
+    truth's factor, so all detectors and truths score coupled sample sets.
+    """
+    if trials < 1000:
+        raise ParameterError(f"trials must be >= 1000, got {trials}")
+    if any(not 0 <= t < len(models) for t in truths):
+        raise ParameterError(f"truth indices {list(truths)} out of range")
+    tau = np.asarray(thresholds, dtype=float)[:, np.newaxis]
+    n = models[0].n
+    fa = np.zeros(tau.shape[0], dtype=int)
+    for block in white_blocks(null_sigma2, n, trials, derive_seed(seed, "h0")):
+        fa += np.sum(score(block) > tau, axis=1)
+    miss = np.zeros((tau.shape[0], len(truths)), dtype=int)
+    for z in normal_blocks(n, trials, derive_seed(seed, "h1")):
+        for j, truth in enumerate(truths):
+            miss[:, j] += np.sum(score(z @ models[truth].factor.T) <= tau, axis=1)
+    return fa, miss
 
 
 def estimate_error_probs(
@@ -198,21 +250,12 @@ def estimate_error_probs(
     white-noise draws shared across truth models, so detectors and truths
     under comparison score coupled sample sets.
     """
-    if trials < 1000:
-        raise ParameterError(f"trials must be >= 1000, got {trials}")
-    if not 0 <= true_psd_index < len(spec.models):
-        raise ParameterError(f"true_psd_index {true_psd_index} out of range")
-    null = white_model(spec.null_sigma2, spec.n)
-    fa_count = 0
-    for block in sample_blocks(null, trials, derive_seed(seed, "h0")):
-        g = mixture_statistics(block, spec.weights, spec.models, spec.null_sigma2)
-        fa_count += int(np.sum(g > spec.threshold))
-    truth = spec.models[true_psd_index]
-    miss_count = 0
-    for block in sample_blocks(truth, trials, derive_seed(seed, "h1")):
-        g = mixture_statistics(block, spec.weights, spec.models, spec.null_sigma2)
-        miss_count += int(np.sum(g <= spec.threshold))
-    return fa_count / trials, miss_count / trials, miss_count
+    score = _scorer(spec.models, [spec.weights], spec.null_sigma2)
+    fa, miss = _error_counts(
+        score, spec.models, [spec.threshold], [true_psd_index], spec.null_sigma2,
+        trials, seed,
+    )
+    return int(fa[0]) / trials, int(miss[0, 0]) / trials, int(miss[0, 0])
 
 
 @dataclass
@@ -242,55 +285,15 @@ class ExponentEstimate:
         ]
 
 
-def empirical_exponent(
-    psd_set: UncertaintySet,
-    sigma2: float,
-    detector_weights: MixtureWeights,
-    true_psd_index: int,
-    n_values: Sequence[int],
-    trials: int,
-    alpha: float,
-    seed: int,
+def _ladder(
+    n_values: np.ndarray, fa_count: np.ndarray, miss_count: np.ndarray, trials: int
 ) -> ExponentEstimate:
-    """Estimate -(1/n) log(miss probability) across a ladder of dimensions.
-
-    Each dimension calibrates its own threshold from the same master seed.
-    Entries with fewer than MIN_MISS_EVENTS misses are censored and never
-    contribute to the slope.
-    """
-    n_values = np.asarray(list(n_values), dtype=int)
-    if np.any(np.diff(n_values) <= 0):
-        raise ParameterError("n_values must be strictly increasing")
-    if len(detector_weights) != len(psd_set):
-        raise ParameterError("detector weights must match the PSD set size")
-    miss_log = np.full(len(n_values), np.nan)
-    fa_hat = np.empty(len(n_values))
-    miss_hat = np.empty(len(n_values))
-    miss_count = np.zeros(len(n_values), dtype=int)
-    censored = np.zeros(len(n_values), dtype=bool)
-    for i, n in enumerate(n_values):
-        models = [build_model(psd, sigma2, int(n)) for psd in psd_set.members]
-        tau = calibrate_threshold(
-            detector_weights, models, sigma2, alpha, trials, derive_seed(seed, f"cal:{n}")
-        )
-        spec = DetectorSpec(
-            weights=detector_weights,
-            models=models,
-            null_sigma2=sigma2,
-            threshold=tau,
-            n=int(n),
-            alpha=alpha,
-        )
-        fa, miss, count = estimate_error_probs(
-            spec, true_psd_index, trials, derive_seed(seed, f"mc:{n}")
-        )
-        fa_hat[i] = fa
-        miss_hat[i] = miss
-        miss_count[i] = count
-        if count < MIN_MISS_EVENTS:
-            censored[i] = True
-        else:
-            miss_log[i] = -np.log(miss) / n
+    """Exponent ladder from counts; entries with fewer than MIN_MISS_EVENTS
+    misses are censored and never contribute to the slope."""
+    miss_hat = miss_count / trials
+    censored = miss_count < MIN_MISS_EVENTS
+    with np.errstate(divide="ignore"):
+        miss_log = np.where(censored, np.nan, -np.log(miss_hat) / n_values)
     uncensored = np.flatnonzero(~censored)
     if uncensored.size == 0:
         raise EstimationInfeasibleError(
@@ -303,13 +306,74 @@ def empirical_exponent(
     return ExponentEstimate(
         n_values=n_values,
         miss_log=miss_log,
-        fa_hat=fa_hat,
+        fa_hat=fa_count / trials,
         miss_hat=miss_hat,
         miss_count=miss_count,
         censored=censored,
         slope=float(miss_log[last]),
         ci_half_width=float(ci),
     )
+
+
+def operating_characteristics(
+    psd_set: UncertaintySet,
+    sigma2: float,
+    detectors: Sequence[MixtureWeights],
+    truths: Sequence[int],
+    n_values: Sequence[int],
+    trials: int,
+    alpha: float,
+    seed: int,
+) -> List[List[ExponentEstimate]]:
+    """Calibrated miss-exponent ladders of every detector against every truth.
+
+    For each n the K models are built once and three streams of normals are
+    drawn once each: the calibration null (seed label "cal:{n}"), which sets
+    one threshold per detector, then the false-alarm null and the signal
+    stream (labels "h0" and "h1" under "mc:{n}"), whose white draws every
+    truth shares.  Returns estimates[detector][truth]; raises
+    EstimationInfeasibleError when any ladder is censored at every n.
+    """
+    n_values = np.asarray(list(n_values), dtype=int)
+    if np.any(np.diff(n_values) <= 0):
+        raise ParameterError("n_values must be strictly increasing")
+    order = threshold_order_index(alpha, trials)
+    fa = np.empty((len(detectors), len(n_values)), dtype=int)
+    miss = np.empty((len(detectors), len(truths), len(n_values)), dtype=int)
+    for i, n in enumerate(n_values):
+        models = [build_model(psd, sigma2, int(n)) for psd in psd_set.members]
+        score = _scorer(models, detectors, sigma2)
+        null = white_blocks(sigma2, int(n), trials, derive_seed(seed, f"cal:{n}"))
+        g = np.sort(np.concatenate([score(block) for block in null], axis=1), axis=1)
+        fa[:, i], miss[:, :, i] = _error_counts(
+            score, models, g[:, order], truths, sigma2, trials,
+            derive_seed(seed, f"mc:{n}"),
+        )
+    return [
+        [_ladder(n_values, fa[d], miss[d, t], trials) for t in range(len(truths))]
+        for d in range(len(detectors))
+    ]
+
+
+def empirical_exponent(
+    psd_set: UncertaintySet,
+    sigma2: float,
+    detector_weights: MixtureWeights,
+    true_psd_index: int,
+    n_values: Sequence[int],
+    trials: int,
+    alpha: float,
+    seed: int,
+) -> ExponentEstimate:
+    """Estimate -(1/n) log(miss probability) across a ladder of dimensions.
+
+    The one-detector, one-truth view of operating_characteristics: each
+    dimension calibrates its own threshold from the same master seed.
+    """
+    return operating_characteristics(
+        psd_set, sigma2, [detector_weights], [true_psd_index], n_values, trials,
+        alpha, seed,
+    )[0][0]
 
 
 def sample_mixture_blocks(
@@ -325,16 +389,13 @@ def sample_mixture_blocks(
     substreams of `seed` that do not depend on `weights`, so runs with
     different operating points are coupled sample-by-sample.
     """
-    n = models[0].n
     cdf = np.cumsum(weights.w)
-    for b, start in enumerate(range(0, trials, block)):
-        size = min(block, trials - start)
-        z = standard_normal_block(seed, b, size, n, block)
+    for b, z in enumerate(normal_blocks(models[0].n, trials, seed, block)):
         ss = np.random.SeedSequence(entropy=derive_seed(seed, "mixsel"), spawn_key=(b,))
-        u = np.random.default_rng(ss).random(block)[:size]
+        u = np.random.default_rng(ss).random(block)[: len(z)]
         comp = np.searchsorted(cdf, u, side="right")
         comp = np.minimum(comp, len(models) - 1)
-        out = np.empty((size, n))
+        out = np.empty_like(z)
         for k, model in enumerate(models):
             rows = comp == k
             if np.any(rows):

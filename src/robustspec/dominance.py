@@ -10,7 +10,7 @@ bounded away from zero, for phi* to be the dominated PSD of the set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np

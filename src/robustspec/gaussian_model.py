@@ -10,7 +10,7 @@ cached Cholesky factor of that covariance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular, toeplitz
@@ -145,10 +145,10 @@ def finite_n_dominates(
     return ratio_expectation(p0_sigma2, p1, p2) <= 1.0 + 1e-10
 
 
-def sample_blocks(
-    model: ToeplitzGaussian, trials: int, seed: int, block: int = SAMPLE_BLOCK
+def normal_blocks(
+    n: int, trials: int, seed: int, block: int = SAMPLE_BLOCK
 ) -> Iterator[np.ndarray]:
-    """Yield consecutive blocks of i.i.d. draws from the model.
+    """Yield consecutive blocks of standard normal draws of dimension n.
 
     Block b is generated from substream (seed, b) regardless of `trials`, so
     two runs with the same seed see identical draws sample-by-sample.
@@ -156,9 +156,26 @@ def sample_blocks(
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     for b, start in enumerate(range(0, trials, block)):
-        size = min(block, trials - start)
-        z = standard_normal_block(seed, b, size, model.n, block)
+        yield standard_normal_block(seed, b, min(block, trials - start), n, block)
+
+
+def sample_blocks(
+    model: ToeplitzGaussian, trials: int, seed: int, block: int = SAMPLE_BLOCK
+) -> Iterator[np.ndarray]:
+    """Yield consecutive blocks of i.i.d. draws from the model (see normal_blocks)."""
+    for z in normal_blocks(model.n, trials, seed, block):
         yield z @ model.factor.T
+
+
+def white_blocks(sigma2: float, n: int, trials: int, seed: int) -> Iterator[np.ndarray]:
+    """Blocks of null N(0, sigma2*I) draws, sqrt(sigma2)*z with no factorisation.
+
+    Equal bit for bit to sample_blocks(white_model(sigma2, n), trials, seed):
+    the white factor is the diagonal sqrt(sigma2)*I.
+    """
+    scale = np.sqrt(sigma2)
+    for z in normal_blocks(n, trials, seed):
+        yield scale * z
 
 
 def standard_normal_block(

@@ -8,25 +8,21 @@ seed) pair reproduces an entire run byte-for-byte (wall time aside).
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .detection import (
-    DEFAULT_TILT_GRID,
-    MixtureWeights,
-    derive_seed,
-    empirical_exponent,
-)
+from .detection import MixtureWeights, derive_seed, operating_characteristics
 from .dominance import find_dominated
 from .errors import ConfigError, RobustSpecError
 from .exponent import error_exponent, genie_bound
-from .gaussian_model import build_model, sample_gaussian, white_model
+from .gaussian_model import build_model, white_blocks
 from .minimax import kkt_certificate, minimize_mixture_weights
-from .spectral import DEFAULT_GRID_SIZE, PsdGrid, UncertaintySet, make_psd
+from .spectral import DEFAULT_GRID_SIZE, UncertaintySet, make_psd
 
 MODES = ("exponent", "dominance", "simulate", "minimax", "full")
 
@@ -54,7 +50,6 @@ _TOP_LEVEL_KEYS = {
     "candidate_label",
     "psds",
     "output_path",
-    "tilt_grid",
 }
 
 _PSD_BLOCK_KEYS = {"label", "family", "params"}
@@ -72,7 +67,6 @@ class ExperimentConfig:
     psd_specs: List[dict]
     candidate_label: Optional[str]
     output_path: Optional[str]
-    tilt_grid: List[float]
 
     def echo(self) -> dict:
         """Config with all resolved defaults, as recorded in reports."""
@@ -87,7 +81,6 @@ class ExperimentConfig:
             "candidate_label": self.candidate_label,
             "psds": self.psd_specs,
             "output_path": self.output_path,
-            "tilt_grid": list(self.tilt_grid),
         }
 
     def build_psds(self) -> UncertaintySet:
@@ -208,10 +201,6 @@ def parse_config(text: str) -> ExperimentConfig:
     if candidate_label is not None and candidate_label not in labels:
         raise ConfigError(f"candidate_label {candidate_label!r} matches no PSD")
 
-    tilt_grid = [
-        _as_float(t, "tilt_grid entry") for t in doc.get("tilt_grid", DEFAULT_TILT_GRID)
-    ]
-
     return ExperimentConfig(
         mode=mode,
         grid_size=grid_size,
@@ -223,7 +212,6 @@ def parse_config(text: str) -> ExperimentConfig:
         psd_specs=psd_specs,
         candidate_label=candidate_label,
         output_path=doc.get("output_path"),
-        tilt_grid=tilt_grid,
     )
 
 
@@ -236,7 +224,13 @@ def _as_int(value, key: str) -> int:
 def _as_float(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the double range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return number
 
 
 def run_experiment(config: ExperimentConfig) -> ReportRecord:
@@ -291,38 +285,39 @@ def _run_dominance(config: ExperimentConfig, uset: UncertaintySet) -> dict:
     }
 
 
-def _candidate_index(config: ExperimentConfig, uset: UncertaintySet) -> int:
-    return uset.candidate_index if uset.candidate_index is not None else 0
+def _ladders(
+    config: ExperimentConfig, uset: UncertaintySet, detectors: Sequence[int], stage: str
+):
+    """Ladders of each singleton detector against every member, seeded by stage."""
+    return operating_characteristics(
+        uset,
+        config.sigma2,
+        [MixtureWeights.singleton(det, len(uset)) for det in detectors],
+        range(len(uset)),
+        config.n_values,
+        config.trials,
+        config.alpha,
+        derive_seed(config.seed, stage),
+    )
 
 
 def _run_simulate(config: ExperimentConfig, uset: UncertaintySet) -> dict:
-    cand = _candidate_index(config, uset)
-    weights = MixtureWeights.singleton(cand, len(uset))
-    estimates = []
-    for truth in range(len(uset)):
-        est = empirical_exponent(
-            uset,
-            config.sigma2,
-            weights,
-            truth,
-            config.n_values,
-            config.trials,
-            config.alpha,
-            derive_seed(config.seed, f"simulate:{truth}"),
-        )
-        estimates.append(
-            {
-                "truth_label": uset.members[truth].label,
-                "rows": est.to_rows(),
-                "slope": est.slope,
-                "ci_half_width": est.ci_half_width,
-            }
-        )
+    cand = uset.candidate_index or 0
+    (ladders,) = _ladders(config, uset, [cand], "simulate")
+    estimates = [
+        {
+            "truth_label": uset.members[truth].label,
+            "rows": est.to_rows(),
+            "slope": est.slope,
+            "ci_half_width": est.ci_half_width,
+        }
+        for truth, est in enumerate(ladders)
+    ]
     return {"detector_label": uset.members[cand].label, "estimates": estimates}
 
 
 def _run_minimax(config: ExperimentConfig, uset: UncertaintySet) -> dict:
-    cand = _candidate_index(config, uset)
+    cand = uset.candidate_index or 0
     certificates = []
     for n in config.n_values:
         models = [build_model(psd, config.sigma2, n) for psd in uset.members]
@@ -330,11 +325,9 @@ def _run_minimax(config: ExperimentConfig, uset: UncertaintySet) -> dict:
         certificates.append({"n": n, "certificate": cert.to_json()})
     n_opt = config.n_values[0]
     models = [build_model(psd, config.sigma2, n_opt) for psd in uset.members]
-    frozen = sample_gaussian(
-        white_model(config.sigma2, n_opt),
-        config.trials,
-        derive_seed(config.seed, "frozen-h0"),
-    )
+    seed = derive_seed(config.seed, "frozen-h0")
+    blocks = white_blocks(config.sigma2, n_opt, config.trials, seed)
+    frozen = np.concatenate(list(blocks))
     weights, value, trace = minimize_mixture_weights(
         models, config.sigma2, frozen, MixtureWeights.uniform(len(uset))
     )
@@ -361,36 +354,22 @@ def _run_full(config: ExperimentConfig, uset: UncertaintySet) -> dict:
             "ordering_consistent": None,
         }
     cand = dominance["candidate_index"]
-    config_cand = replace(config, candidate_label=uset.members[cand].label)
-    minimax = _run_minimax(config_cand, uset)
+    minimax = _run_minimax(config, replace(uset, candidate_index=cand))
 
+    k = len(uset)
+    ladders = _ladders(config, uset, range(k), "full")
     detectors = {}
-    for det in range(len(uset)):
-        weights = MixtureWeights.singleton(det, len(uset))
-        worst_slope = np.inf
-        worst = None
-        for truth in range(len(uset)):
-            est = empirical_exponent(
-                uset,
-                config.sigma2,
-                weights,
-                truth,
-                config.n_values,
-                config.trials,
-                config.alpha,
-                derive_seed(config.seed, f"full:{truth}"),
-            )
-            if est.slope < worst_slope:
-                worst_slope = est.slope
-                worst = {
-                    "truth_label": uset.members[truth].label,
-                    "slope": est.slope,
-                    "ci_half_width": est.ci_half_width,
-                    "rows": est.to_rows(),
-                }
+    for det, row in enumerate(ladders):
+        truth = min(range(k), key=lambda t: row[t].slope)
+        worst = row[truth]
         detectors[uset.members[det].label] = {
-            "worst_case_slope": float(worst_slope),
-            "worst_case": worst,
+            "worst_case_slope": worst.slope,
+            "worst_case": {
+                "truth_label": uset.members[truth].label,
+                "slope": worst.slope,
+                "ci_half_width": worst.ci_half_width,
+                "rows": worst.to_rows(),
+            },
         }
     robust = detectors[uset.members[cand].label]
     ordering = all(

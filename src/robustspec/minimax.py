@@ -51,12 +51,6 @@ class KktCertificate:
         }
 
 
-def _ratio_matrix(
-    h0_samples: np.ndarray, models: Sequence[ToeplitzGaussian], null_sigma2: float
-) -> np.ndarray:
-    return log_likelihood_ratios(h0_samples, models, null_sigma2)
-
-
 def _objective(log_r: np.ndarray, ratios: np.ndarray, n: int) -> float:
     # (1/n) * mean[ -log sum_k r_k p_k/p_0 ] over the frozen null samples
     return float(-np.mean(logsumexp(ratios + log_r, axis=1))) / n
@@ -74,7 +68,7 @@ def sample_average_kl(
     h0_samples: np.ndarray,
 ) -> float:
     """Sample-average (1/n) D(null || mixture r) on a frozen null sample set."""
-    ratios = _ratio_matrix(h0_samples, models, null_sigma2)
+    ratios = log_likelihood_ratios(h0_samples, models, null_sigma2)
     return _objective(_log_weights(r.w), ratios, models[0].n)
 
 
@@ -98,7 +92,7 @@ def minimize_mixture_weights(
         raise ParameterError("init must match the number of models")
     if np.any(init.w < 1.0 / (10.0 * k)):
         raise ParameterError(f"init must be strictly interior (all >= 1/(10K))")
-    ratios = _ratio_matrix(h0_samples, models, null_sigma2)
+    ratios = log_likelihood_ratios(h0_samples, models, null_sigma2)
     n = models[0].n
     x = init.w.copy()
     objectives = [_objective(_log_weights(x), ratios, n)]
@@ -196,13 +190,13 @@ def utility(
         raise ParameterError("tilt grid must be nonempty with all tilts <= 0")
     n = models[0].n
     g0 = logsumexp(
-        _ratio_matrix(h0_samples, models, null_sigma2) + _log_weights(q.w), axis=1
+        log_likelihood_ratios(h0_samples, models, null_sigma2) + _log_weights(q.w), axis=1
     ) / n
     mean_g0 = float(np.mean(g0))
     trials = h1_trials if h1_trials is not None else h0_samples.shape[0]
     g1_chunks = [
         logsumexp(
-            _ratio_matrix(block, models, null_sigma2) + _log_weights(q.w), axis=1
+            log_likelihood_ratios(block, models, null_sigma2) + _log_weights(q.w), axis=1
         )
         / n
         for block in sample_mixture_blocks(models, r, trials, h1_sample_seed)

@@ -1,9 +1,11 @@
 import copy
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import robustspec.gaussian_model
 from robustspec.cli import main as cli_main
 from robustspec.errors import ConfigError
 from robustspec.harness import (
@@ -60,6 +62,8 @@ class TestParseConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             parse_config(config_text(dict(MINIMAL, gridsize=64)))
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            parse_config(config_text(dict(MINIMAL, tilt_grid=[-1.0, 0.0])))
         doc = copy.deepcopy(MINIMAL)
         doc["psds"][0]["extra"] = 1
         with pytest.raises(ConfigError, match="unknown"):
@@ -70,6 +74,16 @@ class TestParseConfig:
             parse_config("{not json")
         with pytest.raises(ConfigError, match="mode"):
             parse_config(config_text(dict(MINIMAL, mode="explore")))
+
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), float("-inf"), 10**400],
+        ids=["nan", "inf", "-inf", "int-beyond-double"],
+    )
+    @pytest.mark.parametrize("key", ["sigma2", "alpha"])
+    def test_non_finite_numbers_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            parse_config(config_text(dict(MINIMAL, **{key: value})))
 
     def test_trials_floor_for_monte_carlo_modes(self):
         doc = dict(MINIMAL, mode="simulate", trials=500)
@@ -166,12 +180,45 @@ class TestModes:
         assert a.payload["ordering_consistent"] is True
         assert set(a.payload["simulation"]) == {"weak", "mid", "strong"}
 
+    def test_full_mode_certifies_the_dominated_member(self):
+        psds = FLAT_TRIO["psds"]
+        doc = dict(
+            FLAT_TRIO, mode="full", trials=2000, n_values=[8, 16], seed=3,
+            psds=[psds[2], psds[0], psds[1]],
+        )
+        payload = run_experiment(parse_config(config_text(doc))).payload
+        assert payload["dominance"]["candidate_label"] == "weak"
+        assert [cert["n"] for cert in payload["kkt"]] == [8, 16]
+        for cert in payload["kkt"]:
+            assert cert["certificate"]["candidate_index"] == 1
+            assert cert["certificate"]["singleton_verified"] is True
+
+    def test_full_mode_draws_each_block_once(self, monkeypatch):
+        original = robustspec.gaussian_model.standard_normal_block
+        keys = []
+
+        def recording(seed, block_index, size, n, *args, **kwargs):
+            keys.append((seed, block_index, n))
+            return original(seed, block_index, size, n, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "robustspec":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, recording)
+        doc = dict(FLAT_TRIO, mode="full", trials=5000, n_values=[8, 16], seed=11)
+        run_experiment(parse_config(config_text(doc)))
+        # per n: calibration, false-alarm and signal streams of 2 blocks each,
+        # plus the frozen null of the optimizer at the first n
+        assert len(keys) == 2 * 3 * 2 + 2
+        assert len(set(keys)) == len(keys)
+
     def test_config_echo_completeness(self):
         record = run_experiment(parse_config(config_text(MINIMAL)))
         echo = record.config
         for key in (
             "mode", "grid_size", "sigma2", "alpha", "seed",
-            "trials", "n_values", "psds", "tilt_grid",
+            "trials", "n_values", "psds",
         ):
             assert key in echo
         assert record.seed == echo["seed"]
@@ -282,6 +329,13 @@ class TestCli:
         assert cli_main(["exponent", "--config", cfg]) == 2
         cfg2 = self.write_config(tmp_path, MINIMAL)
         assert cli_main(["exponent", "--config", cfg2, "--grid", "4"]) == 2
+
+    @pytest.mark.parametrize("text", ['"sigma2": NaN', '"sigma2": Infinity'])
+    def test_non_finite_config_exit_two(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(MINIMAL)[:-1] + ", " + text + "}")
+        assert cli_main(["exponent", "--config", str(path)]) == 2
+        assert "sigma2" in capsys.readouterr().err
 
     def test_numerical_failure_exit_three(self, tmp_path, capsys):
         doc = {
