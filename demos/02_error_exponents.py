@@ -30,7 +30,7 @@ psds = (
     make_psd("rational_ar1", grid_size=GRID, variance=1.0, pole=0.5, label="ar1"),
 )
 for psd in psds:
-    value = error_exponent(psd, SIGMA2).value
+    value = error_exponent(psd, SIGMA2)
     print(f"  {psd.label:8s} exponent = {value:.6f}")
 
 closed = 0.5 * (np.log(2.0) - 0.5)
@@ -42,7 +42,7 @@ print("2. Finite-n KL rate marching toward the limit")
 print("=" * 70)
 
 ar1 = psds[2]
-limit = error_exponent(ar1, SIGMA2).value
+limit = error_exponent(ar1, SIGMA2)
 print(f"  {'n':>6s} {'kl_rate':>12s} {'error':>12s}")
 for n in (16, 64, 256, 1024):
     rate = kl_rate(ar1, SIGMA2, n)

@@ -42,7 +42,7 @@ models = [build_model(p, SIGMA2, n) for p in flats]
 weights = MixtureWeights.uniform(3)
 tau = calibrate_threshold(weights, models, SIGMA2, ALPHA, TRIALS, SEED)
 print(f"  threshold tau = {tau:.6f} at false-alarm level {ALPHA}")
-print(f"  (compare -exponent(flat-1) = {-error_exponent(flats[0], SIGMA2).value:.6f})")
+print(f"  (compare -exponent(flat-1) = {-error_exponent(flats[0], SIGMA2):.6f})")
 
 spec = DetectorSpec(
     weights=weights, models=models, null_sigma2=SIGMA2,
@@ -68,7 +68,7 @@ for row in est.to_rows():
         f" {str(row['censored']):>9s}"
     )
 print(f"  slope = {est.slope:.5f} +- {est.ci_half_width:.5f}")
-print(f"  limit exponent = {error_exponent(flats[0], SIGMA2).value:.5f}")
+print(f"  limit exponent = {error_exponent(flats[0], SIGMA2):.5f}")
 
 print()
 print("=" * 70)

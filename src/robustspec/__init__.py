@@ -5,7 +5,7 @@ simulates likelihood-ratio and mixture detectors at finite dimension, and
 certifies the saddle-point structure of the underlying robustness game.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .spectral import (  # noqa: F401
     PsdGrid,
@@ -32,7 +32,7 @@ from .gaussian_model import (  # noqa: F401
     sample_gaussian,
     white_model,
 )
-from .exponent import ExponentValue, error_exponent, genie_bound, kl_rate  # noqa: F401
+from .exponent import error_exponent, genie_bound, kl_rate  # noqa: F401
 from .detection import (  # noqa: F401
     DetectorSpec,
     ExponentEstimate,

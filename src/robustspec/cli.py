@@ -46,15 +46,12 @@ def main(argv=None) -> int:
         config.mode = args.mode
         if args.seed is not None:
             config.seed = args.seed
-        if args.grid is not None:
-            if args.grid < 8:
-                raise ConfigError(f"grid_size must be >= 8, got {args.grid}")
+        if args.grid is not None:  # checked where the PSDs are built
             config.grid_size = args.grid
-    except ConfigError as exc:
+        record = run_experiment(config)
+    except ConfigError as exc:  # a RobustSpecError too: keep it first
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        record = run_experiment(config)
     except RobustSpecError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 from scipy.special import logsumexp
@@ -112,6 +112,13 @@ def log_likelihood_ratios(
             -0.5 * logdet_ratio + yy / (2.0 * null_sigma2) - 0.5 * model.quad_forms(samples)
         )
     return out
+
+
+def ratio_rows(
+    blocks: Iterable[np.ndarray], models: Sequence[ToeplitzGaussian], null_sigma2: float
+) -> np.ndarray:
+    """log_likelihood_ratios of a stream of sample blocks, stacked in one matrix."""
+    return np.concatenate([log_likelihood_ratios(b, models, null_sigma2) for b in blocks])
 
 
 def _scorer(
@@ -316,34 +323,33 @@ def _ladder(
 
 
 def operating_characteristics(
-    psd_set: UncertaintySet,
-    sigma2: float,
+    models_by_n: Sequence[Sequence[ToeplitzGaussian]],
     detectors: Sequence[MixtureWeights],
     truths: Sequence[int],
-    n_values: Sequence[int],
     trials: int,
     alpha: float,
     seed: int,
 ) -> List[List[ExponentEstimate]]:
     """Calibrated miss-exponent ladders of every detector against every truth.
 
-    For each n the K models are built once and three streams of normals are
-    drawn once each: the calibration null (seed label "cal:{n}"), which sets
-    one threshold per detector, then the false-alarm null and the signal
-    stream (labels "h0" and "h1" under "mc:{n}"), whose white draws every
-    truth shares.  Returns estimates[detector][truth]; raises
-    EstimationInfeasibleError when any ladder is censored at every n.
+    models_by_n holds the K models of each n, n strictly increasing.  Per n
+    three streams of normals are drawn once each: the calibration null (seed
+    label "cal:{n}"), which sets one threshold per detector, then the
+    false-alarm null and the signal stream (labels "h0" and "h1" under
+    "mc:{n}"), whose white draws every truth shares.  Returns
+    estimates[detector][truth]; raises EstimationInfeasibleError when any
+    ladder is censored at every n.
     """
-    n_values = np.asarray(list(n_values), dtype=int)
+    n_values = np.array([models[0].n for models in models_by_n], dtype=int)
     if np.any(np.diff(n_values) <= 0):
         raise ParameterError("n_values must be strictly increasing")
     order = threshold_order_index(alpha, trials)
     fa = np.empty((len(detectors), len(n_values)), dtype=int)
     miss = np.empty((len(detectors), len(truths), len(n_values)), dtype=int)
-    for i, n in enumerate(n_values):
-        models = [build_model(psd, sigma2, int(n)) for psd in psd_set.members]
+    for i, models in enumerate(models_by_n):
+        n, sigma2 = models[0].n, models[0].sigma2
         score = _scorer(models, detectors, sigma2)
-        null = white_blocks(sigma2, int(n), trials, derive_seed(seed, f"cal:{n}"))
+        null = white_blocks(sigma2, n, trials, derive_seed(seed, f"cal:{n}"))
         g = np.sort(np.concatenate([score(block) for block in null], axis=1), axis=1)
         fa[:, i], miss[:, :, i] = _error_counts(
             score, models, g[:, order], truths, sigma2, trials,
@@ -370,9 +376,11 @@ def empirical_exponent(
     The one-detector, one-truth view of operating_characteristics: each
     dimension calibrates its own threshold from the same master seed.
     """
+    models_by_n = [
+        [build_model(psd, sigma2, int(n)) for psd in psd_set.members] for n in n_values
+    ]
     return operating_characteristics(
-        psd_set, sigma2, [detector_weights], [true_psd_index], n_values, trials,
-        alpha, seed,
+        models_by_n, [detector_weights], [true_psd_index], trials, alpha, seed
     )[0][0]
 
 
@@ -403,6 +411,19 @@ def sample_mixture_blocks(
         yield out
 
 
+def _chernoff_bound(tau: float, g: np.ndarray, n: int, tilt_grid: Sequence[float]):
+    """(max, first argmax) over tilts t <= 0 of t*tau - (1/n) log mean(exp(t*n*g))."""
+    tilts = np.asarray(list(tilt_grid), dtype=float)
+    if tilts.size == 0 or np.any(tilts > 0.0):
+        raise ParameterError("tilt grid must be nonempty with all tilts <= 0")
+    best, best_t = -np.inf, 0.0
+    for t in tilts:
+        bracket = t * tau - (logsumexp(t * n * g) - np.log(len(g))) / n
+        if bracket > best:
+            best, best_t = float(bracket), float(t)
+    return best, best_t
+
+
 def chernoff_exponent(
     spec: DetectorSpec,
     true_model_weights: MixtureWeights,
@@ -415,19 +436,8 @@ def chernoff_exponent(
     Maximizes t*tau - (1/n) log E_{mixture}[exp(t*n*g)] over normalized
     tilts t <= 0, with the expectation under the mixture of the true models.
     """
-    tilt_grid = np.asarray(list(tilt_grid), dtype=float)
-    if tilt_grid.size == 0:
-        raise ParameterError("tilt grid must be nonempty")
-    if np.any(tilt_grid > 0.0):
-        raise ParameterError("all tilts must be <= 0")
     g_chunks = [
         mixture_statistics(block, spec.weights, spec.models, spec.null_sigma2)
         for block in sample_mixture_blocks(spec.models, true_model_weights, trials, seed)
     ]
-    g = np.concatenate(g_chunks)
-    n = spec.n
-    brackets = [
-        t * spec.threshold - (logsumexp(t * n * g) - np.log(trials)) / n
-        for t in tilt_grid
-    ]
-    return float(np.max(brackets))
+    return _chernoff_bound(spec.threshold, np.concatenate(g_chunks), spec.n, tilt_grid)[0]

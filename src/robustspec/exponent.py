@@ -10,7 +10,6 @@ signal-plus-noise model.  `kl_rate` gives the finite-n counterpart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -20,24 +19,13 @@ from .gaussian_model import build_model, gaussian_kl, white_model
 from .spectral import PsdGrid, UncertaintySet, circle_mean
 
 
-@dataclass(frozen=True)
-class ExponentValue:
-    """Error exponent in nats per sample for one PSD."""
-
-    value: float
-    psd_label: str
-    sigma2: float
-
-
-def error_exponent(psd: PsdGrid, sigma2: float) -> ExponentValue:
-    """Matched-LRT error exponent of the PSD by trapezoid quadrature."""
+def error_exponent(psd: PsdGrid, sigma2: float) -> float:
+    """Matched-LRT error exponent of the PSD in nats per sample (trapezoid rule)."""
     if sigma2 <= 0:
         raise ParameterError(f"sigma2 must be > 0, got {sigma2}")
     snr = psd.values / sigma2
     integrand = np.log1p(snr) - snr / (1.0 + snr)
-    return ExponentValue(
-        value=0.5 * circle_mean(integrand), psd_label=psd.label, sigma2=sigma2
-    )
+    return 0.5 * circle_mean(integrand)
 
 
 def genie_bound(uset: UncertaintySet, sigma2: float) -> Tuple[float, int]:
@@ -45,7 +33,7 @@ def genie_bound(uset: UncertaintySet, sigma2: float) -> Tuple[float, int]:
 
     Upper-bounds any robust exponent; ties go to the first member.
     """
-    values = [error_exponent(psd, sigma2).value for psd in uset.members]
+    values = [error_exponent(psd, sigma2) for psd in uset.members]
     idx = int(np.argmin(values))
     return values[idx], idx
 

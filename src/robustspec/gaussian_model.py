@@ -43,13 +43,15 @@ class ToeplitzGaussian:
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
-        if self.sigma2 <= 0:
-            raise ParameterError(f"sigma2 must be > 0, got {self.sigma2}")
+        if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
+            raise ParameterError(f"sigma2 must be finite and > 0, got {self.sigma2}")
         autocov = np.asarray(self.autocov, dtype=float)
         if autocov.shape != (self.n,):
             raise ParameterError(
                 f"autocov must have length n={self.n}, got {autocov.shape}"
             )
+        if not np.all(np.isfinite(autocov)):
+            raise ParameterError("autocov must be finite")
         autocov = autocov.copy()
         autocov.setflags(write=False)
         object.__setattr__(self, "autocov", autocov)
@@ -84,8 +86,6 @@ def _cholesky_with_jitter(cov: np.ndarray, label: str) -> np.ndarray:
             work = cov if jitter == 0.0 else cov + jitter * np.eye(cov.shape[0])
             return cholesky(work, lower=True)
         except np.linalg.LinAlgError:
-            continue
-        except Exception:
             continue
     raise NotPositiveDefiniteError(
         f"covariance for PSD {label!r} is not positive definite "

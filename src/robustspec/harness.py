@@ -10,18 +10,16 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from . import __version__
-from .detection import MixtureWeights, derive_seed, operating_characteristics
+from .detection import MixtureWeights, derive_seed, operating_characteristics, ratio_rows
 from .dominance import find_dominated
-from .errors import ConfigError, RobustSpecError
+from .errors import ConfigError, ParameterError, RobustSpecError
 from .exponent import error_exponent, genie_bound
-from .gaussian_model import build_model, white_blocks
-from .minimax import kkt_certificate, minimize_mixture_weights
+from .gaussian_model import ToeplitzGaussian, build_model, white_blocks
+from .minimax import kkt_certificate, minimize_mixture_kl
 from .spectral import DEFAULT_GRID_SIZE, UncertaintySet, make_psd
 
 MODES = ("exponent", "dominance", "simulate", "minimax", "full")
@@ -54,6 +52,8 @@ _TOP_LEVEL_KEYS = {
 
 _PSD_BLOCK_KEYS = {"label", "family", "params"}
 
+ModelSets = List[List[ToeplitzGaussian]]  # a run's models: one list of K per n
+
 
 @dataclass
 class ExperimentConfig:
@@ -85,16 +85,17 @@ class ExperimentConfig:
 
     def build_psds(self) -> UncertaintySet:
         members = []
-        for block in self.psd_specs:
-            params = dict(block.get("params", {}))
-            members.append(
-                make_psd(
+        for i, block in enumerate(self.psd_specs):
+            try:
+                psd = make_psd(
                     block["family"],
                     grid_size=self.grid_size,
                     label=block["label"],
-                    **params,
+                    **block.get("params", {}),
                 )
-            )
+            except (ParameterError, TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"psds[{i}] ({block['label']!r}): {exc}") from exc
+            members.append(psd)
         candidate_index = None
         if self.candidate_label is not None:
             labels = [p.label for p in members]
@@ -112,25 +113,11 @@ class ReportRecord:
     toolkit_version: str = __version__
 
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "config": self.config,
-            "payload": self.payload,
-            "seed": self.seed,
-            "wall_time_ms": self.wall_time_ms,
-            "toolkit_version": self.toolkit_version,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json(doc: dict) -> "ReportRecord":
-        return ReportRecord(
-            mode=doc["mode"],
-            config=doc["config"],
-            payload=doc["payload"],
-            seed=doc["seed"],
-            wall_time_ms=doc["wall_time_ms"],
-            toolkit_version=doc["toolkit_version"],
-        )
+        return ReportRecord(**doc)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -163,14 +150,14 @@ def parse_config(text: str) -> ExperimentConfig:
 
     seed = _as_int(doc.get("seed", 0), "seed")
     trials = _as_int(doc.get("trials", 10000), "trials")
-    if mode in ("simulate", "minimax", "full") and trials < 1000:
-        raise ConfigError(
-            f"trials must be >= 1000 for mode {mode!r}, got {trials}"
-        )
+    floor = 1000 if mode in ("simulate", "minimax", "full") else 1
+    if trials < floor:
+        raise ConfigError(f"trials must be >= {floor} for mode {mode!r}, got {trials}")
 
     n_values = [_as_int(v, "n_values entry") for v in doc.get("n_values", [64, 256])]
-    if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
-        raise ConfigError("n_values must be nonempty and strictly increasing")
+    increasing = all(b > a for a, b in zip(n_values, n_values[1:]))
+    if not (n_values and n_values[0] >= 1 and increasing):
+        raise ConfigError("n_values must be nonempty, strictly increasing and >= 1")
 
     raw_psds = doc.get("psds")
     if not isinstance(raw_psds, list) or not raw_psds:
@@ -237,7 +224,6 @@ def run_experiment(config: ExperimentConfig) -> ReportRecord:
     """Execute the configured mode and wrap the result in a report record."""
     start = time.perf_counter()
     uset = config.build_psds()
-    stage = config.mode
     try:
         if config.mode == "exponent":
             payload = _run_exponent(config, uset)
@@ -246,11 +232,13 @@ def run_experiment(config: ExperimentConfig) -> ReportRecord:
         elif config.mode == "simulate":
             payload = _run_simulate(config, uset)
         elif config.mode == "minimax":
-            payload = _run_minimax(config, uset)
+            payload = _run_minimax(
+                config, uset.candidate_index or 0, _model_sets(config, uset)
+            )
         else:
             payload = _run_full(config, uset)
     except RobustSpecError as exc:
-        raise type(exc)(f"[stage {stage}] {exc}") from exc
+        raise type(exc)(f"[stage {config.mode}] {exc}") from exc
     wall = (time.perf_counter() - start) * 1000.0
     return ReportRecord(
         mode=config.mode,
@@ -263,7 +251,7 @@ def run_experiment(config: ExperimentConfig) -> ReportRecord:
 
 def _run_exponent(config: ExperimentConfig, uset: UncertaintySet) -> dict:
     exponents = [
-        {"label": psd.label, "value": error_exponent(psd, config.sigma2).value}
+        {"label": psd.label, "value": error_exponent(psd, config.sigma2)}
         for psd in uset.members
     ]
     value, idx = genie_bound(uset, config.sigma2)
@@ -285,16 +273,26 @@ def _run_dominance(config: ExperimentConfig, uset: UncertaintySet) -> dict:
     }
 
 
+def _model_sets(config: ExperimentConfig, uset: UncertaintySet) -> ModelSets:
+    """Build each (member, n) model once; every stage of the run reads them."""
+    return [
+        [build_model(psd, config.sigma2, n) for psd in uset.members]
+        for n in config.n_values
+    ]
+
+
 def _ladders(
-    config: ExperimentConfig, uset: UncertaintySet, detectors: Sequence[int], stage: str
+    config: ExperimentConfig,
+    model_sets: ModelSets,
+    detectors: Sequence[int],
+    stage: str,
 ):
     """Ladders of each singleton detector against every member, seeded by stage."""
+    k = len(model_sets[0])
     return operating_characteristics(
-        uset,
-        config.sigma2,
-        [MixtureWeights.singleton(det, len(uset)) for det in detectors],
-        range(len(uset)),
-        config.n_values,
+        model_sets,
+        [MixtureWeights.singleton(det, k) for det in detectors],
+        range(k),
         config.trials,
         config.alpha,
         derive_seed(config.seed, stage),
@@ -303,7 +301,7 @@ def _ladders(
 
 def _run_simulate(config: ExperimentConfig, uset: UncertaintySet) -> dict:
     cand = uset.candidate_index or 0
-    (ladders,) = _ladders(config, uset, [cand], "simulate")
+    (ladders,) = _ladders(config, _model_sets(config, uset), [cand], "simulate")
     estimates = [
         {
             "truth_label": uset.members[truth].label,
@@ -316,20 +314,19 @@ def _run_simulate(config: ExperimentConfig, uset: UncertaintySet) -> dict:
     return {"detector_label": uset.members[cand].label, "estimates": estimates}
 
 
-def _run_minimax(config: ExperimentConfig, uset: UncertaintySet) -> dict:
-    cand = uset.candidate_index or 0
-    certificates = []
-    for n in config.n_values:
-        models = [build_model(psd, config.sigma2, n) for psd in uset.members]
-        cert = kkt_certificate(cand, models, config.sigma2)
-        certificates.append({"n": n, "certificate": cert.to_json()})
-    n_opt = config.n_values[0]
-    models = [build_model(psd, config.sigma2, n_opt) for psd in uset.members]
+def _run_minimax(config: ExperimentConfig, cand: int, model_sets: ModelSets) -> dict:
+    certificates = [
+        {"n": n, "certificate": kkt_certificate(cand, models, config.sigma2).to_json()}
+        for n, models in zip(config.n_values, model_sets)
+    ]
+    n_opt, models = config.n_values[0], model_sets[0]
+    # The frozen null enters the optimizer only through its log-ratio rows, so
+    # it is streamed block by block into a trials x K matrix.
     seed = derive_seed(config.seed, "frozen-h0")
-    blocks = white_blocks(config.sigma2, n_opt, config.trials, seed)
-    frozen = np.concatenate(list(blocks))
-    weights, value, trace = minimize_mixture_weights(
-        models, config.sigma2, frozen, MixtureWeights.uniform(len(uset))
+    null = white_blocks(config.sigma2, n_opt, config.trials, seed)
+    ratios = ratio_rows(null, models, config.sigma2)
+    weights, value, trace = minimize_mixture_kl(
+        ratios, n_opt, MixtureWeights.uniform(len(models))
     )
     return {
         "kkt": certificates,
@@ -354,10 +351,11 @@ def _run_full(config: ExperimentConfig, uset: UncertaintySet) -> dict:
             "ordering_consistent": None,
         }
     cand = dominance["candidate_index"]
-    minimax = _run_minimax(config, replace(uset, candidate_index=cand))
+    model_sets = _model_sets(config, uset)
+    minimax = _run_minimax(config, cand, model_sets)
 
     k = len(uset)
-    ladders = _ladders(config, uset, range(k), "full")
+    ladders = _ladders(config, model_sets, range(k), "full")
     detectors = {}
     for det, row in enumerate(ladders):
         truth = min(range(k), key=lambda t: row[t].slope)

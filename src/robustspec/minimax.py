@@ -18,7 +18,9 @@ from scipy.special import logsumexp
 from .detection import (
     DEFAULT_TILT_GRID,
     MixtureWeights,
+    _chernoff_bound,
     log_likelihood_ratios,
+    ratio_rows,
     sample_mixture_blocks,
 )
 from .errors import ParameterError
@@ -80,20 +82,32 @@ def minimize_mixture_weights(
     max_iters: int = 200,
     tol: float = 1e-8,
 ) -> Tuple[MixtureWeights, float, dict]:
-    """Frank-Wolfe minimization of the sample-average mixture KL over the simplex.
+    """minimize_mixture_kl over the log-ratio rows of frozen null samples."""
+    ratios = log_likelihood_ratios(h0_samples, models, null_sigma2)
+    return minimize_mixture_kl(ratios, models[0].n, init, max_iters, tol)
 
-    The linear subproblem picks the vertex of the most negative gradient
-    component; the nominal step 2/(iter+2) is halved as needed so the
-    recorded objective trace is nonincreasing.  Returns (weights, value,
-    trace) where trace holds per-iteration objectives and duality gaps.
+
+def minimize_mixture_kl(
+    ratios: np.ndarray,
+    n: int,
+    init: MixtureWeights,
+    max_iters: int = 200,
+    tol: float = 1e-8,
+) -> Tuple[MixtureWeights, float, dict]:
+    """Frank-Wolfe minimization of (1/n) mean[-log sum_k r_k p_k/p_0] over r.
+
+    `ratios` holds log(p_k/p_0) of the frozen null samples, one row per
+    sample and one column per model.  The linear subproblem picks the vertex
+    of the most negative gradient component; the nominal step 2/(iter+2) is
+    halved as needed so the recorded objective trace is nonincreasing.
+    Returns (weights, value, trace) where trace holds per-iteration
+    objectives and duality gaps.
     """
-    k = len(models)
+    k = ratios.shape[1]
     if len(init) != k:
         raise ParameterError("init must match the number of models")
     if np.any(init.w < 1.0 / (10.0 * k)):
         raise ParameterError(f"init must be strictly interior (all >= 1/(10K))")
-    ratios = log_likelihood_ratios(h0_samples, models, null_sigma2)
-    n = models[0].n
     x = init.w.copy()
     objectives = [_objective(_log_weights(x), ratios, n)]
     gaps: List[float] = []
@@ -167,6 +181,25 @@ def kkt_certificate(
     )
 
 
+def _utility(
+    q: MixtureWeights,
+    ratios0: np.ndarray,
+    ratios1: np.ndarray,
+    n: int,
+    tilt_grid: Sequence[float],
+) -> Tuple[float, float]:
+    """(utility, SE) of detector q from the null and mixture log-ratio rows."""
+    log_q = _log_weights(q.w)
+    g0 = logsumexp(ratios0 + log_q, axis=1) / n
+    g1 = logsumexp(ratios1 + log_q, axis=1) / n
+    best, best_t = _chernoff_bound(float(np.mean(g0)), g1, n, tilt_grid)
+    # delta-method SE at the chosen tilt
+    se0 = abs(best_t) * float(np.std(g0)) / np.sqrt(len(g0))
+    shifted = np.exp(best_t * n * g1 - np.max(best_t * n * g1))
+    se1 = float(np.std(shifted) / (np.sqrt(len(g1)) * np.mean(shifted))) / n
+    return best, float(np.hypot(se0, se1))
+
+
 def utility(
     q: MixtureWeights,
     r: MixtureWeights,
@@ -185,36 +218,12 @@ def utility(
     h1_sample_seed only (operating points are coupled).  With with_se=True
     also returns a delta-method standard error at the maximizing tilt.
     """
-    tilt_grid = np.asarray(list(tilt_grid), dtype=float)
-    if tilt_grid.size == 0 or np.any(tilt_grid > 0.0):
-        raise ParameterError("tilt grid must be nonempty with all tilts <= 0")
-    n = models[0].n
-    g0 = logsumexp(
-        log_likelihood_ratios(h0_samples, models, null_sigma2) + _log_weights(q.w), axis=1
-    ) / n
-    mean_g0 = float(np.mean(g0))
     trials = h1_trials if h1_trials is not None else h0_samples.shape[0]
-    g1_chunks = [
-        logsumexp(
-            log_likelihood_ratios(block, models, null_sigma2) + _log_weights(q.w), axis=1
-        )
-        / n
-        for block in sample_mixture_blocks(models, r, trials, h1_sample_seed)
-    ]
-    g1 = np.concatenate(g1_chunks)
-    best = -np.inf
-    best_t = 0.0
-    for t in tilt_grid:
-        bracket = t * mean_g0 - (logsumexp(t * n * g1) - np.log(trials)) / n
-        if bracket > best:
-            best, best_t = float(bracket), float(t)
-    if not with_se:
-        return best
-    # delta-method SE at the chosen tilt
-    se0 = abs(best_t) * float(np.std(g0)) / np.sqrt(len(g0))
-    shifted = np.exp(best_t * n * g1 - np.max(best_t * n * g1))
-    se1 = float(np.std(shifted) / (np.sqrt(trials) * np.mean(shifted))) / n
-    return best, float(np.hypot(se0, se1))
+    ratios0 = log_likelihood_ratios(h0_samples, models, null_sigma2)
+    mixture = sample_mixture_blocks(models, r, trials, h1_sample_seed)
+    ratios1 = ratio_rows(mixture, models, null_sigma2)
+    value, se = _utility(q, ratios0, ratios1, models[0].n, tilt_grid)
+    return (value, se) if with_se else value
 
 
 def regularity_probe(
@@ -232,28 +241,23 @@ def regularity_probe(
 
     For each beta, perturbs the operating point toward r_dir and compares the
     best response (the perturbed log-likelihood ratio detector) against the
-    unperturbed detector, on shared frozen/coupled samples.  Returns one
-    record per beta with fields beta, gap, se.
+    unperturbed detector, on shared frozen/coupled samples; both detectors
+    score one set of mixture draws per beta.  Returns one record per beta
+    with fields beta, gap, se.
     """
     betas = np.asarray(list(beta_ladder), dtype=float)
     if np.any(betas < 0.0):
         raise ParameterError("beta values must be >= 0")
+    n = models[0].n
+    ratios0 = log_likelihood_ratios(h0_samples, models, null_sigma2)
+    trials = h1_trials if h1_trials is not None else h0_samples.shape[0]
     records = []
     for beta in betas:
         blend = MixtureWeights((1.0 - beta) * r_star.w + beta * r_dir.w)
-        best_response, se_a = utility(
-            blend, blend, models, null_sigma2, h0_samples, h1_sample_seed,
-            tilt_grid, h1_trials, with_se=True,
-        )
-        candidate, se_b = utility(
-            r_star, blend, models, null_sigma2, h0_samples, h1_sample_seed,
-            tilt_grid, h1_trials, with_se=True,
-        )
-        records.append(
-            {
-                "beta": float(beta),
-                "gap": float(best_response - candidate),
-                "se": float(np.hypot(se_a, se_b)),
-            }
-        )
+        mixture = sample_mixture_blocks(models, blend, trials, h1_sample_seed)
+        ratios1 = ratio_rows(mixture, models, null_sigma2)
+        best_response, se_a = _utility(blend, ratios0, ratios1, n, tilt_grid)
+        candidate, se_b = _utility(r_star, ratios0, ratios1, n, tilt_grid)
+        gap, se = float(best_response - candidate), float(np.hypot(se_a, se_b))
+        records.append({"beta": float(beta), "gap": gap, "se": se})
     return records

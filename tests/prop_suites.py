@@ -253,7 +253,7 @@ def check_snr_monotonicity(seed, cases):
         gamma = rng.uniform(1.01, 5.0)
         scaled = PsdGrid(grid_size=psd.grid_size, values=gamma * psd.values)
         assert (
-            error_exponent(scaled, sigma2).value > error_exponent(psd, sigma2).value
+            error_exponent(scaled, sigma2) > error_exponent(psd, sigma2)
         )
 
 
@@ -278,7 +278,7 @@ def check_kl_rate_convergence(seed, cases):
                 width=rng.uniform(0.5, 3.0),
             )
         sigma2 = rng.uniform(0.5, 2.0)
-        limit = error_exponent(psd, sigma2).value
+        limit = error_exponent(psd, sigma2)
         errs = [abs(kl_rate(psd, sigma2, n) - limit) for n in (64, 256, 1024)]
         assert errs[0] > errs[1] > errs[2], errs
 

@@ -46,7 +46,7 @@ def test_criterion_01_flat_psd_exactness():
     for rho in (0.5, 1.0, 3.0):
         psd = make_psd("flat", grid_size=4096, level=rho)
         closed = flat_exponent(rho)
-        assert abs(error_exponent(psd, 1.0).value - closed) <= 1e-10
+        assert abs(error_exponent(psd, 1.0) - closed) <= 1e-10
         for n in (1, 7, 64):
             assert abs(kl_rate(psd, 1.0, n) - closed) <= 1e-12
     assert time.perf_counter() - started < 1.0
@@ -56,7 +56,7 @@ def test_criterion_01_flat_psd_exactness():
 def test_criterion_02_toeplitz_limit_convergence():
     started = time.perf_counter()
     psd = make_psd("rational_ar1", grid_size=4096, variance=1.0, pole=0.5)
-    limit = error_exponent(psd, 1.0).value
+    limit = error_exponent(psd, 1.0)
     errs = [abs(kl_rate(psd, 1.0, n) - limit) for n in (64, 256, 1024)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] <= 0.02 * limit
@@ -167,7 +167,7 @@ def test_criterion_06_neyman_pearson_calibration():
 def test_criterion_07_threshold_and_mean_trends():
     started = time.perf_counter()
     psds = flat_set([1.0, 2.0, 3.0], grid_size=1024)
-    psi = error_exponent(psds[0], 1.0).value
+    psi = error_exponent(psds[0], 1.0)
     trials = 100000
     detectors = {
         "singleton": MixtureWeights(np.array([1.0, 0.0, 0.0])),
@@ -203,7 +203,7 @@ def test_criterion_08_desk_scale_minimax_ordering():
     started = time.perf_counter()
     psds = flat_set([1.0, 2.0, 3.0], grid_size=1024)
     uset = UncertaintySet(members=psds, candidate_index=0)
-    gamma = error_exponent(psds[0], 1.0).value
+    gamma = error_exponent(psds[0], 1.0)
     trials, alpha = 1000000, 0.02
     seed = derive_seed(MASTER_SEED, "crit8")
 

@@ -96,7 +96,7 @@ class TestCalibration:
     def test_threshold_shrinks_toward_negative_exponent(self):
         # the calibrated threshold approaches -exponent as dimension grows
         flats = flat_set([1.0, 2.0, 3.0])
-        psi = error_exponent(flats[0], 1.0).value
+        psi = error_exponent(flats[0], 1.0)
         errs = []
         for n in (32, 128):
             models = [build_model(p, 1.0, n) for p in flats]
@@ -155,7 +155,7 @@ class TestEmpiricalExponent:
     def test_matched_flat_ladder_approaches_exponent(self):
         flat1 = make_psd("flat", grid_size=256, level=1.0, label="f1")
         uset = UncertaintySet(members=(flat1,))
-        limit = error_exponent(flat1, 1.0).value
+        limit = error_exponent(flat1, 1.0)
         est = empirical_exponent(uset, 1.0, E1, 0, [16, 32], 20000, 0.5, MASTER_SEED)
         assert not np.any(est.censored)
         errs = np.abs(est.miss_log - limit)

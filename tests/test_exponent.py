@@ -15,7 +15,7 @@ def flat_exponent(rho):
 class TestErrorExponent:
     def test_zero_psd(self):
         zero = make_psd("tabulated", grid_size=64, values=np.zeros(64))
-        assert error_exponent(zero, 1.0).value == 0.0
+        assert error_exponent(zero, 1.0) == 0.0
 
     @pytest.mark.parametrize(
         "rho,expected",
@@ -23,12 +23,12 @@ class TestErrorExponent:
     )
     def test_flat_closed_form(self, rho, expected):
         psd = make_psd("flat", grid_size=4096, level=rho)
-        assert error_exponent(psd, 1.0).value == pytest.approx(expected, abs=1e-10)
+        assert error_exponent(psd, 1.0) == pytest.approx(expected, abs=1e-10)
 
     def test_nonnegative(self, rng):
         for _ in range(30):
             psd = prop_suites.random_psd(rng)
-            assert error_exponent(psd, rng.uniform(0.5, 2.0)).value >= 0.0
+            assert error_exponent(psd, rng.uniform(0.5, 2.0)) >= 0.0
 
     def test_sigma2_validated(self):
         with pytest.raises(ParameterError):
@@ -67,7 +67,7 @@ class TestKlRate:
 
     def test_ar1_converges_to_exponent(self):
         psd = make_psd("rational_ar1", grid_size=4096, variance=1.0, pole=0.5)
-        limit = error_exponent(psd, 1.0).value
+        limit = error_exponent(psd, 1.0)
         assert abs(kl_rate(psd, 1.0, 1024) - limit) <= 0.02 * limit
 
     def test_n_validated(self):

@@ -50,6 +50,16 @@ class TestBuildModel:
         with pytest.raises(ParameterError):
             ToeplitzGaussian(n=2, sigma2=1.0, autocov=np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "sigma2,autocov",
+        [(float("nan"), [0.0, 0.0]), (1.0, [float("inf"), 0.0])],
+        ids=["nan-sigma2", "inf-autocov"],
+    )
+    def test_non_finite_inputs_named(self, sigma2, autocov):
+        # named as bad input, not reported as a covariance that is not PD
+        with pytest.raises(ParameterError, match="must be finite"):
+            ToeplitzGaussian(n=2, sigma2=sigma2, autocov=np.array(autocov))
+
     def test_logdet_at_least_noise_floor(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 40))

@@ -1,10 +1,12 @@
 import copy
 import json
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import robustspec.detection
 import robustspec.gaussian_model
 from robustspec.cli import main as cli_main
 from robustspec.errors import ConfigError
@@ -35,6 +37,19 @@ FLAT_TRIO = {
 
 def config_text(doc):
     return json.dumps(doc)
+
+
+def one_psd(family, **params):
+    return {"psds": [{"label": "a", "family": family, "params": params}]}
+
+
+def patch_everywhere(monkeypatch, original, replacement):
+    """Replace `original` on every robustspec module that binds it."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "robustspec":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
 
 
 class TestParseConfig:
@@ -201,17 +216,42 @@ class TestModes:
             keys.append((seed, block_index, n))
             return original(seed, block_index, size, n, *args, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "robustspec":
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, recording)
+        patch_everywhere(monkeypatch, original, recording)
         doc = dict(FLAT_TRIO, mode="full", trials=5000, n_values=[8, 16], seed=11)
         run_experiment(parse_config(config_text(doc)))
         # per n: calibration, false-alarm and signal streams of 2 blocks each,
         # plus the frozen null of the optimizer at the first n
         assert len(keys) == 2 * 3 * 2 + 2
         assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("mode", ["minimax", "full"])
+    def test_each_model_built_once(self, monkeypatch, mode):
+        original = robustspec.gaussian_model.build_model
+        builds = Counter()
+
+        def recording(psd, sigma2, n):
+            builds[psd.label, n] += 1
+            return original(psd, sigma2, n)
+
+        patch_everywhere(monkeypatch, original, recording)
+        doc = dict(FLAT_TRIO, mode=mode, trials=2000, n_values=[8, 16], seed=11)
+        run_experiment(parse_config(config_text(doc)))
+        labels = [psd["label"] for psd in FLAT_TRIO["psds"]]
+        assert builds == Counter({(label, n): 1 for label in labels for n in (8, 16)})
+
+    def test_minimax_streams_the_frozen_null(self, monkeypatch):
+        original = robustspec.detection.log_likelihood_ratios
+        rows = []
+
+        def recording(samples, models, null_sigma2):
+            rows.append(len(samples))
+            return original(samples, models, null_sigma2)
+
+        patch_everywhere(monkeypatch, original, recording)
+        doc = dict(FLAT_TRIO, mode="minimax", trials=10000, n_values=[8], seed=11)
+        run_experiment(parse_config(config_text(doc)))
+        assert sum(rows) == 10000
+        assert max(rows) <= robustspec.gaussian_model.SAMPLE_BLOCK
 
     def test_config_echo_completeness(self):
         record = run_experiment(parse_config(config_text(MINIMAL)))
@@ -329,6 +369,30 @@ class TestCli:
         assert cli_main(["exponent", "--config", cfg]) == 2
         cfg2 = self.write_config(tmp_path, MINIMAL)
         assert cli_main(["exponent", "--config", cfg2, "--grid", "4"]) == 2
+
+    @pytest.mark.parametrize(
+        "mode,change,field",
+        [
+            ("exponent", one_psd("flat", level=-1.0), "psds[0]"),
+            ("exponent", one_psd("flat", level="x"), "psds[0]"),
+            ("exponent", one_psd("pink"), "psds[0]"),
+            ("exponent", one_psd("tabulated", values=[1.0, 2.0]), "psds[0]"),
+            ("simulate", {"n_values": [0, 8], "trials": 2000}, "n_values"),
+            ("simulate", {"n_values": [-3], "trials": 2000}, "n_values"),
+            ("exponent", {"trials": 0}, "trials"),
+            ("dominance", {"trials": -5}, "trials"),
+        ],
+        ids=[
+            "negative-param", "string-param", "unknown-family", "tabulated-length",
+            "n-zero", "n-negative", "trials-zero", "trials-negative",
+        ],
+    )
+    def test_bad_config_exits_two_naming_the_field(
+        self, tmp_path, capsys, mode, change, field
+    ):
+        cfg = self.write_config(tmp_path, dict(MINIMAL, mode=mode, **change))
+        assert cli_main([mode, "--config", cfg]) == 2
+        assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ['"sigma2": NaN', '"sigma2": Infinity'])
     def test_non_finite_config_exit_two(self, tmp_path, capsys, text):

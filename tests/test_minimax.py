@@ -175,6 +175,28 @@ class TestRegularityProbe:
         assert ratios[1] < ratios[0]
         assert all(r["gap"] >= -3.0 * r["se"] for r in recs)
 
+    def test_matches_two_utilities_per_beta(self, flat_setup):
+        _, models, frozen, _ = flat_setup
+        r_star, r_dir = E1, MixtureWeights.uniform(3)
+        betas = [0.3, 0.1, 0.0]
+        grid = [-1.0, -0.5, 0.0]
+        recs = regularity_probe(
+            r_star, r_dir, betas, models, 1.0, frozen[:6000], 5, grid, 5000
+        )
+        expected = []
+        for beta in betas:
+            blend = MixtureWeights((1.0 - beta) * r_star.w + beta * r_dir.w)
+            best, se_a = utility(
+                blend, blend, models, 1.0, frozen[:6000], 5, grid, 5000, with_se=True
+            )
+            cand, se_b = utility(
+                r_star, blend, models, 1.0, frozen[:6000], 5, grid, 5000, with_se=True
+            )
+            expected.append(
+                {"beta": beta, "gap": best - cand, "se": float(np.hypot(se_a, se_b))}
+            )
+        assert recs == expected
+
     def test_negative_beta_rejected(self, flat_setup):
         _, models, frozen, _ = flat_setup
         with pytest.raises(ParameterError):
