@@ -22,7 +22,7 @@ from .errors import EstimationInfeasibleError, ParameterError
 from .gaussian_model import (
     SAMPLE_BLOCK,
     ToeplitzGaussian,
-    build_model,
+    build_model_sets,
     normal_blocks,
     white_blocks,
 )
@@ -121,6 +121,17 @@ def ratio_rows(
     return np.concatenate([log_likelihood_ratios(b, models, null_sigma2) for b in blocks])
 
 
+def _mixture_log_ratios(ratios: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """log sum_k w_k p_k/p_0 per row of the log-ratio matrix: n * g(y; w).
+
+    The one form of the mixture statistic; detectors, the game objective, its
+    gradient and the utility all read it.  A zero weight contributes log 0 =
+    -inf, and a singleton weight returns its column exactly.
+    """
+    with np.errstate(divide="ignore"):
+        return logsumexp(ratios + np.log(w), axis=1)
+
+
 def _scorer(
     models: Sequence[ToeplitzGaussian],
     detectors: Sequence[MixtureWeights],
@@ -137,17 +148,23 @@ def _scorer(
     scored = np.flatnonzero(np.any(active, axis=0))
     scored_models = [models[k] for k in scored]
     picks = [
-        (np.searchsorted(scored, np.flatnonzero(a)), q.w[np.newaxis, a])
+        (np.searchsorted(scored, np.flatnonzero(a)), q.w[a])
         for q, a in zip(detectors, active)
     ]
     n = models[0].n
 
     def score(samples: np.ndarray) -> np.ndarray:
         ratios = log_likelihood_ratios(samples, scored_models, null_sigma2)
-        stats = [logsumexp(ratios[:, cols], b=b, axis=1) for cols, b in picks]
+        stats = [_mixture_log_ratios(ratios[:, cols], w) for cols, w in picks]
         return np.array(stats) / n
 
     return score
+
+
+def _null_statistics(score, sigma2: float, n: int, trials: int, seed: int) -> np.ndarray:
+    """(detector, trial) g values of a scorer on the white null substream `seed`."""
+    blocks = white_blocks(sigma2, n, trials, seed)
+    return np.concatenate([score(block) for block in blocks], axis=1)
 
 
 def mixture_statistics(
@@ -179,8 +196,7 @@ def h0_statistics(
 ) -> np.ndarray:
     """g values on `trials` fresh null draws (block-streamed, reproducible)."""
     score = _scorer(models, [weights], null_sigma2)
-    blocks = white_blocks(null_sigma2, models[0].n, trials, seed)
-    return np.concatenate([score(block)[0] for block in blocks])
+    return _null_statistics(score, null_sigma2, models[0].n, trials, seed)[0]
 
 
 def threshold_order_index(alpha: float, trials: int) -> int:
@@ -238,9 +254,8 @@ def _error_counts(
         raise ParameterError(f"truth indices {list(truths)} out of range")
     tau = np.asarray(thresholds, dtype=float)[:, np.newaxis]
     n = models[0].n
-    fa = np.zeros(tau.shape[0], dtype=int)
-    for block in white_blocks(null_sigma2, n, trials, derive_seed(seed, "h0")):
-        fa += np.sum(score(block) > tau, axis=1)
+    g0 = _null_statistics(score, null_sigma2, n, trials, derive_seed(seed, "h0"))
+    fa = np.sum(g0 > tau, axis=1)
     miss = np.zeros((tau.shape[0], len(truths)), dtype=int)
     for z in normal_blocks(n, trials, derive_seed(seed, "h1")):
         for j, truth in enumerate(truths):
@@ -349,8 +364,8 @@ def operating_characteristics(
     for i, models in enumerate(models_by_n):
         n, sigma2 = models[0].n, models[0].sigma2
         score = _scorer(models, detectors, sigma2)
-        null = white_blocks(sigma2, n, trials, derive_seed(seed, f"cal:{n}"))
-        g = np.sort(np.concatenate([score(block) for block in null], axis=1), axis=1)
+        g = _null_statistics(score, sigma2, n, trials, derive_seed(seed, f"cal:{n}"))
+        g.sort(axis=1)
         fa[:, i], miss[:, :, i] = _error_counts(
             score, models, g[:, order], truths, sigma2, trials,
             derive_seed(seed, f"mc:{n}"),
@@ -376,9 +391,7 @@ def empirical_exponent(
     The one-detector, one-truth view of operating_characteristics: each
     dimension calibrates its own threshold from the same master seed.
     """
-    models_by_n = [
-        [build_model(psd, sigma2, int(n)) for psd in psd_set.members] for n in n_values
-    ]
+    models_by_n = build_model_sets(psd_set.members, sigma2, [int(n) for n in n_values])
     return operating_characteristics(
         models_by_n, [detector_weights], [true_psd_index], trials, alpha, seed
     )[0][0]

@@ -10,7 +10,7 @@ cached Cholesky factor of that covariance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, List, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular, toeplitz
@@ -98,6 +98,13 @@ def build_model(psd: PsdGrid, sigma2: float, n: int) -> ToeplitzGaussian:
     return ToeplitzGaussian(
         n=n, sigma2=sigma2, autocov=autocovariance(psd, n - 1), label=psd.label
     )
+
+
+def build_model_sets(
+    psds: Sequence[PsdGrid], sigma2: float, n_values: Sequence[int]
+) -> List[List[ToeplitzGaussian]]:
+    """The models of every PSD at every n, one list of len(psds) per n."""
+    return [[build_model(psd, sigma2, n) for psd in psds] for n in n_values]
 
 
 def white_model(sigma2: float, n: int) -> ToeplitzGaussian:

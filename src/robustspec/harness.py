@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import List, Optional, Sequence
 
 from . import __version__
@@ -18,7 +18,7 @@ from .detection import MixtureWeights, derive_seed, operating_characteristics, r
 from .dominance import find_dominated
 from .errors import ConfigError, ParameterError, RobustSpecError
 from .exponent import error_exponent, genie_bound
-from .gaussian_model import ToeplitzGaussian, build_model, white_blocks
+from .gaussian_model import ToeplitzGaussian, build_model_sets, white_blocks
 from .minimax import kkt_certificate, minimize_mixture_kl
 from .spectral import DEFAULT_GRID_SIZE, UncertaintySet, make_psd
 
@@ -37,26 +37,17 @@ CSV_COLUMNS = (
     "censored",
 )
 
-_TOP_LEVEL_KEYS = {
-    "mode",
-    "grid_size",
-    "sigma2",
-    "alpha",
-    "seed",
-    "trials",
-    "n_values",
-    "candidate_label",
-    "psds",
-    "output_path",
-}
-
 _PSD_BLOCK_KEYS = {"label", "family", "params"}
 
-ModelSets = List[List[ToeplitzGaussian]]  # a run's models: one list of K per n
+#: A run's models, one list of K per n: built once per run, read by every stage.
+ModelSets = List[List[ToeplitzGaussian]]
 
 
 @dataclass
 class ExperimentConfig:
+    """The resolved config: its fields are the accepted top-level keys, and
+    asdict(config), in field order, is the config a report records."""
+
     mode: str
     grid_size: int
     sigma2: float
@@ -64,28 +55,13 @@ class ExperimentConfig:
     seed: int
     trials: int
     n_values: List[int]
-    psd_specs: List[dict]
     candidate_label: Optional[str]
+    psds: List[dict]
     output_path: Optional[str]
-
-    def echo(self) -> dict:
-        """Config with all resolved defaults, as recorded in reports."""
-        return {
-            "mode": self.mode,
-            "grid_size": self.grid_size,
-            "sigma2": self.sigma2,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "trials": self.trials,
-            "n_values": list(self.n_values),
-            "candidate_label": self.candidate_label,
-            "psds": self.psd_specs,
-            "output_path": self.output_path,
-        }
 
     def build_psds(self) -> UncertaintySet:
         members = []
-        for i, block in enumerate(self.psd_specs):
+        for i, block in enumerate(self.psds):
             try:
                 psd = make_psd(
                     block["family"],
@@ -128,7 +104,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - _TOP_LEVEL_KEYS
+    unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
@@ -150,11 +126,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
     seed = _as_int(doc.get("seed", 0), "seed")
     trials = _as_int(doc.get("trials", 10000), "trials")
-    floor = 1000 if mode in ("simulate", "minimax", "full") else 1
-    if trials < floor:
-        raise ConfigError(f"trials must be >= {floor} for mode {mode!r}, got {trials}")
+    _check_trials(mode, trials)
 
-    n_values = [_as_int(v, "n_values entry") for v in doc.get("n_values", [64, 256])]
+    n_values = doc.get("n_values", [64, 256])
+    if not isinstance(n_values, list):
+        raise ConfigError(f"n_values must be a list of integers, got {n_values!r}")
+    n_values = [_as_int(v, "n_values entry") for v in n_values]
     increasing = all(b > a for a, b in zip(n_values, n_values[1:]))
     if not (n_values and n_values[0] >= 1 and increasing):
         raise ConfigError("n_values must be nonempty, strictly increasing and >= 1")
@@ -162,7 +139,7 @@ def parse_config(text: str) -> ExperimentConfig:
     raw_psds = doc.get("psds")
     if not isinstance(raw_psds, list) or not raw_psds:
         raise ConfigError("psds must be a nonempty list of PSD blocks")
-    psd_specs = []
+    psds = []
     labels = set()
     for i, block in enumerate(raw_psds):
         if not isinstance(block, dict):
@@ -182,11 +159,17 @@ def parse_config(text: str) -> ExperimentConfig:
         params = block.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"psds[{i}].params must be an object")
-        psd_specs.append({"label": label, "family": family, "params": params})
+        psds.append({"label": label, "family": family, "params": params})
 
     candidate_label = doc.get("candidate_label")
-    if candidate_label is not None and candidate_label not in labels:
+    if candidate_label is not None and (
+        not isinstance(candidate_label, str) or candidate_label not in labels
+    ):
         raise ConfigError(f"candidate_label {candidate_label!r} matches no PSD")
+
+    output_path = doc.get("output_path")
+    if output_path is not None and not (isinstance(output_path, str) and output_path):
+        raise ConfigError(f"output_path must be a nonempty string, got {output_path!r}")
 
     return ExperimentConfig(
         mode=mode,
@@ -196,10 +179,16 @@ def parse_config(text: str) -> ExperimentConfig:
         seed=seed,
         trials=trials,
         n_values=n_values,
-        psd_specs=psd_specs,
         candidate_label=candidate_label,
-        output_path=doc.get("output_path"),
+        psds=psds,
+        output_path=output_path,
     )
+
+
+def _check_trials(mode: str, trials: int) -> None:
+    floor = 1000 if mode in ("simulate", "minimax", "full") else 1
+    if trials < floor:
+        raise ConfigError(f"trials must be >= {floor} for mode {mode!r}, got {trials}")
 
 
 def _as_int(value, key: str) -> int:
@@ -223,6 +212,7 @@ def _as_float(value, key: str) -> float:
 def run_experiment(config: ExperimentConfig) -> ReportRecord:
     """Execute the configured mode and wrap the result in a report record."""
     start = time.perf_counter()
+    _check_trials(config.mode, config.trials)  # the CLI may have changed the mode
     uset = config.build_psds()
     try:
         if config.mode == "exponent":
@@ -232,9 +222,8 @@ def run_experiment(config: ExperimentConfig) -> ReportRecord:
         elif config.mode == "simulate":
             payload = _run_simulate(config, uset)
         elif config.mode == "minimax":
-            payload = _run_minimax(
-                config, uset.candidate_index or 0, _model_sets(config, uset)
-            )
+            model_sets = build_model_sets(uset.members, config.sigma2, config.n_values)
+            payload = _run_minimax(config, uset.candidate_index or 0, model_sets)
         else:
             payload = _run_full(config, uset)
     except RobustSpecError as exc:
@@ -242,7 +231,7 @@ def run_experiment(config: ExperimentConfig) -> ReportRecord:
     wall = (time.perf_counter() - start) * 1000.0
     return ReportRecord(
         mode=config.mode,
-        config=config.echo(),
+        config=asdict(config),
         payload=payload,
         seed=config.seed,
         wall_time_ms=wall,
@@ -273,14 +262,6 @@ def _run_dominance(config: ExperimentConfig, uset: UncertaintySet) -> dict:
     }
 
 
-def _model_sets(config: ExperimentConfig, uset: UncertaintySet) -> ModelSets:
-    """Build each (member, n) model once; every stage of the run reads them."""
-    return [
-        [build_model(psd, config.sigma2, n) for psd in uset.members]
-        for n in config.n_values
-    ]
-
-
 def _ladders(
     config: ExperimentConfig,
     model_sets: ModelSets,
@@ -301,7 +282,8 @@ def _ladders(
 
 def _run_simulate(config: ExperimentConfig, uset: UncertaintySet) -> dict:
     cand = uset.candidate_index or 0
-    (ladders,) = _ladders(config, _model_sets(config, uset), [cand], "simulate")
+    model_sets = build_model_sets(uset.members, config.sigma2, config.n_values)
+    (ladders,) = _ladders(config, model_sets, [cand], "simulate")
     estimates = [
         {
             "truth_label": uset.members[truth].label,
@@ -351,7 +333,7 @@ def _run_full(config: ExperimentConfig, uset: UncertaintySet) -> dict:
             "ordering_consistent": None,
         }
     cand = dominance["candidate_index"]
-    model_sets = _model_sets(config, uset)
+    model_sets = build_model_sets(uset.members, config.sigma2, config.n_values)
     minimax = _run_minimax(config, cand, model_sets)
 
     k = len(uset)

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .detection import (
     DEFAULT_TILT_GRID,
     MixtureWeights,
     _chernoff_bound,
+    _mixture_log_ratios,
     log_likelihood_ratios,
     ratio_rows,
     sample_mixture_blocks,
@@ -53,16 +53,6 @@ class KktCertificate:
         }
 
 
-def _objective(log_r: np.ndarray, ratios: np.ndarray, n: int) -> float:
-    # (1/n) * mean[ -log sum_k r_k p_k/p_0 ] over the frozen null samples
-    return float(-np.mean(logsumexp(ratios + log_r, axis=1))) / n
-
-
-def _log_weights(w: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(w)
-
-
 def sample_average_kl(
     r: MixtureWeights,
     models: Sequence[ToeplitzGaussian],
@@ -71,7 +61,7 @@ def sample_average_kl(
 ) -> float:
     """Sample-average (1/n) D(null || mixture r) on a frozen null sample set."""
     ratios = log_likelihood_ratios(h0_samples, models, null_sigma2)
-    return _objective(_log_weights(r.w), ratios, models[0].n)
+    return float(-np.mean(_mixture_log_ratios(ratios, r.w))) / models[0].n
 
 
 def minimize_mixture_weights(
@@ -99,8 +89,9 @@ def minimize_mixture_kl(
     `ratios` holds log(p_k/p_0) of the frozen null samples, one row per
     sample and one column per model.  The linear subproblem picks the vertex
     of the most negative gradient component; the nominal step 2/(iter+2) is
-    halved as needed so the recorded objective trace is nonincreasing.
-    Returns (weights, value, trace) where trace holds per-iteration
+    halved as needed so the recorded objective trace is nonincreasing.  The
+    accepted point's mixture row gives both its objective and the next
+    gradient.  Returns (weights, value, trace) where trace holds per-iteration
     objectives and duality gaps.
     """
     k = ratios.shape[1]
@@ -109,10 +100,10 @@ def minimize_mixture_kl(
     if np.any(init.w < 1.0 / (10.0 * k)):
         raise ParameterError(f"init must be strictly interior (all >= 1/(10K))")
     x = init.w.copy()
-    objectives = [_objective(_log_weights(x), ratios, n)]
+    mix = _mixture_log_ratios(ratios, x)
+    objectives = [float(-np.mean(mix)) / n]
     gaps: List[float] = []
     for it in range(max_iters):
-        mix = logsumexp(ratios + _log_weights(x), axis=1)
         grad = -np.mean(np.exp(ratios - mix[:, np.newaxis]), axis=0) / n
         if not np.all(np.isfinite(grad)):
             raise ParameterError("non-finite gradient in Frank-Wolfe step")
@@ -128,13 +119,14 @@ def minimize_mixture_kl(
         # halve until the move does not increase the frozen-sample objective
         for _ in range(40):
             candidate = x + step * direction
-            value = _objective(_log_weights(candidate), ratios, n)
+            candidate_mix = _mixture_log_ratios(ratios, candidate)
+            value = float(-np.mean(candidate_mix)) / n
             if value <= current + 1e-15:
                 break
             step *= 0.5
         else:
             break
-        x = candidate
+        x, mix = candidate, candidate_mix
         objectives.append(value)
     x = np.clip(x, 0.0, 1.0)
     x /= x.sum()
@@ -189,9 +181,8 @@ def _utility(
     tilt_grid: Sequence[float],
 ) -> Tuple[float, float]:
     """(utility, SE) of detector q from the null and mixture log-ratio rows."""
-    log_q = _log_weights(q.w)
-    g0 = logsumexp(ratios0 + log_q, axis=1) / n
-    g1 = logsumexp(ratios1 + log_q, axis=1) / n
+    g0 = _mixture_log_ratios(ratios0, q.w) / n
+    g1 = _mixture_log_ratios(ratios1, q.w) / n
     best, best_t = _chernoff_bound(float(np.mean(g0)), g1, n, tilt_grid)
     # delta-method SE at the chosen tilt
     se0 = abs(best_t) * float(np.std(g0)) / np.sqrt(len(g0))
@@ -248,6 +239,7 @@ def regularity_probe(
     betas = np.asarray(list(beta_ladder), dtype=float)
     if np.any(betas < 0.0):
         raise ParameterError("beta values must be >= 0")
+    tilt_grid = tuple(tilt_grid)  # read twice per beta
     n = models[0].n
     ratios0 = log_likelihood_ratios(h0_samples, models, null_sigma2)
     trials = h1_trials if h1_trials is not None else h0_samples.shape[0]

@@ -5,9 +5,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import robustspec.detection
 import robustspec.gaussian_model
+from conftest import MASTER_SEED
 from robustspec.cli import main as cli_main
 from robustspec.errors import ConfigError
 from robustspec.harness import (
@@ -41,6 +44,82 @@ def config_text(doc):
 
 def one_psd(family, **params):
     return {"psds": [{"label": "a", "family": family, "params": params}]}
+
+
+FAMILY_PARAMS = {
+    "flat": ("level",),
+    "raised_cosine": ("peak", "center", "width"),
+    "rational_ar1": ("variance", "pole"),
+    "tabulated": ("values",),
+}
+
+# small values of every JSON type, plus numbers past the double range
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3000),
+    st.just(10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+)
+
+ABSENT = object()  # a key left out of the document
+
+
+def present(entries):
+    return {key: value for key, value in entries if value is not ABSENT}
+
+
+def mostly(draw, good):
+    """A draw of `good` nine times in ten, else junk or ABSENT."""
+    roll = draw(st.integers(0, 19))  # shrinks toward the good value
+    return draw(good) if roll < 18 else draw(JUNK) if roll == 18 else ABSENT
+
+
+@st.composite
+def psd_blocks(draw, grid_size):
+    family = draw(st.sampled_from(sorted(FAMILY_PARAMS)))
+    names = list(FAMILY_PARAMS[family])
+    if draw(st.integers(0, 9)) == 9:  # a foreign or reserved parameter name
+        names.append(draw(st.sampled_from(["level", "pole", "label", "family"])))
+    number = st.floats(-0.2, 3.0)
+    values = st.lists(number, min_size=grid_size - 1, max_size=grid_size)
+    params = present(
+        (name, mostly(draw, values if name == "values" else number)) for name in names
+    )
+    return present([
+        ("label", mostly(draw, st.sampled_from(["a", "b", "c"]))),
+        ("family", mostly(draw, st.just(family))),
+        ("params", mostly(draw, st.just(params))),
+    ])
+
+
+@st.composite
+def config_documents(draw):
+    """JSON documents built around the known keys and PSD blocks: up to two
+    top-level keys are junk or left out, and the rest are mostly well formed."""
+    grid_size = draw(st.integers(8, 40))
+    label = lambda block: repr(block.get("label"))  # noqa: E731
+    good = {
+        "mode": st.sampled_from(["exponent", "dominance", "simulate"]),
+        "grid_size": st.just(grid_size),
+        "sigma2": st.floats(0.01, 4.0),
+        "alpha": st.floats(0.01, 0.99),
+        "seed": st.integers(-5, 5),
+        "trials": st.integers(900, 2000),
+        "n_values": st.sets(st.integers(1, 64), min_size=1).map(sorted),
+        "candidate_label": st.sampled_from([None, "a", "z"]),
+        "psds": st.lists(psd_blocks(grid_size), min_size=1, max_size=3, unique_by=label),
+        "output_path": st.just("out.json"),
+        "gridsize": st.just(ABSENT),  # an unknown key, present only when spoiled
+    }
+    spoiled = draw(st.sets(st.sampled_from(sorted(good)), max_size=2))
+    return present(
+        (key, draw(JUNK | st.just(ABSENT) if key in spoiled else value))
+        for key, value in good.items()
+    )
 
 
 def patch_everywhere(monkeypatch, original, replacement):
@@ -112,6 +191,17 @@ class TestParseConfig:
     def test_candidate_label_must_exist(self):
         with pytest.raises(ConfigError, match="candidate_label"):
             parse_config(config_text(dict(MINIMAL, candidate_label="two")))
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @seed(MASTER_SEED)
+    @given(config_documents())
+    def test_config_parses_or_raises_config_error(self, doc):
+        try:
+            parse_config(json.dumps(doc)).build_psds()
+        except ConfigError:
+            pass
 
 
 class TestModes:
@@ -381,16 +471,23 @@ class TestCli:
             ("simulate", {"n_values": [-3], "trials": 2000}, "n_values"),
             ("exponent", {"trials": 0}, "trials"),
             ("dominance", {"trials": -5}, "trials"),
+            ("simulate", {"mode": "exponent", "trials": 5}, "trials"),
+            ("exponent", {"candidate_label": [1]}, "candidate_label"),
+            ("exponent", {"n_values": 5}, "n_values"),
+            ("exponent", {"output_path": 12}, "output_path"),
         ],
         ids=[
             "negative-param", "string-param", "unknown-family", "tabulated-length",
             "n-zero", "n-negative", "trials-zero", "trials-negative",
+            "trials-below-subcommand-floor", "label-not-string", "n-values-not-list",
+            "output-path-not-string",
         ],
     )
     def test_bad_config_exits_two_naming_the_field(
         self, tmp_path, capsys, mode, change, field
     ):
-        cfg = self.write_config(tmp_path, dict(MINIMAL, mode=mode, **change))
+        # `change` may set the document's mode; the subcommand is `mode`
+        cfg = self.write_config(tmp_path, {**MINIMAL, "mode": mode, **change})
         assert cli_main([mode, "--config", cfg]) == 2
         assert field in capsys.readouterr().err
 

@@ -197,6 +197,12 @@ class TestRegularityProbe:
             )
         assert recs == expected
 
+    def test_one_shot_tilt_grid(self, flat_setup):
+        _, models, frozen, _ = flat_setup
+        args = (E1, MixtureWeights.uniform(3), [0.3, 0.1], models, 1.0, frozen[:6000], 5)
+        recs = regularity_probe(*args, (t for t in [-1.0, 0.0]), 5000)
+        assert recs == regularity_probe(*args, [-1.0, 0.0], 5000)
+
     def test_negative_beta_rejected(self, flat_setup):
         _, models, frozen, _ = flat_setup
         with pytest.raises(ParameterError):
