@@ -46,7 +46,7 @@ def main(argv=None) -> int:
         config.mode = args.mode
         if args.seed is not None:
             config.seed = args.seed
-        if args.grid is not None:  # checked where the PSDs are built
+        if args.grid is not None:  # checked again by run_experiment
             config.grid_size = args.grid
         record = run_experiment(config)
     except ConfigError as exc:  # a RobustSpecError too: keep it first
@@ -60,7 +60,7 @@ def main(argv=None) -> int:
         if out_path:
             write_report(record, out_path, args.format)
         else:
-            json.dump(record.to_json(), sys.stdout, indent=2)
+            json.dump(record.to_json(), sys.stdout, indent=2, allow_nan=False)
             print()
     except OSError as exc:
         print(f"io failure: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import logsumexp
@@ -294,17 +294,23 @@ class ExponentEstimate:
     ci_half_width: float
 
     def to_rows(self) -> List[dict]:
+        """JSON rows; a censored entry's miss_log (NaN) is written as null."""
         return [
             {
                 "n": int(self.n_values[i]),
                 "fa_hat": float(self.fa_hat[i]),
                 "miss_hat": float(self.miss_hat[i]),
                 "miss_count": int(self.miss_count[i]),
-                "miss_log": float(self.miss_log[i]),
+                "miss_log": _json_float(self.miss_log[i]),
                 "censored": bool(self.censored[i]),
             }
             for i in range(len(self.n_values))
         ]
+
+
+def _json_float(value) -> Optional[float]:
+    """float(value), or None (JSON null) when it is not finite."""
+    return float(value) if np.isfinite(value) else None
 
 
 def _ladder(

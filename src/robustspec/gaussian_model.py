@@ -10,7 +10,7 @@ cached Cholesky factor of that covariance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular, toeplitz
@@ -31,7 +31,10 @@ SAMPLE_BLOCK = 4096
 
 @dataclass(frozen=True)
 class ToeplitzGaussian:
-    """Zero-mean Gaussian N(0, sigma2*I + Toeplitz(autocov)) of dimension n."""
+    """Zero-mean Gaussian N(0, sigma2*I + Toeplitz(autocov)) of dimension n.
+
+    `jitter` is the JITTER_LADDER rung the factor needed (0: no jitter).
+    """
 
     n: int
     sigma2: float
@@ -39,6 +42,7 @@ class ToeplitzGaussian:
     label: str = ""
     factor: np.ndarray = field(repr=False, compare=False, default=None)
     logdet: float = field(compare=False, default=None)
+    jitter: int = field(compare=False, default=None)
 
     def __post_init__(self):
         if self.n < 1:
@@ -57,9 +61,10 @@ class ToeplitzGaussian:
         object.__setattr__(self, "autocov", autocov)
         if self.factor is None:
             cov = self.covariance()
-            factor = _cholesky_with_jitter(cov, self.label)
+            factor, rung = _cholesky_with_jitter(cov, self.label)
             factor.setflags(write=False)
             object.__setattr__(self, "factor", factor)
+            object.__setattr__(self, "jitter", rung)
             object.__setattr__(
                 self, "logdet", float(2.0 * np.sum(np.log(np.diag(factor))))
             )
@@ -80,11 +85,12 @@ class ToeplitzGaussian:
         return np.einsum("ij,ij->j", half, half)
 
 
-def _cholesky_with_jitter(cov: np.ndarray, label: str) -> np.ndarray:
-    for jitter in JITTER_LADDER:
+def _cholesky_with_jitter(cov: np.ndarray, label: str) -> Tuple[np.ndarray, int]:
+    """(lower Cholesky factor, index of the JITTER_LADDER rung that gave it)."""
+    for rung, jitter in enumerate(JITTER_LADDER):
         try:
             work = cov if jitter == 0.0 else cov + jitter * np.eye(cov.shape[0])
-            return cholesky(work, lower=True)
+            return cholesky(work, lower=True), rung
         except np.linalg.LinAlgError:
             continue
     raise NotPositiveDefiniteError(

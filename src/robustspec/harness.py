@@ -39,6 +39,12 @@ CSV_COLUMNS = (
 
 _PSD_BLOCK_KEYS = {"label", "family", "params"}
 
+#: Upper bounds that keep a config from asking for more memory than a desk
+#: machine has: one PSD grid of MAX_GRID_SIZE doubles is 32 MiB, and one
+#: n x n Cholesky factor at MAX_N is 512 MiB.
+MAX_GRID_SIZE = 2**22
+MAX_N = 8192
+
 #: A run's models, one list of K per n: built once per run, read by every stage.
 ModelSets = List[List[ToeplitzGaussian]]
 
@@ -113,8 +119,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
     grid_size = _as_int(doc.get("grid_size", DEFAULT_GRID_SIZE), "grid_size")
-    if grid_size < 8:
-        raise ConfigError(f"grid_size must be >= 8, got {grid_size}")
+    _check_grid(grid_size)
 
     sigma2 = _as_float(doc.get("sigma2", 1.0), "sigma2")
     if sigma2 <= 0:
@@ -135,6 +140,8 @@ def parse_config(text: str) -> ExperimentConfig:
     increasing = all(b > a for a, b in zip(n_values, n_values[1:]))
     if not (n_values and n_values[0] >= 1 and increasing):
         raise ConfigError("n_values must be nonempty, strictly increasing and >= 1")
+    if n_values[-1] > MAX_N:
+        raise ConfigError(f"n_values entries must be <= {MAX_N}, got {n_values[-1]}")
 
     raw_psds = doc.get("psds")
     if not isinstance(raw_psds, list) or not raw_psds:
@@ -185,6 +192,11 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
+def _check_grid(grid_size: int) -> None:
+    if not 8 <= grid_size <= MAX_GRID_SIZE:
+        raise ConfigError(f"grid_size must be in [8, {MAX_GRID_SIZE}], got {grid_size}")
+
+
 def _check_trials(mode: str, trials: int) -> None:
     floor = 1000 if mode in ("simulate", "minimax", "full") else 1
     if trials < floor:
@@ -212,7 +224,9 @@ def _as_float(value, key: str) -> float:
 def run_experiment(config: ExperimentConfig) -> ReportRecord:
     """Execute the configured mode and wrap the result in a report record."""
     start = time.perf_counter()
-    _check_trials(config.mode, config.trials)  # the CLI may have changed the mode
+    # the CLI may have changed the mode and the grid size
+    _check_trials(config.mode, config.trials)
+    _check_grid(config.grid_size)
     uset = config.build_psds()
     try:
         if config.mode == "exponent":
@@ -413,7 +427,7 @@ def write_report(record: ReportRecord, path: str, format: str = "json") -> None:
     try:
         if format == "json":
             with open(path, "w") as fh:
-                json.dump(record.to_json(), fh, indent=2)
+                json.dump(record.to_json(), fh, indent=2, allow_nan=False)
                 fh.write("\n")
         else:
             import csv as _csv

@@ -2,9 +2,10 @@
 
 The engineer picks detector weights q, Nature picks an operating point r;
 both live on the K-simplex.  The game value at the saddle is the normalized
-KL divergence from the null to the least favorable mixture, which a
-Frank-Wolfe descent over a frozen sample-average objective locates, and a
-closed-form KKT certificate verifies to be the dominated singleton.
+KL divergence from the null to the least favorable mixture.  Cover's
+multiplicative step over a frozen sample-average objective locates it and
+stops on the sample KKT condition; a closed-form KKT certificate verifies
+the dominated singleton.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .detection import (
     DEFAULT_TILT_GRID,
     MixtureWeights,
     _chernoff_bound,
+    _json_float,
     _mixture_log_ratios,
     log_likelihood_ratios,
     ratio_rows,
@@ -43,10 +45,11 @@ class KktCertificate:
     diverged_indices: Tuple[int, ...] = ()
 
     def to_json(self) -> dict:
+        """JSON form; a diverged member's mu and max_violation (infinite) are null."""
         return {
             "lambda": float(self.lam),
-            "mu": [float(m) for m in self.mu],
-            "max_violation": float(self.max_violation),
+            "mu": [_json_float(m) for m in self.mu],
+            "max_violation": _json_float(self.max_violation),
             "singleton_verified": bool(self.singleton_verified),
             "candidate_index": int(self.candidate_index),
             "diverged_indices": list(self.diverged_indices),
@@ -84,15 +87,18 @@ def minimize_mixture_kl(
     max_iters: int = 200,
     tol: float = 1e-8,
 ) -> Tuple[MixtureWeights, float, dict]:
-    """Frank-Wolfe minimization of (1/n) mean[-log sum_k r_k p_k/p_0] over r.
+    """Minimize (1/n) mean[-log sum_k r_k p_k/p_0] over r on the simplex.
 
     `ratios` holds log(p_k/p_0) of the frozen null samples, one row per
-    sample and one column per model.  The linear subproblem picks the vertex
-    of the most negative gradient component; the nominal step 2/(iter+2) is
-    halved as needed so the recorded objective trace is nonincreasing.  The
-    accepted point's mixture row gives both its objective and the next
-    gradient.  Returns (weights, value, trace) where trace holds per-iteration
-    objectives and duality gaps.
+    sample and one column per model.  With m_k = mean(p_k/p_mix) at the
+    current point, gaps records the Frank-Wolfe duality gap, which is
+    (max_k m_k - 1)/n since sum_k r_k m_k = 1: the sample KKT residual of
+    the point divided by n.  The solve stops when it is <= tol.  Otherwise
+    it moves to the exact vertex of the largest m_k when that vertex passes
+    the same test itself, and takes Cover's multiplicative step
+    r_k <- r_k m_k / sum(r m) when it does not; a move that raises the
+    objective by more than 1e-15 ends the solve.  Returns (weights, value,
+    trace) with per-iteration objectives and gaps.
     """
     k = ratios.shape[1]
     if len(init) != k:
@@ -103,36 +109,30 @@ def minimize_mixture_kl(
     mix = _mixture_log_ratios(ratios, x)
     objectives = [float(-np.mean(mix)) / n]
     gaps: List[float] = []
-    for it in range(max_iters):
-        grad = -np.mean(np.exp(ratios - mix[:, np.newaxis]), axis=0) / n
-        if not np.all(np.isfinite(grad)):
-            raise ParameterError("non-finite gradient in Frank-Wolfe step")
+    for _ in range(max_iters):
+        m = np.mean(np.exp(ratios - mix[:, np.newaxis]), axis=0)
+        if not np.all(np.isfinite(m)):
+            raise ParameterError("non-finite gradient in the mixture-weight step")
+        grad = -m / n
         vertex = int(np.argmin(grad))
         gap = float(grad @ x - grad[vertex])
         gaps.append(gap)
         if gap <= tol:
             break
-        step = 2.0 / (it + 2.0)
-        direction = -x.copy()
-        direction[vertex] += 1.0
-        current = objectives[-1]
-        # halve until the move does not increase the frozen-sample objective
-        for _ in range(40):
-            candidate = x + step * direction
-            candidate_mix = _mixture_log_ratios(ratios, candidate)
-            value = float(-np.mean(candidate_mix)) / n
-            if value <= current + 1e-15:
-                break
-            step *= 0.5
+        column = ratios[:, vertex]
+        at_vertex = np.mean(np.exp(ratios - column[:, np.newaxis]), axis=0)
+        if (np.max(at_vertex) - 1.0) / n <= tol:
+            candidate, candidate_mix = np.eye(k)[vertex], column
         else:
+            candidate = x * m / np.sum(x * m)
+            candidate_mix = _mixture_log_ratios(ratios, candidate)
+        value = float(-np.mean(candidate_mix)) / n
+        if value > objectives[-1] + 1e-15:
             break
         x, mix = candidate, candidate_mix
         objectives.append(value)
-    x = np.clip(x, 0.0, 1.0)
-    x /= x.sum()
-    weights = MixtureWeights(x)
     trace = {"objectives": objectives, "gaps": gaps, "iterations": len(gaps)}
-    return weights, objectives[-1], trace
+    return MixtureWeights(x), objectives[-1], trace
 
 
 def kkt_certificate(

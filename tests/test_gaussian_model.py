@@ -42,6 +42,14 @@ class TestBuildModel:
         dense = float(np.log(np.linalg.det(cov)))
         assert model.logdet == pytest.approx(dense, abs=1e-10)
 
+    def test_jitter_rung_is_recorded(self):
+        assert build_model(make_psd("flat", grid_size=64, level=2.0), 1.0, 4).jitter == 0
+        # the signal cancels the noise floor down to about -1e-11 * I, so the
+        # rungs 0.0 and 1e-12 fail and 1e-10 succeeds
+        model = ToeplitzGaussian(n=3, sigma2=1.0, autocov=np.array([-1.0 - 1e-11, 0.0, 0.0]))
+        assert model.jitter == 2
+        assert np.all(np.diag(model.factor) > 0.0)
+
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             ToeplitzGaussian(n=0, sigma2=1.0, autocov=np.array([]))

@@ -475,12 +475,15 @@ class TestCli:
             ("exponent", {"candidate_label": [1]}, "candidate_label"),
             ("exponent", {"n_values": 5}, "n_values"),
             ("exponent", {"output_path": 12}, "output_path"),
+            ("exponent", {"grid_size": 10**12}, "grid_size"),
+            ("exponent", {"grid_size": 2**22 + 1}, "grid_size"),
+            ("exponent", {"n_values": [8, 10**9]}, "n_values"),
         ],
         ids=[
             "negative-param", "string-param", "unknown-family", "tabulated-length",
             "n-zero", "n-negative", "trials-zero", "trials-negative",
             "trials-below-subcommand-floor", "label-not-string", "n-values-not-list",
-            "output-path-not-string",
+            "output-path-not-string", "grid-huge", "grid-above-cap", "n-huge",
         ],
     )
     def test_bad_config_exits_two_naming_the_field(
@@ -490,6 +493,30 @@ class TestCli:
         cfg = self.write_config(tmp_path, {**MINIMAL, "mode": mode, **change})
         assert cli_main([mode, "--config", cfg]) == 2
         assert field in capsys.readouterr().err
+
+    def test_grid_override_is_bounded(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, MINIMAL)
+        assert cli_main(["exponent", "--config", cfg, "--grid", str(10**12)]) == 2
+        assert "grid_size" in capsys.readouterr().err
+
+    def test_report_is_strict_json(self, tmp_path):
+        # n=32 at this level leaves too few misses: the row is censored
+        doc = {
+            "mode": "simulate", "grid_size": 64, "trials": 1000, "alpha": 0.1,
+            "seed": 3, "n_values": [8, 32],
+            "psds": [{"label": "hot", "family": "flat", "params": {"level": 3.0}}],
+        }
+        out = tmp_path / "report.json"
+        cfg = self.write_config(tmp_path, doc)
+        assert cli_main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        rows = report["payload"]["estimates"][0]["rows"]
+        assert [r["censored"] for r in rows] == [False, True]
+        assert rows[1]["miss_log"] is None
 
     @pytest.mark.parametrize("text", ['"sigma2": NaN', '"sigma2": Infinity'])
     def test_non_finite_config_exit_two(self, tmp_path, capsys, text):

@@ -1,9 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 import prop_suites
 from conftest import MASTER_SEED, MODULE_CASES, flat_set
-from robustspec.detection import DEFAULT_TILT_GRID, MixtureWeights, derive_seed
+from robustspec.detection import (
+    DEFAULT_TILT_GRID,
+    MixtureWeights,
+    derive_seed,
+    log_likelihood_ratios,
+)
 from robustspec.errors import ParameterError
 from robustspec.exponent import kl_rate
 from robustspec.gaussian_model import build_model, sample_gaussian, white_model
@@ -24,6 +31,42 @@ def flat_setup():
     models = [build_model(p, 1.0, n) for p in psds]
     frozen = sample_gaussian(white_model(1.0, n), 20000, derive_seed(MASTER_SEED, "frozen"))
     return psds, models, frozen, n
+
+
+@pytest.fixture(scope="module")
+def interior_setup():
+    # three raised-cosine bumps and an AR(1) with a negative pole, drawn from
+    # the ranges of the minimax_interior benchmark: no member is dominated
+    rng = np.random.default_rng(MASTER_SEED)
+    psds = [
+        make_psd(
+            "raised_cosine", grid_size=256, label=f"bump{i}",
+            peak=rng.uniform(1.8, 2.2), center=c + rng.uniform(-0.15, 0.15),
+            width=rng.uniform(0.5, 0.55),
+        )
+        for i, c in enumerate((np.pi / 6, np.pi / 2, 5 * np.pi / 6))
+    ]
+    psds.append(
+        make_psd(
+            "rational_ar1", grid_size=256, label="ar1neg",
+            variance=rng.uniform(0.5, 1.0), pole=rng.uniform(-0.7, -0.4),
+        )
+    )
+    n = 64
+    models = [build_model(p, 1.0, n) for p in psds]
+    frozen = sample_gaussian(white_model(1.0, n), 5000, derive_seed(MASTER_SEED, "interior"))
+    return models, frozen, n
+
+
+def multiplicative_reference(ratios, n, steps=5000):
+    """(weights, value) after `steps` plain multiplicative updates from uniform."""
+    shift = ratios.max(axis=1)
+    p = np.exp(ratios - shift[:, np.newaxis])
+    x = np.full(ratios.shape[1], 1.0 / ratios.shape[1])
+    for _ in range(steps):
+        m = np.mean(p / (p @ x)[:, np.newaxis], axis=0)
+        x = x * m / np.sum(x * m)
+    return x, float(-np.mean(np.log(p @ x) + shift)) / n
 
 
 E1 = MixtureWeights(np.array([1.0, 0.0, 0.0]))
@@ -84,6 +127,28 @@ class TestMinimizeMixtureWeights:
         e1 = sample_average_kl(MixtureWeights(np.array([1.0, 0.0])), pair, 1.0, frozen)
         assert abs(value - e1) <= 1e-12
 
+    def test_dominated_set_ends_on_the_exact_vertex(self, flat_setup):
+        _, models, frozen, _ = flat_setup
+        w, _, trace = minimize_mixture_weights(
+            models, 1.0, frozen, MixtureWeights.uniform(3)
+        )
+        assert np.array_equal(w.w, [1.0, 0.0, 0.0])
+        assert trace["gaps"][-1] == 0.0
+        assert trace["iterations"] == 2
+
+    def test_interior_set_stops_on_the_kkt_condition(self, interior_setup):
+        models, frozen, n = interior_setup
+        w, value, trace = minimize_mixture_weights(
+            models, 1.0, frozen, MixtureWeights.uniform(4)
+        )
+        assert trace["gaps"][-1] <= 1e-8
+        assert trace["iterations"] < 60
+        ratios = log_likelihood_ratios(frozen, models, 1.0)
+        ref_w, ref_value = multiplicative_reference(ratios, n)
+        assert abs(value - ref_value) <= 1e-9
+        assert np.any(ref_w < 1e-12)  # the optimum lies on a face
+        assert np.all(w.w[ref_w < 1e-12] < 1e-4)
+
     def test_init_must_be_interior(self, flat_setup):
         _, models, frozen, _ = flat_setup
         with pytest.raises(ParameterError):
@@ -121,6 +186,15 @@ class TestKktCertificate:
             "lambda", "mu", "max_violation", "singleton_verified",
             "candidate_index", "diverged_indices",
         }
+
+    def test_diverged_entries_serialize_as_null(self):
+        # a null twice as loud as the models' noise floor makes E[p_1/p_0] diverge
+        models = [build_model(p, 1.0, 8) for p in flat_set([0.01, 5.0])]
+        cert = kkt_certificate(0, models, 4.0)
+        assert cert.diverged_indices == (1,)
+        doc = json.loads(json.dumps(cert.to_json(), allow_nan=False))
+        assert doc["mu"] == [0.0, None]
+        assert doc["max_violation"] is None
 
     def test_index_validated(self, flat_setup):
         _, models, _, _ = flat_setup
