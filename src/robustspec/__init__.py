@@ -5,7 +5,7 @@ simulates likelihood-ratio and mixture detectors at finite dimension, and
 certifies the saddle-point structure of the underlying robustness game.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .spectral import (  # noqa: F401
     PsdGrid,
@@ -28,6 +28,7 @@ from .gaussian_model import (  # noqa: F401
     build_model,
     finite_n_dominates,
     gaussian_kl,
+    levinson_durbin,
     ratio_expectation,
     sample_gaussian,
     white_model,

@@ -15,8 +15,8 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ParameterError
-from .gaussian_model import build_model, gaussian_kl, white_model
-from .spectral import PsdGrid, UncertaintySet, circle_mean
+from .gaussian_model import levinson_durbin
+from .spectral import PsdGrid, UncertaintySet, autocovariance, circle_mean
 
 
 def error_exponent(psd: PsdGrid, sigma2: float) -> float:
@@ -39,7 +39,21 @@ def genie_bound(uset: UncertaintySet, sigma2: float) -> Tuple[float, int]:
 
 
 def kl_rate(psd: PsdGrid, sigma2: float, n: int) -> float:
-    """Normalized finite-n KL divergence (1/n) D(white || signal model)."""
+    """Normalized finite-n KL divergence (1/n) D(white || signal model).
+
+    With C the signal-model covariance, D = (tr(sigma2 C^{-1}) - n
+    + log|C / sigma2|) / 2.  One Levinson-Durbin pass on C's first column gives
+    both terms: log|C / sigma2| = sum_k log(eps_k / sigma2) over the prediction
+    errors, and tr(C^{-1}) = sum_k (n - 2k) a_k^2 / eps_{n-1} over the
+    predictor (the Gohberg-Semencul formula).  No dense matrix is formed.
+    """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    return gaussian_kl(white_model(sigma2, n), build_model(psd, sigma2, n)) / n
+    if not (np.isfinite(sigma2) and sigma2 > 0):
+        raise ParameterError(f"sigma2 must be finite and > 0, got {sigma2}")
+    r = autocovariance(psd, n - 1)
+    r[0] += sigma2
+    a, errors = levinson_durbin(r, psd.label)
+    trace = float(np.sum((n - 2.0 * np.arange(n)) * a * a)) * (sigma2 / errors[-1])
+    logdet = float(np.sum(np.log(errors / sigma2)))
+    return 0.5 * (trace - n + logdet) / n

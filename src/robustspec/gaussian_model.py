@@ -1,10 +1,16 @@
 """Finite-dimensional Gaussian models with Toeplitz signal covariance.
 
-A model is the zero-mean Gaussian with covariance sigma^2*I + Sigma_N, where
-Sigma_N is the symmetric Toeplitz matrix built from the first n autocovariance
-lags of a signal PSD.  Everything downstream (likelihood ratios, KL
-divergences, the closed-form ratio expectation, sampling) works through the
-cached Cholesky factor of that covariance.
+A model is the zero-mean Gaussian with covariance C = sigma^2*I + Sigma_N,
+where Sigma_N is the symmetric Toeplitz matrix built from the first n
+autocovariance lags of a signal PSD.  Two kinds of algebra serve it:
+
+- Sampling and likelihood ratios need a factor of C: `build_model` caches
+  its dense Cholesky factor, which `quad_forms`, `solve` and `sample_blocks`
+  read.
+- The closed forms need only the Toeplitz structure: `levinson_durbin`
+  gives the predictor and prediction errors of C in O(n^2), hence log|C|
+  and, by the Gohberg-Semencul formula, C^{-1}.  `exponent.kl_rate` and
+  `ratio_expectation` use them and form no inverse by a dense solve.
 """
 
 from __future__ import annotations
@@ -126,23 +132,71 @@ def gaussian_kl(p: ToeplitzGaussian, q: ToeplitzGaussian) -> float:
     return 0.5 * (trace - p.n + q.logdet - p.logdet)
 
 
+def levinson_durbin(r: np.ndarray, label: str = "") -> Tuple[np.ndarray, np.ndarray]:
+    """Durbin's recursion on the symmetric Toeplitz matrix with first column r.
+
+    Returns the order-(n-1) predictor a (a[0] = 1), which solves
+    Toeplitz(r) a = errors[-1] * e_0, and the prediction errors
+    errors[k] = |C_{k+1}| / |C_k| of the leading k+1 by k+1 blocks, so that
+    log|C| = sum(log(errors)).  Raises NotPositiveDefiniteError naming
+    `label` when an error is not finite and positive.
+    """
+    n = r.size
+    a = np.zeros(n)
+    a[0] = 1.0
+    errors = np.empty(n)
+    errors[0] = r[0]
+    for k in range(n):
+        if k:
+            reflection = -(a[:k] @ r[k:0:-1]) / errors[k - 1]
+            a[1 : k + 1] += reflection * a[k - 1 :: -1]
+            errors[k] = errors[k - 1] * (1.0 - reflection * reflection)
+        if not 0.0 < errors[k] < np.inf:
+            raise NotPositiveDefiniteError(
+                f"covariance for PSD {label!r} is not positive definite "
+                f"(Levinson-Durbin prediction error {errors[k]:g} at order {k})"
+            )
+    return a, errors
+
+
+def _inverse_generator(model: ToeplitzGaussian) -> np.ndarray:
+    """G = (a a^T - b b^T) / eps with b = (0, a[n-1], ..., a[1]).
+
+    By the Gohberg-Semencul formula C^{-1} = (L(a) L(a)^T - L(b) L(b)^T) / eps
+    for the lower-triangular Toeplitz L(.), so C^{-1}[i, j] is the sum of G
+    down the diagonal from its edge to (i, j).
+    """
+    r = model.autocov.copy()
+    # the matrix that `factor` and `logdet` describe, jitter included
+    r[0] += model.sigma2 + JITTER_LADDER[model.jitter]
+    a, errors = levinson_durbin(r, model.label)
+    b = np.concatenate(([0.0], a[:0:-1]))
+    return (np.outer(a, a) - np.outer(b, b)) / errors[-1]
+
+
 def ratio_expectation(
     p0_sigma2: float, p1: ToeplitzGaussian, p2: ToeplitzGaussian
 ) -> float:
     """Closed-form E_{N(0, s2 I)}[p2(Y)/p1(Y)] for Gaussian densities p1, p2.
 
     Equals [|C1| / (|C2| * |I + s2 (C2^{-1} - C1^{-1})|)]^{1/2} where C_i is
-    the covariance of p_i.  Returns +inf when the middle matrix is not
-    positive definite (the defining integral diverges).
+    the covariance of p_i.  The middle matrix comes from the Gohberg-Semencul
+    generators of C1^{-1} and C2^{-1} in O(n^2), with no dense solve; its
+    Cholesky factor gives its log-determinant.  Returns +inf when the middle
+    matrix is not positive definite (the defining integral diverges).
     """
     if p1.n != p2.n:
         raise ParameterError(f"dimension mismatch: {p1.n} vs {p2.n}")
     if p0_sigma2 <= 0:
         raise ParameterError(f"p0_sigma2 must be > 0, got {p0_sigma2}")
-    n = p1.n
-    eye = np.eye(n)
-    middle = eye + p0_sigma2 * (p2.solve(eye) - p1.solve(eye))
-    middle = 0.5 * (middle + middle.T)
+    # the generator of a difference of inverses is the difference of generators
+    step = p0_sigma2 * (_inverse_generator(p2) - _inverse_generator(p1))
+    middle = np.empty_like(step)
+    middle[0] = step[0]
+    for i in range(1, p1.n):
+        middle[i, 0] = step[i, 0]
+        middle[i, 1:] = middle[i - 1, :-1] + step[i, 1:]
+    middle[np.diag_indices(p1.n)] += 1.0
     try:
         factor = cholesky(middle, lower=True)
     except np.linalg.LinAlgError:

@@ -196,11 +196,19 @@ def lower_envelope(uset: UncertaintySet) -> PsdGrid:
 
 
 def autocovariance(psd: PsdGrid, max_lag: int) -> np.ndarray:
-    """Autocovariance c[m] = (1/2pi) * int phi(w) cos(m w) dw for m = 0..max_lag."""
+    """Autocovariance c[m] = (1/2pi) * int phi(w) cos(m w) dw for m = 0..max_lag.
+
+    The trapezoid sum over the M half-grid nodes w_j = j*pi/(M-1) is a DCT-I,
+    evaluated for every lag at once by one real FFT of the even extension.
+    On this grid cos(m w_j) has period 2(M-1) in m and is even about
+    m = M-1, so lags above M-1 alias: c[m] = c[m'] with
+    m' = min(m mod 2(M-1), 2(M-1) - m mod 2(M-1)).  A Toeplitz matrix of
+    dimension n > M-1 therefore repeats reflected lags of the grid.
+    """
     if max_lag < 0:
         raise ParameterError(f"max_lag must be >= 0, got {max_lag}")
-    lags = np.arange(max_lag + 1)
-    # cos matrix (max_lag+1, M) against the trapezoid weights
-    cosines = np.cos(np.outer(lags, psd.omegas))
-    weighted = psd.values * trapezoid_weights(psd.grid_size)
-    return (cosines @ weighted) / np.pi
+    values = psd.values
+    period = 2 * (psd.grid_size - 1)
+    base = np.fft.rfft(np.concatenate((values, values[-2:0:-1]))).real / period
+    lags = np.arange(max_lag + 1) % period
+    return base[np.minimum(lags, period - lags)]

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import prop_suites
-from conftest import MASTER_SEED, flat_set
+from conftest import MASTER_SEED, flat_set, patch_everywhere
 from robustspec.errors import ParameterError
 from robustspec.exponent import error_exponent, genie_bound, kl_rate
-from robustspec.spectral import UncertaintySet, make_psd
+from robustspec.gaussian_model import build_model, gaussian_kl, white_model
+from robustspec.spectral import UncertaintySet, half_grid, make_psd
 
 
 def flat_exponent(rho):
@@ -73,6 +75,45 @@ class TestKlRate:
     def test_n_validated(self):
         with pytest.raises(ParameterError):
             kl_rate(make_psd("flat", grid_size=8, level=1.0), 1.0, 0)
+
+
+KL_REFERENCE_PSDS = (
+    make_psd("rational_ar1", grid_size=2048, variance=1.3, pole=0.7),
+    make_psd("raised_cosine", grid_size=2048, peak=3.0, center=2.0, width=0.8),
+    make_psd(
+        "tabulated", grid_size=2048,
+        values=np.maximum(0.5 + np.cos(2.0 * half_grid(2048)), 0.0),
+    ),
+)
+
+
+class TestKlRateAgainstDenseAlgebra:
+    @pytest.mark.parametrize("n", [1, 2, 17, 256, 1024])
+    @pytest.mark.parametrize("sigma2", [0.37, 1.0, 2.5])
+    @pytest.mark.parametrize("psd", KL_REFERENCE_PSDS, ids=lambda p: p.label)
+    def test_matches_gaussian_kl(self, psd, sigma2, n):
+        dense = gaussian_kl(white_model(sigma2, n), build_model(psd, sigma2, n)) / n
+        assert kl_rate(psd, sigma2, n) == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+    def test_builds_no_model_and_no_cholesky(self, monkeypatch):
+        expected = [kl_rate(psd, 1.0, 64) for psd in KL_REFERENCE_PSDS]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense path called")
+
+        for original in (build_model, white_model, scipy.linalg.cholesky):
+            patch_everywhere(monkeypatch, original, refuse)
+        monkeypatch.setattr(scipy.linalg, "cholesky", refuse)
+        assert [kl_rate(psd, 1.0, 64) for psd in KL_REFERENCE_PSDS] == expected
+
+    @pytest.mark.parametrize("sigma2", [0.37, 2.5])
+    def test_zero_psd_is_exactly_zero_at_any_sigma2(self, sigma2):
+        zero = make_psd("tabulated", grid_size=64, values=np.zeros(64))
+        assert [kl_rate(zero, sigma2, n) for n in (1, 5, 200)] == [0.0] * 3
+
+    def test_sigma2_validated(self):
+        with pytest.raises(ParameterError):
+            kl_rate(make_psd("flat", grid_size=8, level=1.0), 0.0, 4)
 
 
 class TestInvariantSuites:

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, toeplitz
 
 import prop_suites
 from conftest import MASTER_SEED, MODULE_CASES
-from robustspec.errors import ParameterError
+from robustspec.errors import NotPositiveDefiniteError, ParameterError
 from robustspec.gaussian_model import (
     ToeplitzGaussian,
     build_model,
     finite_n_dominates,
     gaussian_kl,
+    levinson_durbin,
     ratio_expectation,
     sample_gaussian,
     white_model,
@@ -76,6 +78,57 @@ class TestBuildModel:
             assert model.logdet >= n * np.log(sigma2) - 1e-9
 
 
+def reference_psds(grid_size):
+    """AR(1), raised-cosine and tabulated members for the dense references."""
+    omegas = np.linspace(0.0, np.pi, grid_size)
+    return (
+        make_psd("rational_ar1", grid_size=grid_size, variance=0.8, pole=-0.6, label="ar1"),
+        make_psd(
+            "raised_cosine", grid_size=grid_size, peak=2.0, center=1.2, width=0.7,
+            label="bump",
+        ),
+        make_psd(
+            "tabulated", grid_size=grid_size,
+            values=0.6 + 0.4 * np.cos(omegas) - 0.2 * np.cos(3.0 * omegas), label="tab",
+        ),
+    )
+
+
+def dense_ratio_expectation(s2, p1, p2):
+    """The ratio expectation through explicit inverses of the covariances."""
+    eye = np.eye(p1.n)
+    middle = eye + s2 * (np.linalg.inv(p2.covariance()) - np.linalg.inv(p1.covariance()))
+    try:
+        factor = cholesky(0.5 * (middle + middle.T), lower=True)
+    except np.linalg.LinAlgError:
+        return float("inf")
+    logdet_middle = 2.0 * np.sum(np.log(np.diag(factor)))
+    return float(np.exp(0.5 * (p1.logdet - p2.logdet - logdet_middle)))
+
+
+class TestLevinsonDurbin:
+    @pytest.mark.parametrize("n", [1, 2, 17, 256])
+    def test_predictor_and_errors_match_dense(self, n):
+        for psd in reference_psds(1024):
+            r = build_model(psd, 0.37, n).covariance()[:, 0]
+            a, errors = levinson_durbin(r)
+            assert a[0] == 1.0 and errors.shape == (n,)
+            rhs = np.zeros(n)
+            rhs[0] = errors[-1]
+            assert np.allclose(toeplitz(r) @ a, rhs, rtol=0.0, atol=1e-12)
+            dense = np.linalg.slogdet(toeplitz(r))[1]
+            assert np.sum(np.log(errors)) == pytest.approx(dense, rel=1e-12, abs=1e-12)
+
+    def test_not_positive_definite_is_named(self):
+        with pytest.raises(NotPositiveDefiniteError, match="'bad'"):
+            levinson_durbin(np.array([1.0, 2.0]), "bad")
+
+    @pytest.mark.parametrize("r0", [0.0, -1.0, float("nan")])
+    def test_first_error_checked(self, r0):
+        with pytest.raises(NotPositiveDefiniteError):
+            levinson_durbin(np.array([r0, 0.0, 0.0]))
+
+
 class TestGaussianKl:
     def test_identical_models(self):
         m = build_model(make_psd("flat", grid_size=64, level=1.0), 1.0, 8)
@@ -136,6 +189,36 @@ class TestRatioExpectation:
         val = ratio_expectation(2.0, scalar_model(0.5, 1.0), scalar_model(4.0, 1.0))
         assert val == float("inf")
         assert not finite_n_dominates(2.0, scalar_model(0.5, 1.0), scalar_model(4.0, 1.0))
+
+    @pytest.mark.parametrize("sigma2", [0.37, 1.0, 2.5])
+    @pytest.mark.parametrize("n", [1, 2, 17, 128])
+    def test_matches_dense_inverses(self, sigma2, n):
+        models = [build_model(psd, sigma2, n) for psd in reference_psds(512)]
+        for p1 in models:
+            for p2 in models:
+                expected = dense_ratio_expectation(sigma2, p1, p2)
+                assert np.isfinite(expected)
+                got = ratio_expectation(sigma2, p1, p2)
+                assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+    def test_divergent_integral_gives_infinity_at_n(self):
+        # a heavy-tailed p2 against a light-tailed p1: the middle matrix has
+        # a negative eigenvalue at every n
+        light = build_model(reference_psds(256)[0], 0.5, 16)
+        heavy = build_model(make_psd("flat", grid_size=256, level=6.0), 0.5, 16)
+        assert dense_ratio_expectation(2.0, light, heavy) == float("inf")
+        assert ratio_expectation(2.0, light, heavy) == float("inf")
+
+    def test_forms_no_dense_solve(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense solve called")
+
+        models = [build_model(psd, 1.0, 32) for psd in reference_psds(256)]
+        expected = [dense_ratio_expectation(1.0, models[0], m) for m in models]
+        monkeypatch.setattr(ToeplitzGaussian, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        got = [ratio_expectation(1.0, models[0], m) for m in models]
+        assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
 class TestSampling:

@@ -1,6 +1,5 @@
 import copy
 import json
-import sys
 from collections import Counter
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 import robustspec.detection
 import robustspec.gaussian_model
-from conftest import MASTER_SEED
+from conftest import MASTER_SEED, patch_everywhere
 from robustspec.cli import main as cli_main
 from robustspec.errors import ConfigError
 from robustspec.harness import (
@@ -120,15 +119,6 @@ def config_documents(draw):
         (key, draw(JUNK | st.just(ABSENT) if key in spoiled else value))
         for key, value in good.items()
     )
-
-
-def patch_everywhere(monkeypatch, original, replacement):
-    """Replace `original` on every robustspec module that binds it."""
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "robustspec":
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, replacement)
 
 
 class TestParseConfig:

@@ -145,6 +145,21 @@ class TestAutocovariance:
             c = autocovariance(psd, 5)
             assert abs(c[5]) <= c[0] + 1e-12
 
+    @pytest.mark.parametrize("grid_size", [8, 64])
+    def test_matches_direct_cosine_sum_past_the_grid(self, rng, grid_size):
+        # lags past grid_size - 1 alias with period 2(grid_size - 1) and a
+        # reflection, exactly as the cosine sum on the half-grid does
+        max_lag = 3 * grid_size + 5
+        lags = np.arange(max_lag + 1)
+        for _ in range(10):
+            psd = prop_suites.random_psd(rng, grid_size)
+            weighted = psd.values * trapezoid_weights(grid_size)
+            direct = np.cos(np.outer(lags, psd.omegas)) @ weighted / np.pi
+            c = autocovariance(psd, max_lag)
+            assert np.max(np.abs(c - direct)) <= 1e-13 * np.max(psd.values)
+            period = 2 * (grid_size - 1)
+            assert c[period - 3] == c[3] and c[period + 3] == c[3]
+
     def test_negative_lag_rejected(self):
         with pytest.raises(ParameterError):
             autocovariance(make_psd("flat", grid_size=8, level=1.0), -1)
