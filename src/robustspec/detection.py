@@ -48,14 +48,13 @@ class MixtureWeights:
     w: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
+        w = np.array(self.w, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ParameterError("weights must be a nonempty vector")
         if np.any(w < 0.0) or np.any(w > 1.0):
             raise ParameterError("weights must lie in [0, 1]")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ParameterError(f"weights must sum to 1, got {w.sum()!r}")
-        w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
@@ -420,8 +419,7 @@ def sample_mixture_blocks(
     for b, z in enumerate(normal_blocks(models[0].n, trials, seed, block)):
         ss = np.random.SeedSequence(entropy=derive_seed(seed, "mixsel"), spawn_key=(b,))
         u = np.random.default_rng(ss).random(block)[: len(z)]
-        comp = np.searchsorted(cdf, u, side="right")
-        comp = np.minimum(comp, len(models) - 1)
+        comp = np.minimum(np.searchsorted(cdf, u, side="right"), len(models) - 1)
         out = np.empty_like(z)
         for k, model in enumerate(models):
             rows = comp == k

@@ -15,7 +15,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import AbsoluteContinuityError, ParameterError, UniquenessViolationError
+from .errors import (
+    AbsoluteContinuityError, ParameterError, UniquenessViolationError, require_positive,
+)
 from .spectral import PsdGrid, UncertaintySet, circle_mean
 
 #: Smallest admissible value of the log argument before the boundedness
@@ -83,8 +85,7 @@ def sigma2_dominance_margin(
     log argument drops to 0 or below somewhere on the grid, i.e. the
     boundedness clause fails outright.
     """
-    if sigma2 <= 0:
-        raise ParameterError(f"sigma2 must be > 0, got {sigma2}")
+    require_positive("sigma2", sigma2)
     if phi_star.grid_size != phi.grid_size:
         raise ParameterError("PSDs must share grid_size")
     s = phi_star.values
@@ -106,6 +107,7 @@ def find_dominated(
     second distinct qualifier raises UniquenessViolationError) and returns
     (index, report), or (None, None) when no member qualifies.
     """
+    require_positive("sigma2", sigma2)
     qualifiers = []
     for j, candidate in enumerate(uset.members):
         margins = np.empty(len(uset))
@@ -159,10 +161,8 @@ def flat_psd_criterion(phi: PsdGrid, rho: float, sigma2: float) -> bool:
 
     True iff (1/2pi) int log[phi/sigma2 + (1+2rho)/rho] dw >= log[(1+rho)^2/rho].
     """
-    if rho <= 0:
-        raise ParameterError(f"rho must be > 0, got {rho}")
-    if sigma2 <= 0:
-        raise ParameterError(f"sigma2 must be > 0, got {sigma2}")
+    require_positive("rho", rho)
+    require_positive("sigma2", sigma2)
     lhs = circle_mean(np.log(phi.values / sigma2 + (1.0 + 2.0 * rho) / rho))
     rhs = float(np.log((1.0 + rho) ** 2 / rho))
     return lhs >= rhs - 1e-12

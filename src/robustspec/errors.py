@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and its one positivity check."""
 
 
 class RobustSpecError(Exception):
@@ -31,3 +31,9 @@ class EstimationInfeasibleError(RobustSpecError):
 
 class ConfigError(RobustSpecError):
     """An experiment configuration document violates its schema."""
+
+
+def require_positive(name: str, value: float) -> None:
+    """Raise ParameterError naming `name` unless 0 < value < inf (nan fails too)."""
+    if not 0.0 < value < float("inf"):
+        raise ParameterError(f"{name} must be finite and > 0, got {value}")

@@ -14,15 +14,14 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ParameterError
-from .gaussian_model import levinson_durbin
+from .errors import ParameterError, require_positive
+from .gaussian_model import _durbin_with_jitter
 from .spectral import PsdGrid, UncertaintySet, autocovariance, circle_mean
 
 
 def error_exponent(psd: PsdGrid, sigma2: float) -> float:
     """Matched-LRT error exponent of the PSD in nats per sample (trapezoid rule)."""
-    if sigma2 <= 0:
-        raise ParameterError(f"sigma2 must be > 0, got {sigma2}")
+    require_positive("sigma2", sigma2)
     snr = psd.values / sigma2
     integrand = np.log1p(snr) - snr / (1.0 + snr)
     return 0.5 * circle_mean(integrand)
@@ -45,15 +44,13 @@ def kl_rate(psd: PsdGrid, sigma2: float, n: int) -> float:
     + log|C / sigma2|) / 2.  One Levinson-Durbin pass on C's first column gives
     both terms: log|C / sigma2| = sum_k log(eps_k / sigma2) over the prediction
     errors, and tr(C^{-1}) = sum_k (n - 2k) a_k^2 / eps_{n-1} over the
-    predictor (the Gohberg-Semencul formula).  No dense matrix is formed.
+    predictor (the Gohberg-Semencul formula).  It is the pass a model runs at
+    construction, jitter ladder included; no model or dense matrix is formed.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    if not (np.isfinite(sigma2) and sigma2 > 0):
-        raise ParameterError(f"sigma2 must be finite and > 0, got {sigma2}")
-    r = autocovariance(psd, n - 1)
-    r[0] += sigma2
-    a, errors = levinson_durbin(r, psd.label)
+    require_positive("sigma2", sigma2)
+    a, errors, _ = _durbin_with_jitter(autocovariance(psd, n - 1), sigma2, psd.label)
     trace = float(np.sum((n - 2.0 * np.arange(n)) * a * a)) * (sigma2 / errors[-1])
     logdet = float(np.sum(np.log(errors / sigma2)))
     return 0.5 * (trace - n + logdet) / n

@@ -4,30 +4,34 @@ A model is the zero-mean Gaussian with covariance C = sigma^2*I + Sigma_N,
 where Sigma_N is the symmetric Toeplitz matrix built from the first n
 autocovariance lags of a signal PSD.  Two kinds of algebra serve it:
 
-- Sampling and likelihood ratios need a factor of C: `build_model` caches
-  its dense Cholesky factor, which `quad_forms`, `solve` and `sample_blocks`
-  read.
-- The closed forms need only the Toeplitz structure: `levinson_durbin`
-  gives the predictor and prediction errors of C in O(n^2), hence log|C|
-  and, by the Gohberg-Semencul formula, C^{-1}.  `exponent.kl_rate` and
-  `ratio_expectation` use them and form no inverse by a dense solve.
+- The closed forms need only the Toeplitz structure.  Each model runs one
+  `levinson_durbin` pass at construction, in O(n^2): its prediction errors
+  give log|C| and its predictor gives C^{-1} by the Gohberg-Semencul formula.
+  `exponent.kl_rate` runs the same pass without a model.
+- Sampling and likelihood ratios need a factor of C: the dense Cholesky
+  `factor` is built on first read, so unsampled, unscored models never form it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular, toeplitz
 
-from .errors import NotPositiveDefiniteError, ParameterError
+from .errors import NotPositiveDefiniteError, ParameterError, require_positive
 from .spectral import PsdGrid, autocovariance
 
 #: Diagonal jitter ladder tried in order before declaring the covariance
 #: not positive definite.  Valid PSDs give PD matrices in exact arithmetic;
 #: jitter only absorbs roundoff.
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
+
+#: Closed forms carry no sampling noise: E_null[p2/p1] <= 1 + RATIO_TOLERANCE is
+#: finite-n dominance and a satisfied `minimax.kkt_certificate` condition.
+RATIO_TOLERANCE = 1e-10
 
 #: Trials per sampling substream; sample t lives in block t // SAMPLE_BLOCK
 #: independent of the total trial count, so blocks can run concurrently and
@@ -39,41 +43,53 @@ SAMPLE_BLOCK = 4096
 class ToeplitzGaussian:
     """Zero-mean Gaussian N(0, sigma2*I + Toeplitz(autocov)) of dimension n.
 
-    `jitter` is the JITTER_LADDER rung the factor needed (0: no jitter).
+    `jitter` is the JITTER_LADDER rung that construction's one Durbin pass
+    needed (0: none); `logdet`, `predictor`, `prediction_error` and the
+    lazily built Cholesky `factor` all describe the covariance plus that jitter.
     """
 
     n: int
     sigma2: float
     autocov: np.ndarray
     label: str = ""
-    factor: np.ndarray = field(repr=False, compare=False, default=None)
-    logdet: float = field(compare=False, default=None)
-    jitter: int = field(compare=False, default=None)
+    logdet: float = field(init=False, compare=False)
+    jitter: int = field(init=False, compare=False)
+    predictor: np.ndarray = field(init=False, repr=False, compare=False)
+    prediction_error: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise ParameterError(f"sigma2 must be finite and > 0, got {self.sigma2}")
-        autocov = np.asarray(self.autocov, dtype=float)
+        require_positive("sigma2", self.sigma2)
+        autocov = np.array(self.autocov, dtype=float)
         if autocov.shape != (self.n,):
             raise ParameterError(
                 f"autocov must have length n={self.n}, got {autocov.shape}"
             )
         if not np.all(np.isfinite(autocov)):
             raise ParameterError("autocov must be finite")
-        autocov = autocov.copy()
         autocov.setflags(write=False)
+        a, errors, rung = _durbin_with_jitter(autocov, self.sigma2, self.label)
+        a.setflags(write=False)
         object.__setattr__(self, "autocov", autocov)
-        if self.factor is None:
-            cov = self.covariance()
-            factor, rung = _cholesky_with_jitter(cov, self.label)
-            factor.setflags(write=False)
-            object.__setattr__(self, "factor", factor)
-            object.__setattr__(self, "jitter", rung)
-            object.__setattr__(
-                self, "logdet", float(2.0 * np.sum(np.log(np.diag(factor))))
-            )
+        object.__setattr__(self, "jitter", rung)
+        object.__setattr__(self, "logdet", float(np.sum(np.log(errors))))
+        object.__setattr__(self, "predictor", a)
+        object.__setattr__(self, "prediction_error", float(errors[-1]))
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Lower Cholesky factor of the covariance plus the model's jitter."""
+        cov = self.covariance()
+        cov[np.diag_indices(self.n)] += JITTER_LADDER[self.jitter]
+        try:
+            factor = cholesky(cov, lower=True)
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefiniteError(
+                f"covariance for PSD {self.label!r} is not positive definite (Cholesky)"
+            ) from None
+        factor.setflags(write=False)
+        return factor
 
     def covariance(self) -> np.ndarray:
         """Dense covariance sigma2*I + Sigma_N."""
@@ -91,13 +107,17 @@ class ToeplitzGaussian:
         return np.einsum("ij,ij->j", half, half)
 
 
-def _cholesky_with_jitter(cov: np.ndarray, label: str) -> Tuple[np.ndarray, int]:
-    """(lower Cholesky factor, index of the JITTER_LADDER rung that gave it)."""
+def _durbin_with_jitter(
+    autocov: np.ndarray, sigma2: float, label: str
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """(predictor, errors, rung) of the first JITTER_LADDER rung whose r[0] =
+    autocov[0] + sigma2 + jitter passes `levinson_durbin`, the one PD test."""
+    r = np.array(autocov, dtype=float)
     for rung, jitter in enumerate(JITTER_LADDER):
+        r[0] = autocov[0] + sigma2 + jitter
         try:
-            work = cov if jitter == 0.0 else cov + jitter * np.eye(cov.shape[0])
-            return cholesky(work, lower=True), rung
-        except np.linalg.LinAlgError:
+            return (*levinson_durbin(r, label), rung)
+        except NotPositiveDefiniteError:
             continue
     raise NotPositiveDefiniteError(
         f"covariance for PSD {label!r} is not positive definite "
@@ -107,9 +127,7 @@ def _cholesky_with_jitter(cov: np.ndarray, label: str) -> Tuple[np.ndarray, int]
 
 def build_model(psd: PsdGrid, sigma2: float, n: int) -> ToeplitzGaussian:
     """Finite-n Gaussian model induced by a signal PSD over white noise."""
-    return ToeplitzGaussian(
-        n=n, sigma2=sigma2, autocov=autocovariance(psd, n - 1), label=psd.label
-    )
+    return ToeplitzGaussian(n, sigma2, autocovariance(psd, n - 1), psd.label)
 
 
 def build_model_sets(
@@ -162,16 +180,14 @@ def levinson_durbin(r: np.ndarray, label: str = "") -> Tuple[np.ndarray, np.ndar
 def _inverse_generator(model: ToeplitzGaussian) -> np.ndarray:
     """G = (a a^T - b b^T) / eps with b = (0, a[n-1], ..., a[1]).
 
-    By the Gohberg-Semencul formula C^{-1} = (L(a) L(a)^T - L(b) L(b)^T) / eps
-    for the lower-triangular Toeplitz L(.), so C^{-1}[i, j] is the sum of G
-    down the diagonal from its edge to (i, j).
+    a and eps are the model's predictor and last prediction error.  By the
+    Gohberg-Semencul formula C^{-1} = (L(a) L(a)^T - L(b) L(b)^T) / eps for
+    the lower-triangular Toeplitz L(.), so C^{-1}[i, j] is the sum of G down
+    the diagonal from its edge to (i, j).
     """
-    r = model.autocov.copy()
-    # the matrix that `factor` and `logdet` describe, jitter included
-    r[0] += model.sigma2 + JITTER_LADDER[model.jitter]
-    a, errors = levinson_durbin(r, model.label)
+    a = model.predictor
     b = np.concatenate(([0.0], a[:0:-1]))
-    return (np.outer(a, a) - np.outer(b, b)) / errors[-1]
+    return (np.outer(a, a) - np.outer(b, b)) / model.prediction_error
 
 
 def ratio_expectation(
@@ -181,14 +197,14 @@ def ratio_expectation(
 
     Equals [|C1| / (|C2| * |I + s2 (C2^{-1} - C1^{-1})|)]^{1/2} where C_i is
     the covariance of p_i.  The middle matrix comes from the Gohberg-Semencul
-    generators of C1^{-1} and C2^{-1} in O(n^2), with no dense solve; its
-    Cholesky factor gives its log-determinant.  Returns +inf when the middle
+    generators of C1^{-1} and C2^{-1} in O(n^2), read from the Durbin pass
+    each model holds, with no recursion and no dense solve; its Cholesky
+    factor gives its log-determinant.  Returns +inf when the middle
     matrix is not positive definite (the defining integral diverges).
     """
     if p1.n != p2.n:
         raise ParameterError(f"dimension mismatch: {p1.n} vs {p2.n}")
-    if p0_sigma2 <= 0:
-        raise ParameterError(f"p0_sigma2 must be > 0, got {p0_sigma2}")
+    require_positive("p0_sigma2", p0_sigma2)
     # the generator of a difference of inverses is the difference of generators
     step = p0_sigma2 * (_inverse_generator(p2) - _inverse_generator(p1))
     middle = np.empty_like(step)
@@ -209,7 +225,7 @@ def finite_n_dominates(
     p0_sigma2: float, p1: ToeplitzGaussian, p2: ToeplitzGaussian
 ) -> bool:
     """True iff N(0, C1) is dominated by N(0, C2) w.r.t. N(0, s2 I) at this n."""
-    return ratio_expectation(p0_sigma2, p1, p2) <= 1.0 + 1e-10
+    return ratio_expectation(p0_sigma2, p1, p2) <= 1.0 + RATIO_TOLERANCE
 
 
 def normal_blocks(

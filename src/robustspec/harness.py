@@ -20,7 +20,7 @@ from .errors import ConfigError, ParameterError, RobustSpecError
 from .exponent import error_exponent, genie_bound
 from .gaussian_model import ToeplitzGaussian, build_model_sets, white_blocks
 from .minimax import kkt_certificate, minimize_mixture_kl
-from .spectral import DEFAULT_GRID_SIZE, UncertaintySet, make_psd
+from .spectral import DEFAULT_GRID_SIZE, MIN_GRID_SIZE, UncertaintySet, make_psd
 
 MODES = ("exponent", "dominance", "simulate", "minimax", "full")
 
@@ -40,8 +40,8 @@ CSV_COLUMNS = (
 _PSD_BLOCK_KEYS = {"label", "family", "params"}
 
 #: Upper bounds that keep a config from asking for more memory than a desk
-#: machine has: one PSD grid of MAX_GRID_SIZE doubles is 32 MiB, and one
-#: n x n Cholesky factor at MAX_N is 512 MiB.
+#: machine has: one PSD grid of MAX_GRID_SIZE doubles is 32 MiB, and at MAX_N
+#: a sampled model's Cholesky factor or a KKT middle matrix is 512 MiB.
 MAX_GRID_SIZE = 2**22
 MAX_N = 8192
 
@@ -193,8 +193,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _check_grid(grid_size: int) -> None:
-    if not 8 <= grid_size <= MAX_GRID_SIZE:
-        raise ConfigError(f"grid_size must be in [8, {MAX_GRID_SIZE}], got {grid_size}")
+    if not MIN_GRID_SIZE <= grid_size <= MAX_GRID_SIZE:
+        raise ConfigError(
+            f"grid_size must be in [{MIN_GRID_SIZE}, {MAX_GRID_SIZE}], got {grid_size}"
+        )
 
 
 def _check_trials(mode: str, trials: int) -> None:

@@ -25,13 +25,8 @@ from .detection import (
     ratio_rows,
     sample_mixture_blocks,
 )
-from .errors import ParameterError
-from .gaussian_model import ToeplitzGaussian, ratio_expectation
-
-#: Closed-form KKT checks carry no sampling noise; violations beyond this
-#: fail the certificate.
-KKT_TOLERANCE = 1e-10
-
+from .errors import ParameterError, require_positive
+from .gaussian_model import RATIO_TOLERANCE, ToeplitzGaussian, ratio_expectation
 
 @dataclass(frozen=True)
 class KktCertificate:
@@ -148,6 +143,7 @@ def kkt_certificate(
     """
     if not 0 <= candidate_index < len(models):
         raise ParameterError(f"candidate_index {candidate_index} out of range")
+    require_positive("null_sigma2", null_sigma2)
     n = models[0].n
     mu = np.zeros(len(models))
     diverged = []
@@ -162,7 +158,7 @@ def kkt_certificate(
             continue
         mu[k] = (1.0 - ratio) / n
         max_violation = max(max_violation, ratio - 1.0)
-    verified = not diverged and max_violation <= KKT_TOLERANCE
+    verified = not diverged and max_violation <= RATIO_TOLERANCE
     return KktCertificate(
         lam=1.0 / n,
         mu=mu,

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, require_positive
 
 MIN_GRID_SIZE = 8
 DEFAULT_GRID_SIZE = 4096
@@ -49,7 +49,7 @@ class PsdGrid:
     label: str = ""
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
         if self.grid_size < MIN_GRID_SIZE:
             raise ParameterError(
                 f"grid_size must be >= {MIN_GRID_SIZE}, got {self.grid_size}"
@@ -62,7 +62,6 @@ class PsdGrid:
             raise ParameterError("values must be finite")
         if np.any(values < 0.0):
             raise ParameterError("values must be nonnegative")
-        values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -82,16 +81,11 @@ class UncertaintySet:
         members = tuple(self.members)
         if len(members) < 1:
             raise ParameterError("UncertaintySet needs at least one member")
-        m0 = members[0].grid_size
-        for psd in members:
-            if psd.grid_size != m0:
-                raise ParameterError("all members must share grid_size")
-        if self.candidate_index is not None and not (
-            0 <= self.candidate_index < len(members)
-        ):
-            raise ParameterError(
-                f"candidate_index {self.candidate_index} outside [0, {len(members)})"
-            )
+        if any(psd.grid_size != members[0].grid_size for psd in members):
+            raise ParameterError("all members must share grid_size")
+        index = self.candidate_index
+        if index is not None and not 0 <= index < len(members):
+            raise ParameterError(f"candidate_index {index} outside [0, {len(members)})")
         object.__setattr__(self, "members", members)
 
     def __len__(self) -> int:
@@ -134,8 +128,7 @@ def make_psd(
             raise ParameterError(f"raised_cosine peak must be >= 0, got {peak}")
         if not 0.0 <= center <= np.pi:
             raise ParameterError(f"raised_cosine center must be in [0, pi], got {center}")
-        if width <= 0:
-            raise ParameterError(f"raised_cosine width must be > 0, got {width}")
+        require_positive("raised_cosine width", width)
         dist = np.abs(omegas - center)
         values = np.where(
             dist < width, 0.5 * peak * (1.0 + np.cos(np.pi * dist / width)), 0.0
@@ -143,17 +136,10 @@ def make_psd(
     elif family == "rational_ar1":
         variance = _require_param(params, "variance", family)
         pole = _require_param(params, "pole", family)
-        if variance <= 0:
-            raise ParameterError(f"rational_ar1 variance must be > 0, got {variance}")
+        require_positive("rational_ar1 variance", variance)
         if not abs(pole) < 1.0:
-            raise ParameterError(
-                f"rational_ar1 pole magnitude must be < 1, got {pole}"
-            )
-        values = (
-            variance
-            * (1.0 - pole**2)
-            / (1.0 - 2.0 * pole * np.cos(omegas) + pole**2)
-        )
+            raise ParameterError(f"rational_ar1 pole magnitude must be < 1, got {pole}")
+        values = variance * (1.0 - pole**2) / (1.0 - 2.0 * pole * np.cos(omegas) + pole**2)
     else:  # tabulated
         values = np.asarray(_require_param(params, "values", family), dtype=float)
         if values.shape != (grid_size,):
@@ -190,9 +176,7 @@ def eval_psd(psd: PsdGrid, omega: float) -> float:
 def lower_envelope(uset: UncertaintySet) -> PsdGrid:
     """Pointwise minimum across the set members at every grid node."""
     stacked = np.vstack([psd.values for psd in uset.members])
-    return PsdGrid(
-        grid_size=uset.grid_size, values=stacked.min(axis=0), label="envelope"
-    )
+    return PsdGrid(uset.grid_size, stacked.min(axis=0), "envelope")
 
 
 def autocovariance(psd: PsdGrid, max_lag: int) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import cholesky, toeplitz
 
 import prop_suites
-from conftest import MASTER_SEED, MODULE_CASES
+from conftest import MASTER_SEED, MODULE_CASES, patch_everywhere
 from robustspec.errors import NotPositiveDefiniteError, ParameterError
 from robustspec.gaussian_model import (
     ToeplitzGaussian,
@@ -51,6 +51,10 @@ class TestBuildModel:
         model = ToeplitzGaussian(n=3, sigma2=1.0, autocov=np.array([-1.0 - 1e-11, 0.0, 0.0]))
         assert model.jitter == 2
         assert np.all(np.diag(model.factor) > 0.0)
+        # the Durbin log-determinant and the lazily built factor describe one matrix
+        assert model.logdet == pytest.approx(
+            2.0 * np.sum(np.log(np.diag(model.factor))), rel=0.0, abs=1e-12
+        )
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
@@ -248,6 +252,19 @@ class TestSampling:
     def test_trials_validated(self):
         with pytest.raises(ParameterError):
             sample_gaussian(white_model(1.0, 2), 0, 1)
+
+    def test_factor_built_once_on_first_draw(self, monkeypatch):
+        model = build_model(make_psd("flat", grid_size=64, level=1.0), 1.0, 6)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return cholesky(*args, **kwargs)
+
+        patch_everywhere(monkeypatch, cholesky, counting)
+        first = sample_gaussian(model, 100, 1)
+        assert np.array_equal(sample_gaussian(model, 100, 1), first)
+        assert len(calls) == 1
 
 
 class TestInvariantSuites:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import prop_suites
-from conftest import MASTER_SEED, MODULE_CASES, flat_set
+from conftest import MASTER_SEED, MODULE_CASES, flat_set, patch_everywhere
 from robustspec.detection import (
     DEFAULT_TILT_GRID,
     MixtureWeights,
@@ -13,7 +13,13 @@ from robustspec.detection import (
 )
 from robustspec.errors import ParameterError
 from robustspec.exponent import kl_rate
-from robustspec.gaussian_model import build_model, sample_gaussian, white_model
+from robustspec.gaussian_model import (
+    build_model,
+    build_model_sets,
+    levinson_durbin,
+    sample_gaussian,
+    white_model,
+)
 from robustspec.minimax import (
     kkt_certificate,
     minimize_mixture_weights,
@@ -200,6 +206,19 @@ class TestKktCertificate:
         _, models, _, _ = flat_setup
         with pytest.raises(ParameterError):
             kkt_certificate(5, models, 1.0)
+
+    def test_one_durbin_pass_per_model_and_no_factor(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return levinson_durbin(*args, **kwargs)
+
+        patch_everywhere(monkeypatch, levinson_durbin, counting)
+        (models,) = build_model_sets(flat_set([1.0, 2.0, 3.0]), 1.0, [64])
+        assert kkt_certificate(0, models, 1.0).singleton_verified
+        assert len(calls) == 3
+        assert not any("factor" in vars(model) for model in models)
 
 
 class TestUtility:
