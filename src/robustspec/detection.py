@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import EstimationInfeasibleError, ParameterError
 from .gaussian_model import (
@@ -120,6 +119,19 @@ def ratio_rows(
     return np.concatenate([log_likelihood_ratios(b, models, null_sigma2) for b in blocks])
 
 
+def _log_sum_exp(x: np.ndarray) -> np.ndarray:
+    """log sum exp(x) along the last axis, in the max-shift form
+    top + log(sum(exp(x - top))).
+
+    An entry that is the only finite one of its row comes back bit for bit,
+    since its shifted term is exp(0) = 1; a row of -inf gives -inf.
+    """
+    top = np.max(x, axis=-1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(x - top), axis=-1)) + top[..., 0]
+
+
 def _mixture_log_ratios(ratios: np.ndarray, w: np.ndarray) -> np.ndarray:
     """log sum_k w_k p_k/p_0 per row of the log-ratio matrix: n * g(y; w).
 
@@ -128,7 +140,7 @@ def _mixture_log_ratios(ratios: np.ndarray, w: np.ndarray) -> np.ndarray:
     -inf, and a singleton weight returns its column exactly.
     """
     with np.errstate(divide="ignore"):
-        return logsumexp(ratios + np.log(w), axis=1)
+        return _log_sum_exp(ratios + np.log(w))
 
 
 def _scorer(
@@ -418,7 +430,7 @@ def sample_mixture_blocks(
     cdf = np.cumsum(weights.w)
     for b, z in enumerate(normal_blocks(models[0].n, trials, seed, block)):
         ss = np.random.SeedSequence(entropy=derive_seed(seed, "mixsel"), spawn_key=(b,))
-        u = np.random.default_rng(ss).random(block)[: len(z)]
+        u = np.random.default_rng(ss).random(len(z))
         comp = np.minimum(np.searchsorted(cdf, u, side="right"), len(models) - 1)
         out = np.empty_like(z)
         for k, model in enumerate(models):
@@ -435,7 +447,7 @@ def _chernoff_bound(tau: float, g: np.ndarray, n: int, tilt_grid: Sequence[float
         raise ParameterError("tilt grid must be nonempty with all tilts <= 0")
     best, best_t = -np.inf, 0.0
     for t in tilts:
-        bracket = t * tau - (logsumexp(t * n * g) - np.log(len(g))) / n
+        bracket = t * tau - (float(_log_sum_exp(t * n * g)) - np.log(len(g))) / n
         if bracket > best:
             best, best_t = float(bracket), float(t)
     return best, best_t

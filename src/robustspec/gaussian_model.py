@@ -8,8 +8,11 @@ autocovariance lags of a signal PSD.  Two kinds of algebra serve it:
   `levinson_durbin` pass at construction, in O(n^2): its prediction errors
   give log|C| and its predictor gives C^{-1} by the Gohberg-Semencul formula.
   `exponent.kl_rate` runs the same pass without a model.
-- Sampling and likelihood ratios need a factor of C: the dense Cholesky
-  `factor` is built on first read, so unsampled, unscored models never form it.
+- Sampling and likelihood ratios need a factor of C, built on first read so
+  that unsampled, unscored models never form it.  Samplers map white draws
+  through the dense Cholesky `factor` L; `quad_forms` scores a block with one
+  matrix product against the `whitener` L^{-1}, made by one triangular solve
+  per model.
 """
 
 from __future__ import annotations
@@ -44,8 +47,9 @@ class ToeplitzGaussian:
     """Zero-mean Gaussian N(0, sigma2*I + Toeplitz(autocov)) of dimension n.
 
     `jitter` is the JITTER_LADDER rung that construction's one Durbin pass
-    needed (0: none); `logdet`, `predictor`, `prediction_error` and the
-    lazily built Cholesky `factor` all describe the covariance plus that jitter.
+    needed (0: none); `logdet`, `predictor`, `prediction_error`, the lazily
+    built Cholesky `factor` and its inverse `whitener` all describe the
+    covariance plus that jitter.
     """
 
     n: int
@@ -91,6 +95,13 @@ class ToeplitzGaussian:
         factor.setflags(write=False)
         return factor
 
+    @cached_property
+    def whitener(self) -> np.ndarray:
+        """Inverse L^{-1} of the lower Cholesky `factor`, so C^{-1} = W^T W."""
+        whitener = solve_triangular(self.factor, np.eye(self.n), lower=True)
+        whitener.setflags(write=False)
+        return whitener
+
     def covariance(self) -> np.ndarray:
         """Dense covariance sigma2*I + Sigma_N."""
         cov = toeplitz(self.autocov)
@@ -102,9 +113,9 @@ class ToeplitzGaussian:
         return cho_solve((self.factor, True), rhs)
 
     def quad_forms(self, samples: np.ndarray) -> np.ndarray:
-        """y^T C^{-1} y for each row y of `samples`."""
-        half = solve_triangular(self.factor, samples.T, lower=True)
-        return np.einsum("ij,ij->j", half, half)
+        """y^T C^{-1} y = |W y|^2 for each row y of `samples`."""
+        half = samples @ self.whitener.T
+        return np.einsum("ij,ij->i", half, half)
 
 
 def _durbin_with_jitter(
@@ -202,11 +213,22 @@ def ratio_expectation(
     factor gives its log-determinant.  Returns +inf when the middle
     matrix is not positive definite (the defining integral diverges).
     """
+    require_positive("p0_sigma2", p0_sigma2)
+    return _ratio_expectation(p0_sigma2, p1, _inverse_generator(p1), p2)
+
+
+def _ratio_expectation(
+    p0_sigma2: float,
+    p1: ToeplitzGaussian,
+    generator1: np.ndarray,
+    p2: ToeplitzGaussian,
+) -> float:
+    """ratio_expectation with p1's `_inverse_generator` already built, so one
+    p1 can be compared with many p2 from one generator."""
     if p1.n != p2.n:
         raise ParameterError(f"dimension mismatch: {p1.n} vs {p2.n}")
-    require_positive("p0_sigma2", p0_sigma2)
     # the generator of a difference of inverses is the difference of generators
-    step = p0_sigma2 * (_inverse_generator(p2) - _inverse_generator(p1))
+    step = p0_sigma2 * (_inverse_generator(p2) - generator1)
     middle = np.empty_like(step)
     middle[0] = step[0]
     for i in range(1, p1.n):
@@ -267,12 +289,14 @@ def standard_normal_block(
     """Standard normal draws for substream (seed, block_index), shape (size, n).
 
     Shared across models so that detectors under comparison score coupled
-    sample sets (the underlying white draws are identical).
+    sample sets (the underlying white draws are identical).  Only `size` of
+    the substream's `block` rows are drawn: the generator fills in order, so
+    a short block equals the first rows of a full one.
     """
+    if not 1 <= size <= block:
+        raise ParameterError(f"block size must be in [1, {block}], got {size}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
-    rng = np.random.default_rng(ss)
-    z = rng.standard_normal((block, n))
-    return z[:size] if size < block else z
+    return np.random.default_rng(ss).standard_normal((size, n))
 
 
 def sample_gaussian(model: ToeplitzGaussian, trials: int, seed: int) -> np.ndarray:

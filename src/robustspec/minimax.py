@@ -26,7 +26,12 @@ from .detection import (
     sample_mixture_blocks,
 )
 from .errors import ParameterError, require_positive
-from .gaussian_model import RATIO_TOLERANCE, ToeplitzGaussian, ratio_expectation
+from .gaussian_model import (
+    RATIO_TOLERANCE,
+    ToeplitzGaussian,
+    _inverse_generator,
+    _ratio_expectation,
+)
 
 @dataclass(frozen=True)
 class KktCertificate:
@@ -139,19 +144,22 @@ def kkt_certificate(
 
     At the singleton the equality multiplier is 1/n and the inequality
     multiplier for member k is (1 - E_null[p_k/p_cand])/n, computed from the
-    exact Gaussian ratio expectation with no sampling.
+    exact Gaussian ratio expectation with no sampling; the candidate's
+    inverse generator is built once for all K-1 members.
     """
     if not 0 <= candidate_index < len(models):
         raise ParameterError(f"candidate_index {candidate_index} out of range")
     require_positive("null_sigma2", null_sigma2)
     n = models[0].n
+    candidate = models[candidate_index]
+    generator = _inverse_generator(candidate)
     mu = np.zeros(len(models))
     diverged = []
     max_violation = 0.0
     for k, model in enumerate(models):
         if k == candidate_index:
             continue
-        ratio = ratio_expectation(null_sigma2, models[candidate_index], model)
+        ratio = _ratio_expectation(null_sigma2, candidate, generator, model)
         if np.isinf(ratio):
             diverged.append(k)
             mu[k] = -np.inf

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import prop_suites
 from conftest import MASTER_SEED, MODULE_CASES, flat_set
@@ -7,6 +8,8 @@ from robustspec.detection import (
     DEFAULT_TILT_GRID,
     DetectorSpec,
     MixtureWeights,
+    _log_sum_exp,
+    _mixture_log_ratios,
     calibrate_threshold,
     chernoff_exponent,
     derive_seed,
@@ -68,6 +71,29 @@ class TestMixtureStatistic:
         model = build_model(make_psd("flat", grid_size=64, level=1.0), 1.0, 8)
         with pytest.raises(ParameterError):
             mixture_statistic(np.zeros(9), E1, [model], 1.0)
+
+
+class TestLogSumExp:
+    def test_matches_scipy(self, rng):
+        ratios = rng.normal(scale=40.0, size=(4096, 4)) + rng.normal(scale=300.0, size=(4096, 1))
+        for w in ([0.25, 0.25, 0.25, 0.25], [0.7, 0.0, 0.3, 0.0], [1e-9, 0.5, 0.5 - 1e-9, 0.0]):
+            w = np.array(w)
+            with np.errstate(divide="ignore"):
+                expected = logsumexp(ratios + np.log(w), axis=1)
+            got = _mixture_log_ratios(ratios, w)
+            assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
+        vector = ratios[:, 0]
+        assert float(_log_sum_exp(vector)) == pytest.approx(logsumexp(vector), rel=1e-13)
+
+    def test_singleton_returns_its_column(self, rng):
+        ratios = rng.normal(scale=50.0, size=(1000, 3))
+        for k in range(3):
+            w = MixtureWeights.singleton(k, 3).w
+            assert np.array_equal(_mixture_log_ratios(ratios, w), ratios[:, k])
+
+    def test_all_minus_infinity_row(self):
+        x = np.array([[-np.inf, -np.inf], [0.0, -np.inf]])
+        assert np.array_equal(_log_sum_exp(x), [-np.inf, 0.0])
 
 
 class TestCalibration:
@@ -203,6 +229,18 @@ class TestMixtureSampling:
         # wherever both runs picked component 0 the rows coincide exactly
         same = np.all(a == b, axis=1)
         assert np.count_nonzero(same) > 1000
+
+    def test_short_run_is_prefix_of_full_block(self):
+        # normals and component-selection uniforms of a short final block are
+        # the first entries of a full block's draws
+        models = [
+            build_model(make_psd("flat", grid_size=64, level=l), 1.0, 3)
+            for l in (1.0, 2.0, 4.0)
+        ]
+        weights = MixtureWeights(np.array([0.2, 0.5, 0.3]))
+        full = np.concatenate(list(sample_mixture_blocks(models, weights, 4096, 17)))
+        short = np.concatenate(list(sample_mixture_blocks(models, weights, 3616, 17)))
+        assert np.array_equal(short, full[:3616])
 
 
 class TestChernoffExponent:

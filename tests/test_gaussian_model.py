@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import cholesky, toeplitz
+from scipy.linalg import cholesky, solve_triangular, toeplitz
 
 import prop_suites
 from conftest import MASTER_SEED, MODULE_CASES, patch_everywhere
@@ -13,6 +13,7 @@ from robustspec.gaussian_model import (
     levinson_durbin,
     ratio_expectation,
     sample_gaussian,
+    standard_normal_block,
     white_model,
 )
 from robustspec.spectral import make_psd
@@ -253,6 +254,13 @@ class TestSampling:
         with pytest.raises(ParameterError):
             sample_gaussian(white_model(1.0, 2), 0, 1)
 
+    def test_short_block_is_prefix_of_full_block(self):
+        full = standard_normal_block(7, 3, 4096, 5)
+        assert np.array_equal(standard_normal_block(7, 3, 3616, 5), full[:3616])
+        assert np.array_equal(standard_normal_block(7, 3, 1, 5), full[:1])
+        with pytest.raises(ParameterError):
+            standard_normal_block(7, 3, 4097, 5)
+
     def test_factor_built_once_on_first_draw(self, monkeypatch):
         model = build_model(make_psd("flat", grid_size=64, level=1.0), 1.0, 6)
         calls = []
@@ -265,6 +273,45 @@ class TestSampling:
         first = sample_gaussian(model, 100, 1)
         assert np.array_equal(sample_gaussian(model, 100, 1), first)
         assert len(calls) == 1
+
+
+SCORED_PSDS = {
+    "ar1": make_psd("rational_ar1", grid_size=4096, variance=1.5, pole=0.7),
+    "raised_cosine": make_psd(
+        "raised_cosine", grid_size=4096, peak=2.0, center=0.8, width=1.5
+    ),
+    "tabulated": make_psd(
+        "tabulated", grid_size=64, values=1.0 + np.cos(np.linspace(0.0, np.pi, 64)) ** 2
+    ),
+}
+
+
+class TestQuadForms:
+    @pytest.mark.parametrize("family", sorted(SCORED_PSDS))
+    @pytest.mark.parametrize("n", [1, 2, 17, 256])
+    @pytest.mark.parametrize("sigma2", [0.37, 1.0, 2.5])
+    def test_matches_dense_solve(self, family, n, sigma2):
+        model = build_model(SCORED_PSDS[family], sigma2, n)
+        assert np.allclose(model.whitener @ model.factor, np.eye(n), rtol=0.0, atol=1e-12)
+        samples = sample_gaussian(model, 50, 3)
+        expected = np.einsum("ij,ji->i", samples, model.solve(samples.T))
+        assert np.allclose(model.quad_forms(samples), expected, rtol=1e-12, atol=0.0)
+
+    def test_whitener_built_once_and_read_only(self, monkeypatch):
+        model = build_model(SCORED_PSDS["ar1"], 1.0, 8)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve_triangular(*args, **kwargs)
+
+        patch_everywhere(monkeypatch, solve_triangular, counting)
+        samples = sample_gaussian(model, 5000, 2)
+        first = model.quad_forms(samples[:4096])
+        model.quad_forms(samples[4096:])
+        assert np.array_equal(model.quad_forms(samples[:4096]), first)
+        assert len(calls) == 1
+        assert not model.whitener.flags.writeable
 
 
 class TestInvariantSuites:

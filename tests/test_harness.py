@@ -304,6 +304,21 @@ class TestModes:
         assert len(keys) == 2 * 3 * 2 + 2
         assert len(set(keys)) == len(keys)
 
+    def test_full_mode_whitens_each_model_once(self, monkeypatch):
+        # scoring is a product with each model's cached whitener, so the
+        # triangular solve runs once per scored model and never per block
+        original = robustspec.gaussian_model.solve_triangular
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        patch_everywhere(monkeypatch, original, counting)
+        doc = dict(FLAT_TRIO, mode="full", trials=5000, n_values=[8, 16], seed=11)
+        run_experiment(parse_config(config_text(doc)))
+        assert 0 < len(calls) <= 3 * 2
+
     @pytest.mark.parametrize("mode", ["minimax", "full"])
     def test_each_model_built_once(self, monkeypatch, mode):
         original = robustspec.gaussian_model.build_model

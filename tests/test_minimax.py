@@ -13,6 +13,7 @@ from robustspec.detection import (
 )
 from robustspec.errors import ParameterError
 from robustspec.exponent import kl_rate
+import robustspec.gaussian_model
 from robustspec.gaussian_model import (
     build_model,
     build_model_sets,
@@ -219,6 +220,25 @@ class TestKktCertificate:
         assert kkt_certificate(0, models, 1.0).singleton_verified
         assert len(calls) == 3
         assert not any("factor" in vars(model) for model in models)
+
+    def test_one_inverse_generator_per_model(self, monkeypatch):
+        original = robustspec.gaussian_model._inverse_generator
+        built = []
+
+        def counting(model):
+            built.append(model.label)
+            return original(model)
+
+        patch_everywhere(monkeypatch, original, counting)
+        (models,) = build_model_sets(flat_set([1.0, 2.0, 3.0, 4.0]), 1.0, [32])
+        assert kkt_certificate(0, models, 1.0).singleton_verified
+        assert sorted(built) == sorted(model.label for model in models)
+
+    def test_models_must_share_n(self):
+        psds = flat_set([1.0, 2.0])
+        models = [build_model(psds[0], 1.0, 8), build_model(psds[1], 1.0, 9)]
+        with pytest.raises(ParameterError):
+            kkt_certificate(0, models, 1.0)
 
 
 class TestUtility:
