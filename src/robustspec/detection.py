@@ -33,6 +33,9 @@ DEFAULT_TILT_GRID = tuple(np.linspace(-2.0, 0.0, 41))
 #: Miss estimates backed by fewer recorded miss events than this are censored.
 MIN_MISS_EVENTS = 10
 
+#: Fewest trials a Monte Carlo error-rate estimate runs on.
+MIN_MC_TRIALS = 1000
+
 
 def derive_seed(seed: int, label: str) -> int:
     """Stable 64-bit substream seed for (master seed, stage label)."""
@@ -259,8 +262,8 @@ def _error_counts(
     each block of white normals is drawn once and mapped through every
     truth's factor, so all detectors and truths score coupled sample sets.
     """
-    if trials < 1000:
-        raise ParameterError(f"trials must be >= 1000, got {trials}")
+    if trials < MIN_MC_TRIALS:
+        raise ParameterError(f"trials must be >= {MIN_MC_TRIALS}, got {trials}")
     if any(not 0 <= t < len(models) for t in truths):
         raise ParameterError(f"truth indices {list(truths)} out of range")
     tau = np.asarray(thresholds, dtype=float)[:, np.newaxis]

@@ -2,17 +2,17 @@
 
 A model is the zero-mean Gaussian with covariance C = sigma^2*I + Sigma_N,
 where Sigma_N is the symmetric Toeplitz matrix built from the first n
-autocovariance lags of a signal PSD.  Two kinds of algebra serve it:
+autocovariance lags of a signal PSD.  Each model runs one `levinson_durbin`
+pass at construction, in O(n^2): its prediction errors give log|C| and its
+predictor gives C^{-1} by the Gohberg-Semencul formula.  `exponent.kl_rate`
+runs the same pass without a model.
 
-- The closed forms need only the Toeplitz structure.  Each model runs one
-  `levinson_durbin` pass at construction, in O(n^2): its prediction errors
-  give log|C| and its predictor gives C^{-1} by the Gohberg-Semencul formula.
-  `exponent.kl_rate` runs the same pass without a model.
-- Sampling and likelihood ratios need a factor of C, built on first read so
-  that unsampled, unscored models never form it.  Samplers map white draws
-  through the dense Cholesky `factor` L; `quad_forms` scores a block with one
-  matrix product against the `whitener` L^{-1}, made by one triangular solve
-  per model.
+- The closed forms need only that pass: `ratio_expectation` sums the
+  difference of two Gohberg-Semencul generators down its diagonals.
+- Scoring reads the `precision` C^{-1}, summed the same way from the model's
+  own generator on first read; `quad_forms` is one matrix product per block.
+- Sampling maps white draws through the dense Cholesky `factor` L, built on
+  first read so that unsampled models never form it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular, toeplitz
 
 from .errors import NotPositiveDefiniteError, ParameterError, require_positive
 from .spectral import PsdGrid, autocovariance
@@ -47,8 +46,8 @@ class ToeplitzGaussian:
     """Zero-mean Gaussian N(0, sigma2*I + Toeplitz(autocov)) of dimension n.
 
     `jitter` is the JITTER_LADDER rung that construction's one Durbin pass
-    needed (0: none); `logdet`, `predictor`, `prediction_error`, the lazily
-    built Cholesky `factor` and its inverse `whitener` all describe the
+    needed (0: none); `logdet`, `predictor`, `prediction_error` and the
+    lazily built `precision` and Cholesky `factor` all describe the
     covariance plus that jitter.
     """
 
@@ -87,7 +86,7 @@ class ToeplitzGaussian:
         cov = self.covariance()
         cov[np.diag_indices(self.n)] += JITTER_LADDER[self.jitter]
         try:
-            factor = cholesky(cov, lower=True)
+            factor = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise NotPositiveDefiniteError(
                 f"covariance for PSD {self.label!r} is not positive definite (Cholesky)"
@@ -96,26 +95,22 @@ class ToeplitzGaussian:
         return factor
 
     @cached_property
-    def whitener(self) -> np.ndarray:
-        """Inverse L^{-1} of the lower Cholesky `factor`, so C^{-1} = W^T W."""
-        whitener = solve_triangular(self.factor, np.eye(self.n), lower=True)
-        whitener.setflags(write=False)
-        return whitener
+    def precision(self) -> np.ndarray:
+        """C^{-1}, the diagonal sums of the model's `_inverse_generator`."""
+        precision = _diagonal_sums(_inverse_generator(self))
+        precision.setflags(write=False)
+        return precision
 
     def covariance(self) -> np.ndarray:
         """Dense covariance sigma2*I + Sigma_N."""
-        cov = toeplitz(self.autocov)
+        lags = np.arange(self.n)
+        cov = self.autocov[np.abs(lags[:, None] - lags)]
         cov[np.diag_indices(self.n)] += self.sigma2
         return cov
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Covariance solve C^{-1} rhs via the cached factor."""
-        return cho_solve((self.factor, True), rhs)
-
     def quad_forms(self, samples: np.ndarray) -> np.ndarray:
-        """y^T C^{-1} y = |W y|^2 for each row y of `samples`."""
-        half = samples @ self.whitener.T
-        return np.einsum("ij,ij->i", half, half)
+        """y^T C^{-1} y for each row y of `samples`."""
+        return np.einsum("ij,ij->i", samples @ self.precision, samples)
 
 
 def _durbin_with_jitter(
@@ -157,7 +152,7 @@ def gaussian_kl(p: ToeplitzGaussian, q: ToeplitzGaussian) -> float:
     """KL divergence D(p || q) between two zero-mean Gaussians, in nats."""
     if p.n != q.n:
         raise ParameterError(f"dimension mismatch: {p.n} vs {q.n}")
-    trace = float(np.trace(q.solve(p.covariance())))
+    trace = float(np.trace(np.linalg.solve(q.covariance(), p.covariance())))
     return 0.5 * (trace - p.n + q.logdet - p.logdet)
 
 
@@ -201,6 +196,16 @@ def _inverse_generator(model: ToeplitzGaussian) -> np.ndarray:
     return (np.outer(a, a) - np.outer(b, b)) / model.prediction_error
 
 
+def _diagonal_sums(generator: np.ndarray) -> np.ndarray:
+    """Running sums of `generator` down each diagonal: C^{-1} from its generator G."""
+    out = np.empty_like(generator)
+    out[0] = generator[0]
+    for i in range(1, generator.shape[0]):
+        out[i, 0] = generator[i, 0]
+        out[i, 1:] = out[i - 1, :-1] + generator[i, 1:]
+    return out
+
+
 def ratio_expectation(
     p0_sigma2: float, p1: ToeplitzGaussian, p2: ToeplitzGaussian
 ) -> float:
@@ -228,15 +233,10 @@ def _ratio_expectation(
     if p1.n != p2.n:
         raise ParameterError(f"dimension mismatch: {p1.n} vs {p2.n}")
     # the generator of a difference of inverses is the difference of generators
-    step = p0_sigma2 * (_inverse_generator(p2) - generator1)
-    middle = np.empty_like(step)
-    middle[0] = step[0]
-    for i in range(1, p1.n):
-        middle[i, 0] = step[i, 0]
-        middle[i, 1:] = middle[i - 1, :-1] + step[i, 1:]
+    middle = _diagonal_sums(p0_sigma2 * (_inverse_generator(p2) - generator1))
     middle[np.diag_indices(p1.n)] += 1.0
     try:
-        factor = cholesky(middle, lower=True)
+        factor = np.linalg.cholesky(middle)
     except np.linalg.LinAlgError:
         return float("inf")
     logdet_middle = float(2.0 * np.sum(np.log(np.diag(factor))))

@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass, fields
 from typing import List, Optional, Sequence
 
 from . import __version__
-from .detection import MixtureWeights, derive_seed, operating_characteristics, ratio_rows
+from .detection import MIN_MC_TRIALS, MixtureWeights, derive_seed
+from .detection import operating_characteristics, ratio_rows
 from .dominance import find_dominated
 from .errors import ConfigError, ParameterError, RobustSpecError
 from .exponent import error_exponent, genie_bound
@@ -200,7 +201,7 @@ def _check_grid(grid_size: int) -> None:
 
 
 def _check_trials(mode: str, trials: int) -> None:
-    floor = 1000 if mode in ("simulate", "minimax", "full") else 1
+    floor = MIN_MC_TRIALS if mode in ("simulate", "minimax", "full") else 1
     if trials < floor:
         raise ConfigError(f"trials must be >= {floor} for mode {mode!r}, got {trials}")
 

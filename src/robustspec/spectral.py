@@ -8,6 +8,7 @@ trapezoid quadrature with the endpoint nodes half-weighted.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -161,9 +162,13 @@ _FAMILY_PARAMS = {
 
 
 def _require_param(params: dict, name: str, family: str):
+    """The named parameter; all but tabulated `values` are real scalars."""
     if name not in params:
         raise ParameterError(f"family {family!r} requires parameter {name!r}")
-    return params[name]
+    value = params[name]
+    if name != "values" and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ParameterError(f"family {family!r} parameter {name!r} must be real, got {value!r}")
+    return value
 
 
 def eval_psd(psd: PsdGrid, omega: float) -> float:

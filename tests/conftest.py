@@ -22,6 +22,22 @@ def patch_everywhere(monkeypatch, original, replacement):
                     monkeypatch.setattr(module, attr, replacement)
 
 
+def count_precision_builds(monkeypatch):
+    """List that gains one entry each time a model's `precision` is built."""
+    import robustspec.gaussian_model as gaussian_model
+
+    original = gaussian_model._diagonal_sums
+    builds = []
+
+    def counting(generator):
+        if sys._getframe(1).f_code.co_name == "precision":
+            builds.append(generator.shape[0])
+        return original(generator)
+
+    monkeypatch.setattr(gaussian_model, "_diagonal_sums", counting)
+    return builds
+
+
 def flat_set(levels, grid_size=256):
     return tuple(
         make_psd("flat", grid_size=grid_size, level=lv, label=f"flat{lv:g}")

@@ -104,6 +104,7 @@ class TestKlRateAgainstDenseAlgebra:
         for original in (build_model, white_model, scipy.linalg.cholesky):
             patch_everywhere(monkeypatch, original, refuse)
         monkeypatch.setattr(scipy.linalg, "cholesky", refuse)
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
         assert [kl_rate(psd, 1.0, 64) for psd in KL_REFERENCE_PSDS] == expected
 
     @pytest.mark.parametrize("sigma2", [0.37, 2.5])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from scipy.linalg import cholesky, solve_triangular, toeplitz
+from scipy.linalg import cholesky, toeplitz
 
 import prop_suites
-from conftest import MASTER_SEED, MODULE_CASES, patch_everywhere
+from conftest import MASTER_SEED, MODULE_CASES, count_precision_builds
 from robustspec.errors import NotPositiveDefiniteError, ParameterError
 from robustspec.gaussian_model import (
     ToeplitzGaussian,
@@ -220,7 +220,7 @@ class TestRatioExpectation:
 
         models = [build_model(psd, 1.0, 32) for psd in reference_psds(256)]
         expected = [dense_ratio_expectation(1.0, models[0], m) for m in models]
-        monkeypatch.setattr(ToeplitzGaussian, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
         monkeypatch.setattr(np.linalg, "inv", refuse)
         got = [ratio_expectation(1.0, models[0], m) for m in models]
         assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
@@ -263,13 +263,14 @@ class TestSampling:
 
     def test_factor_built_once_on_first_draw(self, monkeypatch):
         model = build_model(make_psd("flat", grid_size=64, level=1.0), 1.0, 6)
+        original = np.linalg.cholesky
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return cholesky(*args, **kwargs)
+            return original(*args, **kwargs)
 
-        patch_everywhere(monkeypatch, cholesky, counting)
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
         first = sample_gaussian(model, 100, 1)
         assert np.array_equal(sample_gaussian(model, 100, 1), first)
         assert len(calls) == 1
@@ -292,26 +293,22 @@ class TestQuadForms:
     @pytest.mark.parametrize("sigma2", [0.37, 1.0, 2.5])
     def test_matches_dense_solve(self, family, n, sigma2):
         model = build_model(SCORED_PSDS[family], sigma2, n)
-        assert np.allclose(model.whitener @ model.factor, np.eye(n), rtol=0.0, atol=1e-12)
+        identity = model.precision @ model.covariance()
+        assert np.allclose(identity, np.eye(n), rtol=0.0, atol=1e-12)
         samples = sample_gaussian(model, 50, 3)
-        expected = np.einsum("ij,ji->i", samples, model.solve(samples.T))
+        solved = np.linalg.solve(model.covariance(), samples.T)
+        expected = np.einsum("ij,ji->i", samples, solved)
         assert np.allclose(model.quad_forms(samples), expected, rtol=1e-12, atol=0.0)
 
-    def test_whitener_built_once_and_read_only(self, monkeypatch):
+    def test_precision_built_once_and_read_only(self, monkeypatch):
         model = build_model(SCORED_PSDS["ar1"], 1.0, 8)
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return solve_triangular(*args, **kwargs)
-
-        patch_everywhere(monkeypatch, solve_triangular, counting)
+        builds = count_precision_builds(monkeypatch)
         samples = sample_gaussian(model, 5000, 2)
         first = model.quad_forms(samples[:4096])
         model.quad_forms(samples[4096:])
         assert np.array_equal(model.quad_forms(samples[:4096]), first)
-        assert len(calls) == 1
-        assert not model.whitener.flags.writeable
+        assert builds == [8]
+        assert not model.precision.flags.writeable
 
 
 class TestInvariantSuites:

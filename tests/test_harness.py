@@ -1,15 +1,20 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import robustspec
 import robustspec.detection
 import robustspec.gaussian_model
-from conftest import MASTER_SEED, patch_everywhere
+from conftest import MASTER_SEED, count_precision_builds, patch_everywhere
 from robustspec.cli import main as cli_main
 from robustspec.errors import ConfigError
 from robustspec.harness import (
@@ -304,20 +309,13 @@ class TestModes:
         assert len(keys) == 2 * 3 * 2 + 2
         assert len(set(keys)) == len(keys)
 
-    def test_full_mode_whitens_each_model_once(self, monkeypatch):
-        # scoring is a product with each model's cached whitener, so the
-        # triangular solve runs once per scored model and never per block
-        original = robustspec.gaussian_model.solve_triangular
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        patch_everywhere(monkeypatch, original, counting)
+    def test_full_mode_builds_each_precision_once(self, monkeypatch):
+        # scoring is a product with each model's cached precision, so it is
+        # built once per scored model and never per block
+        builds = count_precision_builds(monkeypatch)
         doc = dict(FLAT_TRIO, mode="full", trials=5000, n_values=[8, 16], seed=11)
         run_experiment(parse_config(config_text(doc)))
-        assert 0 < len(calls) <= 3 * 2
+        assert 0 < len(builds) <= 3 * 2
 
     @pytest.mark.parametrize("mode", ["minimax", "full"])
     def test_each_model_built_once(self, monkeypatch, mode):
@@ -440,6 +438,26 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["mode"] == "exponent"
 
+    def test_full_run_imports_no_scipy(self, tmp_path):
+        # a fresh interpreter, so no other test's import of scipy counts
+        doc = dict(FLAT_TRIO, mode="full", grid_size=64, trials=1000, n_values=[8])
+        cfg = self.write_config(tmp_path, doc)
+        out = tmp_path / "report.json"
+        script = (
+            "import sys\n"
+            "from robustspec.cli import main\n"
+            f"assert main(['full', '--config', {cfg!r}, '--out', {str(out)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(robustspec.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+        assert json.loads(out.read_text())["mode"] == "full"
+
     def test_stdout_when_no_out(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, MINIMAL)
         assert cli_main(["exponent", "--config", cfg]) == 0
@@ -470,6 +488,7 @@ class TestCli:
         [
             ("exponent", one_psd("flat", level=-1.0), "psds[0]"),
             ("exponent", one_psd("flat", level="x"), "psds[0]"),
+            ("exponent", one_psd("flat", level=True), "psds[0]"),
             ("exponent", one_psd("pink"), "psds[0]"),
             ("exponent", one_psd("tabulated", values=[1.0, 2.0]), "psds[0]"),
             ("simulate", {"n_values": [0, 8], "trials": 2000}, "n_values"),
@@ -485,8 +504,8 @@ class TestCli:
             ("exponent", {"n_values": [8, 10**9]}, "n_values"),
         ],
         ids=[
-            "negative-param", "string-param", "unknown-family", "tabulated-length",
-            "n-zero", "n-negative", "trials-zero", "trials-negative",
+            "negative-param", "string-param", "psd-param-bool", "unknown-family",
+            "tabulated-length", "n-zero", "n-negative", "trials-zero", "trials-negative",
             "trials-below-subcommand-floor", "label-not-string", "n-values-not-list",
             "output-path-not-string", "grid-huge", "grid-above-cap", "n-huge",
         ],

@@ -49,6 +49,23 @@ class TestMakePsd:
         with pytest.raises(ParameterError, match=field):
             make_psd(family, grid_size=64, **params)
 
+    @pytest.mark.parametrize(
+        "family,params,field",
+        [
+            ("flat", {"level": True}, "level"),
+            ("raised_cosine", {"peak": 1.0, "center": 0.0, "width": [1]}, "width"),
+            ("rational_ar1", {"variance": 1.0, "pole": "0.5"}, "pole"),
+        ],
+        ids=["bool", "list", "string"],
+    )
+    def test_non_real_scalar_named(self, family, params, field):
+        with pytest.raises(ParameterError, match=f"{family!r} parameter {field!r}"):
+            make_psd(family, grid_size=64, **params)
+
+    def test_numpy_scalars_accepted(self):
+        psd = make_psd("rational_ar1", grid_size=64, variance=np.float32(1.0), pole=np.int64(0))
+        assert np.allclose(psd.values, 1.0, atol=1e-15)
+
     def test_unknown_family_and_extra_params_rejected(self):
         with pytest.raises(ParameterError):
             make_psd("lorentzian", grid_size=64)
