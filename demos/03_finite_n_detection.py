@@ -44,10 +44,7 @@ tau = calibrate_threshold(weights, models, SIGMA2, ALPHA, TRIALS, SEED)
 print(f"  threshold tau = {tau:.6f} at false-alarm level {ALPHA}")
 print(f"  (compare -exponent(flat-1) = {-error_exponent(flats[0], SIGMA2):.6f})")
 
-spec = DetectorSpec(
-    weights=weights, models=models, null_sigma2=SIGMA2,
-    threshold=tau, n=n, alpha=ALPHA,
-)
+spec = DetectorSpec(weights=weights, models=models, threshold=tau)
 for truth in range(3):
     fa, miss, count = estimate_error_probs(spec, truth, TRIALS, SEED + 1)
     print(f"  truth={flats[truth].label:8s} fa={fa:.4f} miss={miss:.2e} ({count} events)")

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import EstimationInfeasibleError, ParameterError
 from .gaussian_model import (
-    SAMPLE_BLOCK,
     ToeplitzGaussian,
     build_model_sets,
     normal_blocks,
@@ -53,6 +52,8 @@ class MixtureWeights:
         w = np.array(self.w, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ParameterError("weights must be a nonempty vector")
+        if not np.all(np.isfinite(w)):
+            raise ParameterError(f"weights must be finite, got {w}")
         if np.any(w < 0.0) or np.any(w > 1.0):
             raise ParameterError("weights must lie in [0, 1]")
         if abs(w.sum() - 1.0) > 1e-12:
@@ -76,25 +77,28 @@ class MixtureWeights:
 
 @dataclass
 class DetectorSpec:
-    """A fully calibrated mixture detector at one dimension n."""
+    """A calibrated mixture detector; `n` and `null_sigma2` are read from its models."""
 
     weights: MixtureWeights
     models: List[ToeplitzGaussian]
-    null_sigma2: float
     threshold: float
-    n: int
-    alpha: float
 
     def __post_init__(self):
         if self.threshold != self.threshold:  # +-inf allowed for degenerate rules
             raise ParameterError("threshold must not be NaN")
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError(f"alpha must be in (0,1), got {self.alpha}")
         if len(self.models) != len(self.weights):
             raise ParameterError("weights and models must have equal length")
         for m in self.models:
             if m.n != self.n or m.sigma2 != self.null_sigma2:
-                raise ParameterError("models must share n and sigma2 with the spec")
+                raise ParameterError("models must share n and sigma2")
+
+    @property
+    def n(self) -> int:
+        return self.models[0].n
+
+    @property
+    def null_sigma2(self) -> float:
+        return self.models[0].sigma2
 
 
 def log_likelihood_ratios(
@@ -296,7 +300,8 @@ def estimate_error_probs(
 
 @dataclass
 class ExponentEstimate:
-    """Empirical miss-exponent ladder for one detector/truth pairing."""
+    """Empirical miss-exponent ladder for one detector/truth pairing; `slope`
+    and `ci_half_width` are None when every entry is censored."""
 
     n_values: np.ndarray
     miss_log: np.ndarray
@@ -304,8 +309,8 @@ class ExponentEstimate:
     miss_hat: np.ndarray
     miss_count: np.ndarray
     censored: np.ndarray
-    slope: float
-    ci_half_width: float
+    slope: Optional[float]
+    ci_half_width: Optional[float]
 
     def to_rows(self) -> List[dict]:
         """JSON rows; a censored entry's miss_log (NaN) is written as null."""
@@ -336,15 +341,14 @@ def _ladder(
     censored = miss_count < MIN_MISS_EVENTS
     with np.errstate(divide="ignore"):
         miss_log = np.where(censored, np.nan, -np.log(miss_hat) / n_values)
+    slope = ci = None
     uncensored = np.flatnonzero(~censored)
-    if uncensored.size == 0:
-        raise EstimationInfeasibleError(
-            "all miss estimates censored; use smaller n or more trials"
-        )
-    last = uncensored[-1]
-    p_hat = miss_hat[last]
-    # 3-sigma binomial CI on miss_hat mapped through -(1/n)log by delta method
-    ci = 3.0 * np.sqrt((1.0 - p_hat) / (p_hat * trials)) / n_values[last]
+    if uncensored.size:
+        last = uncensored[-1]
+        p_hat = miss_hat[last]
+        slope = float(miss_log[last])
+        # 3-sigma binomial CI on miss_hat mapped through -(1/n)log by delta method
+        ci = float(3.0 * np.sqrt((1.0 - p_hat) / (p_hat * trials)) / n_values[last])
     return ExponentEstimate(
         n_values=n_values,
         miss_log=miss_log,
@@ -352,8 +356,8 @@ def _ladder(
         miss_hat=miss_hat,
         miss_count=miss_count,
         censored=censored,
-        slope=float(miss_log[last]),
-        ci_half_width=float(ci),
+        slope=slope,
+        ci_half_width=ci,
     )
 
 
@@ -372,8 +376,7 @@ def operating_characteristics(
     label "cal:{n}"), which sets one threshold per detector, then the
     false-alarm null and the signal stream (labels "h0" and "h1" under
     "mc:{n}"), whose white draws every truth shares.  Returns
-    estimates[detector][truth]; raises EstimationInfeasibleError when any
-    ladder is censored at every n.
+    estimates[detector][truth]; a ladder censored at every n has no slope.
     """
     n_values = np.array([models[0].n for models in models_by_n], dtype=int)
     if np.any(np.diff(n_values) <= 0):
@@ -410,11 +413,17 @@ def empirical_exponent(
 
     The one-detector, one-truth view of operating_characteristics: each
     dimension calibrates its own threshold from the same master seed.
+    Raises EstimationInfeasibleError when every entry is censored.
     """
     models_by_n = build_model_sets(psd_set.members, sigma2, [int(n) for n in n_values])
-    return operating_characteristics(
+    est = operating_characteristics(
         models_by_n, [detector_weights], [true_psd_index], trials, alpha, seed
     )[0][0]
+    if est.slope is None:
+        raise EstimationInfeasibleError(
+            "all miss estimates censored; use smaller n or more trials"
+        )
+    return est
 
 
 def sample_mixture_blocks(
@@ -422,16 +431,20 @@ def sample_mixture_blocks(
     weights: MixtureWeights,
     trials: int,
     seed: int,
-    block: int = SAMPLE_BLOCK,
 ):
-    """Blocks of draws from the Gaussian mixture sum_k w_k p_k.
+    """Blocks of draws from the Gaussian mixture sum_k w_k p_k, one weight per
+    model, blocked as `normal_blocks`.
 
     The white-noise draws and component-selection uniforms are generated from
     substreams of `seed` that do not depend on `weights`, so runs with
     different operating points are coupled sample-by-sample.
     """
+    if len(weights) != len(models):
+        raise ParameterError(
+            f"mixture has {len(weights)} weights for {len(models)} models"
+        )
     cdf = np.cumsum(weights.w)
-    for b, z in enumerate(normal_blocks(models[0].n, trials, seed, block)):
+    for b, z in enumerate(normal_blocks(models[0].n, trials, seed)):
         ss = np.random.SeedSequence(entropy=derive_seed(seed, "mixsel"), spawn_key=(b,))
         u = np.random.default_rng(ss).random(len(z))
         comp = np.minimum(np.searchsorted(cdf, u, side="right"), len(models) - 1)

@@ -10,6 +10,7 @@ bounded away from zero, for phi* to be the dominated PSD of the set.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -37,7 +38,6 @@ PSD_EQUALITY_TOLERANCE = 1e-12
 class DominanceReport:
     """Numerical certificate for the dominated-element test on a set."""
 
-    margin: float
     boundedness_min: float
     dominated: bool
     per_member_margins: np.ndarray
@@ -97,63 +97,46 @@ def sigma2_dominance_margin(
 
 
 def find_dominated(
-    uset: UncertaintySet,
-    sigma2: float,
-    boundedness_floor: float = BOUNDEDNESS_FLOOR,
+    uset: UncertaintySet, sigma2: float
 ) -> Tuple[Optional[int], Optional[DominanceReport]]:
     """Locate the unique member dominated by every other member, if any.
 
-    Scans every candidate (uniqueness is a theorem for valid inputs, so a
-    second distinct qualifier raises UniquenessViolationError) and returns
-    (index, report), or (None, None) when no member qualifies.
+    Row j of one K x K table holds member j's margins against every member
+    and their smallest log argument (1.0 for a one-member set).  The first
+    row with every margin >= 0 and that minimum >= BOUNDEDNESS_FLOOR gives
+    (index, report); a later one for a distinct PSD raises
+    UniquenessViolationError.  Returns (None, None) when no row qualifies.
     """
     require_positive("sigma2", sigma2)
-    qualifiers = []
-    for j, candidate in enumerate(uset.members):
-        margins = np.empty(len(uset))
-        bmin = np.inf
-        for k, member in enumerate(uset.members):
-            if k == j:
-                margins[k] = 0.0
-                continue
-            m, b = sigma2_dominance_margin(candidate, member, sigma2)
-            margins[k] = 0.0 if -MARGIN_TOLERANCE <= m < 0.0 else m
-            bmin = min(bmin, b)
-        bmin = 1.0 if bmin == np.inf else bmin
-        if np.all(margins >= 0.0) and bmin >= boundedness_floor:
-            boundary = any(
-                margins[k] == 0.0
-                and float(np.max(np.abs(uset.members[k].values - candidate.values)))
-                > PSD_EQUALITY_TOLERANCE
-                for k in range(len(uset))
-                if k != j
-            )
-            report = DominanceReport(
-                margin=float(margins.min()),
-                boundedness_min=bmin,
-                dominated=True,
-                per_member_margins=margins,
-                candidate_label=candidate.label,
-                boundary=boundary,
-            )
-            qualifiers.append((j, report))
-    if not qualifiers:
-        return None, None
-    first_idx, first_report = qualifiers[0]
-    for other_idx, _ in qualifiers[1:]:
-        gap = float(
-            np.max(
-                np.abs(
-                    uset.members[other_idx].values - uset.members[first_idx].values
-                )
-            )
+    members = uset.members
+    k = len(members)
+    margins, bounds = np.zeros((k, k)), np.full((k, k), np.inf)
+    for j, i in itertools.permutations(range(k), 2):
+        margins[j, i], bounds[j, i] = sigma2_dominance_margin(
+            members[j], members[i], sigma2
         )
-        if gap > PSD_EQUALITY_TOLERANCE:
-            raise UniquenessViolationError(
-                f"members {first_idx} and {other_idx} both qualify but differ "
-                f"by {gap:g} on the grid; check tolerances"
-            )
-    return first_idx, first_report
+    margins[(-MARGIN_TOLERANCE <= margins) & (margins < 0.0)] = 0.0
+    bmin = bounds.min(axis=1) if k > 1 else np.ones(1)
+    qualifiers = np.flatnonzero(
+        np.all(margins >= 0.0, axis=1) & (bmin >= BOUNDEDNESS_FLOOR)
+    )
+    if qualifiers.size == 0:
+        return None, None
+    first = int(qualifiers[0])
+    gaps = np.array([np.max(np.abs(psd.values - members[first].values)) for psd in members])
+    distinct = qualifiers[gaps[qualifiers] > PSD_EQUALITY_TOLERANCE]
+    if distinct.size:
+        raise UniquenessViolationError(
+            f"members {first} and {distinct[0]} both qualify but differ "
+            f"by {gaps[distinct[0]]:g} on the grid; check tolerances"
+        )
+    return first, DominanceReport(
+        boundedness_min=float(bmin[first]),
+        dominated=True,
+        per_member_margins=margins[first],
+        candidate_label=members[first].label,
+        boundary=bool(np.any((margins[first] == 0.0) & (gaps > PSD_EQUALITY_TOLERANCE))),
+    )
 
 
 def flat_psd_criterion(phi: PsdGrid, rho: float, sigma2: float) -> bool:

@@ -250,33 +250,24 @@ def finite_n_dominates(
     return ratio_expectation(p0_sigma2, p1, p2) <= 1.0 + RATIO_TOLERANCE
 
 
-def normal_blocks(
-    n: int, trials: int, seed: int, block: int = SAMPLE_BLOCK
-) -> Iterator[np.ndarray]:
+def normal_blocks(n: int, trials: int, seed: int) -> Iterator[np.ndarray]:
     """Yield consecutive blocks of standard normal draws of dimension n.
 
-    Block b is generated from substream (seed, b) regardless of `trials`, so
-    two runs with the same seed see identical draws sample-by-sample.
+    Block b holds trials b*SAMPLE_BLOCK onward and is generated from
+    substream (seed, b) regardless of `trials`, so two runs with the same
+    seed see identical draws sample-by-sample.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    for b, start in enumerate(range(0, trials, block)):
-        yield standard_normal_block(seed, b, min(block, trials - start), n, block)
-
-
-def sample_blocks(
-    model: ToeplitzGaussian, trials: int, seed: int, block: int = SAMPLE_BLOCK
-) -> Iterator[np.ndarray]:
-    """Yield consecutive blocks of i.i.d. draws from the model (see normal_blocks)."""
-    for z in normal_blocks(model.n, trials, seed, block):
-        yield z @ model.factor.T
+    for b, start in enumerate(range(0, trials, SAMPLE_BLOCK)):
+        yield standard_normal_block(seed, b, min(SAMPLE_BLOCK, trials - start), n)
 
 
 def white_blocks(sigma2: float, n: int, trials: int, seed: int) -> Iterator[np.ndarray]:
     """Blocks of null N(0, sigma2*I) draws, sqrt(sigma2)*z with no factorisation.
 
-    Equal bit for bit to sample_blocks(white_model(sigma2, n), trials, seed):
-    the white factor is the diagonal sqrt(sigma2)*I.
+    Equal bit for bit to sample_gaussian(white_model(sigma2, n), trials, seed)
+    split into blocks: the white factor is the diagonal sqrt(sigma2)*I.
     """
     scale = np.sqrt(sigma2)
     for z in normal_blocks(n, trials, seed):
@@ -300,5 +291,8 @@ def standard_normal_block(
 
 
 def sample_gaussian(model: ToeplitzGaussian, trials: int, seed: int) -> np.ndarray:
-    """Matrix of `trials` i.i.d. rows from the model; bit-reproducible."""
-    return np.concatenate(list(sample_blocks(model, trials, seed)), axis=0)
+    """Matrix of `trials` i.i.d. rows from the model, each block of
+    `normal_blocks` mapped through the Cholesky factor; bit-reproducible."""
+    return np.concatenate(
+        [z @ model.factor.T for z in normal_blocks(model.n, trials, seed)], axis=0
+    )

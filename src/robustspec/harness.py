@@ -18,6 +18,7 @@ from .detection import MIN_MC_TRIALS, MixtureWeights, derive_seed
 from .detection import operating_characteristics, ratio_rows
 from .dominance import find_dominated
 from .errors import ConfigError, ParameterError, RobustSpecError
+from .errors import EstimationInfeasibleError
 from .exponent import error_exponent, genie_bound
 from .gaussian_model import ToeplitzGaussian, build_model_sets, white_blocks
 from .minimax import kkt_certificate, minimize_mixture_kl
@@ -285,9 +286,13 @@ def _ladders(
     detectors: Sequence[int],
     stage: str,
 ):
-    """Ladders of each singleton detector against every member, seeded by stage."""
+    """Ladders of each singleton detector against every member, seeded by stage.
+
+    A ladder censored at every n has no slope; a detector with no slope
+    against any truth raises EstimationInfeasibleError.
+    """
     k = len(model_sets[0])
-    return operating_characteristics(
+    ladders = operating_characteristics(
         model_sets,
         [MixtureWeights.singleton(det, k) for det in detectors],
         range(k),
@@ -295,6 +300,11 @@ def _ladders(
         config.alpha,
         derive_seed(config.seed, stage),
     )
+    if any(all(est.slope is None for est in row) for row in ladders):
+        raise EstimationInfeasibleError(
+            "all miss estimates censored against every truth; use smaller n or more trials"
+        )
+    return ladders
 
 
 def _run_simulate(config: ExperimentConfig, uset: UncertaintySet) -> dict:
@@ -357,7 +367,8 @@ def _run_full(config: ExperimentConfig, uset: UncertaintySet) -> dict:
     ladders = _ladders(config, model_sets, range(k), "full")
     detectors = {}
     for det, row in enumerate(ladders):
-        truth = min(range(k), key=lambda t: row[t].slope)
+        resolved = [t for t in range(k) if row[t].slope is not None]
+        truth = min(resolved, key=lambda t: row[t].slope)
         worst = row[truth]
         detectors[uset.members[det].label] = {
             "worst_case_slope": worst.slope,

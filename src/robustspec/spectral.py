@@ -19,7 +19,14 @@ from .errors import DomainError, ParameterError, require_positive
 MIN_GRID_SIZE = 8
 DEFAULT_GRID_SIZE = 4096
 
-PSD_FAMILIES = ("flat", "raised_cosine", "rational_ar1", "tabulated")
+_FAMILY_PARAMS = {
+    "flat": {"level"},
+    "raised_cosine": {"peak", "center", "width"},
+    "rational_ar1": {"variance", "pole"},
+    "tabulated": {"values"},
+}
+
+PSD_FAMILIES = tuple(_FAMILY_PARAMS)
 
 
 def half_grid(grid_size: int) -> np.ndarray:
@@ -151,14 +158,6 @@ def make_psd(
     if extra:
         raise ParameterError(f"unexpected parameters for family {family!r}: {sorted(extra)}")
     return PsdGrid(grid_size=grid_size, values=values, label=label or family)
-
-
-_FAMILY_PARAMS = {
-    "flat": {"level"},
-    "raised_cosine": {"peak", "center", "width"},
-    "rational_ar1": {"variance", "pole"},
-    "tabulated": {"values"},
-}
 
 
 def _require_param(params: dict, name: str, family: str):

@@ -38,6 +38,9 @@ class TestMixtureWeights:
             MixtureWeights(np.array([-0.1, 1.1]))
         with pytest.raises(ParameterError):
             MixtureWeights(np.array([]))
+        for w in ([np.nan, 1.0], [1.0, np.nan], [np.nan], [0.5, 0.5, np.nan]):
+            with pytest.raises(ParameterError):
+                MixtureWeights(np.array(w))
 
     def test_constructors(self):
         assert np.array_equal(MixtureWeights.singleton(1, 3).w, [0.0, 1.0, 0.0])
@@ -137,16 +140,24 @@ class TestCalibration:
 class TestErrorProbs:
     def make_spec(self, threshold, n=8):
         model = build_model(make_psd("flat", grid_size=64, level=1.0), 1.0, n)
-        return DetectorSpec(
-            weights=E1, models=[model], null_sigma2=1.0,
-            threshold=threshold, n=n, alpha=0.1,
-        )
+        return DetectorSpec(weights=E1, models=[model], threshold=threshold)
 
     def test_degenerate_thresholds(self):
         fa, miss, count = estimate_error_probs(self.make_spec(np.inf), 0, 1000, 0)
         assert (fa, miss, count) == (0.0, 1.0, 1000)
         fa, miss, count = estimate_error_probs(self.make_spec(-np.inf), 0, 1000, 0)
         assert (fa, miss, count) == (1.0, 0.0, 0)
+
+    def test_n_and_noise_floor_read_from_models(self):
+        spec = self.make_spec(0.0)
+        assert (spec.n, spec.null_sigma2) == (8, 1.0)
+        for n, sigma2 in ((8, 2.0), (9, 1.0)):
+            other = build_model(make_psd("flat", grid_size=64, level=1.0), sigma2, n)
+            with pytest.raises(ParameterError):
+                DetectorSpec(
+                    weights=MixtureWeights.uniform(2), models=[spec.models[0], other],
+                    threshold=0.0,
+                )
 
     def test_nan_threshold_rejected(self):
         with pytest.raises(ParameterError):
@@ -156,10 +167,7 @@ class TestErrorProbs:
         # false alarms near alpha; misses within 3-sigma of a 10x oracle run
         model = build_model(make_psd("flat", grid_size=256, level=3.0), 1.0, 32)
         tau = calibrate_threshold(E1, [model], 1.0, 0.1, 100000, derive_seed(5, "cal"))
-        spec = DetectorSpec(
-            weights=E1, models=[model], null_sigma2=1.0,
-            threshold=tau, n=32, alpha=0.1,
-        )
+        spec = DetectorSpec(weights=E1, models=[model], threshold=tau)
         fa, miss, _ = estimate_error_probs(spec, 0, 100000, 5)
         assert abs(fa - 0.1) <= 3.0 * np.sqrt(0.1 * 0.9 / 100000)
         _, miss_oracle, _ = estimate_error_probs(spec, 0, 1000000, 6)
@@ -247,10 +255,7 @@ class TestChernoffExponent:
     def make_spec(self, n=16):
         flat1 = make_psd("flat", grid_size=256, level=1.0, label="f1")
         model = build_model(flat1, 1.0, n)
-        return DetectorSpec(
-            weights=E1, models=[model], null_sigma2=1.0,
-            threshold=-kl_rate(flat1, 1.0, n), n=n, alpha=0.1,
-        )
+        return DetectorSpec(weights=E1, models=[model], threshold=-kl_rate(flat1, 1.0, n))
 
     def test_zero_tilt_only(self):
         spec = self.make_spec()
@@ -261,6 +266,11 @@ class TestChernoffExponent:
         spec = self.make_spec()
         val = chernoff_exponent(spec, E1, DEFAULT_TILT_GRID, 20000, 1)
         assert val == pytest.approx(-spec.threshold, abs=0.005)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_operating_point_must_weight_each_model(self, k):
+        with pytest.raises(ParameterError):
+            chernoff_exponent(self.make_spec(), MixtureWeights.uniform(k), [0.0], 2000, 1)
 
     def test_grid_enlargement_monotone(self):
         spec = self.make_spec()

@@ -12,7 +12,10 @@ from robustspec.dominance import (
     low_snr_criterion,
     sigma2_dominance_margin,
 )
-from robustspec.errors import AbsoluteContinuityError, ParameterError
+import robustspec.dominance
+from robustspec.errors import (
+    AbsoluteContinuityError, ParameterError, UniquenessViolationError,
+)
 from robustspec.spectral import UncertaintySet, make_psd
 
 
@@ -162,6 +165,42 @@ class TestFindDominated:
         assert idx is None and report is None
         assert sigma2_dominance_margin(a, b, 1.0)[0] < 0.0
         assert sigma2_dominance_margin(b, a, 1.0)[0] < 0.0
+
+    def test_near_identical_qualifiers_violate_uniqueness(self):
+        # both margins snap to 0, yet the members differ by more than
+        # PSD_EQUALITY_TOLERANCE
+        uset = UncertaintySet(members=flat_set([1.0, 1.0 + 1e-10]))
+        with pytest.raises(UniquenessViolationError):
+            find_dominated(uset, 1.0)
+
+    def test_identical_members_give_first_index(self):
+        uset = UncertaintySet(members=flat_set([1.0, 1.0]))
+        idx, report = find_dominated(uset, 1.0)
+        assert idx == 0
+        assert not report.boundary
+
+    def test_zero_psd_is_a_boundary_dominated_member(self):
+        flat1 = make_psd("flat", grid_size=256, level=1.0, label="f1")
+        zero = make_psd("tabulated", grid_size=256, values=np.zeros(256), label="zero")
+        idx, report = find_dominated(UncertaintySet(members=(flat1, zero)), 1.0)
+        assert idx == 1
+        assert report.boundary
+        assert np.array_equal(report.per_member_margins, [0.0, 0.0])
+        assert report.boundedness_min == 1.0
+
+    def test_one_margin_per_ordered_pair_in_row_order(self, monkeypatch):
+        original = robustspec.dominance.sigma2_dominance_margin
+        pairs = []
+
+        def recording(phi_star, phi, sigma2):
+            pairs.append((phi_star.label, phi.label))
+            return original(phi_star, phi, sigma2)
+
+        monkeypatch.setattr(robustspec.dominance, "sigma2_dominance_margin", recording)
+        uset = UncertaintySet(members=flat_set([1.0, 2.0, 3.0]))
+        assert find_dominated(uset, 1.0)[0] == 0
+        labels = [psd.label for psd in uset.members]
+        assert pairs == [(a, b) for a in labels for b in labels if a != b]
 
     def test_report_serialization(self):
         uset = UncertaintySet(members=flat_set([1.0, 2.0]))

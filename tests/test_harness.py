@@ -542,6 +542,34 @@ class TestCli:
         assert [r["censored"] for r in rows] == [False, True]
         assert rows[1]["miss_log"] is None
 
+    # three flat detectors, all of which threshold y^T y: at n = 64 none
+    # misses often enough under the stronger truths f2 and f3
+    CENSORED_TRUTHS = {
+        "grid_size": 1024, "alpha": 0.02, "trials": 20000, "n_values": [64], "seed": 3,
+        "psds": [
+            {"label": f"f{lv}", "family": "flat", "params": {"level": float(lv)}}
+            for lv in (1, 2, 3)
+        ],
+    }
+
+    def test_full_worst_case_skips_truths_censored_at_every_n(self, tmp_path):
+        out = tmp_path / "report.json"
+        cfg = self.write_config(tmp_path, dict(self.CENSORED_TRUTHS, mode="full"))
+        assert cli_main(["full", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())["payload"]
+        for entry in payload["simulation"].values():
+            assert entry["worst_case"]["truth_label"] == "f1"
+            assert entry["worst_case_slope"] > 0.0
+        assert payload["ordering_consistent"] is True
+
+    def test_simulate_writes_null_slope_for_truth_censored_at_every_n(self, tmp_path):
+        out = tmp_path / "report.json"
+        cfg = self.write_config(tmp_path, dict(self.CENSORED_TRUTHS, mode="simulate"))
+        assert cli_main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        estimates = json.loads(out.read_text())["payload"]["estimates"]
+        assert [e["slope"] is None for e in estimates] == [False, True, True]
+        assert [e["ci_half_width"] is None for e in estimates] == [False, True, True]
+
     @pytest.mark.parametrize("text", ['"sigma2": NaN', '"sigma2": Infinity'])
     def test_non_finite_config_exit_two(self, tmp_path, capsys, text):
         path = tmp_path / "config.json"

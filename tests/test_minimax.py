@@ -254,6 +254,15 @@ class TestUtility:
         )
         assert abs(val - kl_rate(psds[0], 1.0, n)) <= max(3.0 * se, 0.003)
 
+    @pytest.mark.parametrize("k_models,k_weights", [(2, 3), (3, 2)])
+    def test_operating_point_must_weight_each_model(self, flat_setup, k_models, k_weights):
+        _, models, frozen, _ = flat_setup
+        with pytest.raises(ParameterError):
+            utility(
+                MixtureWeights.uniform(k_models), MixtureWeights.uniform(k_weights),
+                models[:k_models], 1.0, frozen, 1, h1_trials=2000,
+            )
+
     def test_grid_enlargement_monotone(self, flat_setup):
         _, models, frozen, _ = flat_setup
         small = utility(E1, E1, models, 1.0, frozen, 2, [-1.0, 0.0])
