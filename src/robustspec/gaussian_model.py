@@ -10,9 +10,12 @@ runs the same pass without a model.
 - The closed forms need only that pass: `ratio_expectation` sums the
   difference of two Gohberg-Semencul generators down its diagonals.
 - Scoring reads the `precision` C^{-1}, summed the same way from the model's
-  own generator on first read; `quad_forms` is one matrix product per block.
-- Sampling maps white draws through the dense Cholesky `factor` L, built on
-  first read so that unsampled models never form it.
+  own generator on first read.  `detection` folds it into the quadratic forms
+  of white draws; `quad_forms` is y^T C^{-1} y of a block by one product.
+- The dense Cholesky `factor` L maps white draws to model draws: samplers
+  multiply by it, and `detection` folds it into the quadratic forms of the
+  signal stream, so that stream is scored without being sampled.  It is
+  built on first read, so models that are only certified never form it.
 """
 
 from __future__ import annotations
@@ -261,17 +264,6 @@ def normal_blocks(n: int, trials: int, seed: int) -> Iterator[np.ndarray]:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     for b, start in enumerate(range(0, trials, SAMPLE_BLOCK)):
         yield standard_normal_block(seed, b, min(SAMPLE_BLOCK, trials - start), n)
-
-
-def white_blocks(sigma2: float, n: int, trials: int, seed: int) -> Iterator[np.ndarray]:
-    """Blocks of null N(0, sigma2*I) draws, sqrt(sigma2)*z with no factorisation.
-
-    Equal bit for bit to sample_gaussian(white_model(sigma2, n), trials, seed)
-    split into blocks: the white factor is the diagonal sqrt(sigma2)*I.
-    """
-    scale = np.sqrt(sigma2)
-    for z in normal_blocks(n, trials, seed):
-        yield scale * z
 
 
 def standard_normal_block(

@@ -20,7 +20,7 @@ from .dominance import find_dominated
 from .errors import ConfigError, ParameterError, RobustSpecError
 from .errors import EstimationInfeasibleError
 from .exponent import error_exponent, genie_bound
-from .gaussian_model import ToeplitzGaussian, build_model_sets, white_blocks
+from .gaussian_model import ToeplitzGaussian, build_model_sets, normal_blocks
 from .minimax import kkt_certificate, minimize_mixture_kl
 from .spectral import DEFAULT_GRID_SIZE, MIN_GRID_SIZE, UncertaintySet, make_psd
 
@@ -330,10 +330,10 @@ def _run_minimax(config: ExperimentConfig, cand: int, model_sets: ModelSets) -> 
     ]
     n_opt, models = config.n_values[0], model_sets[0]
     # The frozen null enters the optimizer only through its log-ratio rows, so
-    # it is streamed block by block into a trials x K matrix.
+    # its white draws are streamed block by block into a trials x K matrix.
     seed = derive_seed(config.seed, "frozen-h0")
-    null = white_blocks(config.sigma2, n_opt, config.trials, seed)
-    ratios = ratio_rows(null, models, config.sigma2)
+    null = normal_blocks(n_opt, config.trials, seed)
+    ratios = ratio_rows(null, models, config.sigma2, variance=config.sigma2)
     weights, value, trace = minimize_mixture_kl(
         ratios, n_opt, MixtureWeights.uniform(len(models))
     )

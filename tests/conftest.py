@@ -38,6 +38,18 @@ def count_precision_builds(monkeypatch):
     return builds
 
 
+#: One model of each non-flat family, for checks of the scoring algebra.
+SCORED_PSDS = {
+    "ar1": make_psd("rational_ar1", grid_size=4096, variance=1.5, pole=0.7),
+    "raised_cosine": make_psd(
+        "raised_cosine", grid_size=4096, peak=2.0, center=0.8, width=1.5
+    ),
+    "tabulated": make_psd(
+        "tabulated", grid_size=64, values=1.0 + np.cos(np.linspace(0.0, np.pi, 64)) ** 2
+    ),
+}
+
+
 def flat_set(levels, grid_size=256):
     return tuple(
         make_psd("flat", grid_size=grid_size, level=lv, label=f"flat{lv:g}")

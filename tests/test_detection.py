@@ -3,13 +3,16 @@ import pytest
 from scipy.special import logsumexp
 
 import prop_suites
-from conftest import MASTER_SEED, MODULE_CASES, flat_set
+import robustspec.detection
+from conftest import MASTER_SEED, MODULE_CASES, SCORED_PSDS, flat_set
 from robustspec.detection import (
     DEFAULT_TILT_GRID,
     DetectorSpec,
     MixtureWeights,
     _log_sum_exp,
     _mixture_log_ratios,
+    _scorer,
+    _white_forms,
     calibrate_threshold,
     chernoff_exponent,
     derive_seed,
@@ -19,12 +22,20 @@ from robustspec.detection import (
     log_likelihood_ratios,
     mixture_statistic,
     mixture_statistics,
+    operating_characteristics,
     sample_mixture_blocks,
     threshold_order_index,
 )
 from robustspec.errors import EstimationInfeasibleError, ParameterError
 from robustspec.exponent import error_exponent, kl_rate
-from robustspec.gaussian_model import build_model, sample_gaussian, white_model
+from robustspec.gaussian_model import (
+    SAMPLE_BLOCK,
+    build_model,
+    build_model_sets,
+    sample_gaussian,
+    standard_normal_block,
+    white_model,
+)
 from robustspec.spectral import UncertaintySet, make_psd
 
 E1 = MixtureWeights(np.array([1.0]))
@@ -74,6 +85,69 @@ class TestMixtureStatistic:
         model = build_model(make_psd("flat", grid_size=64, level=1.0), 1.0, 8)
         with pytest.raises(ParameterError):
             mixture_statistic(np.zeros(9), E1, [model], 1.0)
+
+
+class TestWhiteScoring:
+    @pytest.mark.parametrize("n", [1, 2, 17, 64])
+    @pytest.mark.parametrize("sigma2", [0.37, 1.0, 2.5])
+    def test_matches_dense_reference(self, n, sigma2):
+        # every map a stream uses: each truth's factor (all in one stack, map
+        # by map), the null sqrt(sigma2) I and the identity
+        models = [build_model(psd, sigma2, n) for psd in SCORED_PSDS.values()]
+        assert all(model.jitter == 0 for model in models)
+        z = standard_normal_block(3, 0, 200, n)
+        factors = [model.factor for model in models]
+        signal = _white_forms(models, sigma2, factors=factors).log_ratios(z)
+        cases = [(factor, signal[:, 3 * t : 3 * t + 3]) for t, factor in enumerate(factors)]
+        null = _white_forms(models, sigma2, variance=sigma2).log_ratios(z)
+        cases.append((np.sqrt(sigma2) * np.eye(n), null))
+        cases.append((np.eye(n), _white_forms(models, sigma2).log_ratios(z)))
+        for matrix, got in cases:
+            y = z @ matrix.T
+            yy = np.einsum("ij,ij->i", y, y) / sigma2
+            for k, model in enumerate(models):
+                cov = model.covariance()
+                offset = -0.5 * (np.linalg.slogdet(cov)[1] - n * np.log(sigma2))
+                quad = np.einsum("ij,ji->i", y, np.linalg.solve(cov, y.T))
+                expected = offset + 0.5 * (yy - quad)
+                # relative to the largest term of the reference's sum
+                scale = abs(offset) + 0.5 * yy
+                assert np.all(np.abs(got[:, k] - expected) <= 1e-12 * scale)
+
+    def test_singleton_detector_reads_its_column(self):
+        models = [build_model(psd, 1.0, 17) for psd in SCORED_PSDS.values()]
+        detectors = [MixtureWeights.singleton(1, 3), MixtureWeights.uniform(3)]
+        scored, score = _scorer(models, detectors)
+        forms = _white_forms(scored, 1.0, factors=[models[0].factor, models[2].factor])
+        z = standard_normal_block(5, 0, 300, 17)
+        ratios = forms.log_ratios(z)
+        g = score(z, forms)
+        for t in range(2):
+            truth = ratios[:, 3 * t : 3 * t + 3]
+            assert np.array_equal(g[t, 0], truth[:, 1] / 17)
+            assert np.array_equal(g[t, 0], _mixture_log_ratios(truth, detectors[0].w) / 17)
+            assert np.array_equal(g[t, 1], _mixture_log_ratios(truth, detectors[1].w) / 17)
+
+    def test_forms_built_once_per_n_and_map(self, monkeypatch):
+        original = robustspec.detection._white_forms
+        models_by_n = build_model_sets(flat_set([1.0, 2.0, 3.0]), 1.0, [8, 16])
+        labels = {id(m.factor): m.label for models in models_by_n for m in models}
+        builds = []
+
+        def counting(models, null_sigma2, variance=1.0, factors=None):
+            for factor in factors or [None]:
+                label = "null" if factor is None else labels[id(factor)]
+                builds.append((models[0].n, label))
+            return original(models, null_sigma2, variance, factors)
+
+        monkeypatch.setattr(robustspec.detection, "_white_forms", counting)
+        detectors = [MixtureWeights.singleton(0, 3), MixtureWeights.uniform(3)]
+        # three blocks per stream
+        operating_characteristics(
+            models_by_n, detectors, [0, 2], 2 * SAMPLE_BLOCK + 100, 0.1, 7
+        )
+        maps = ("null", "flat1", "flat3")
+        assert sorted(builds) == sorted((n, m) for n in (8, 16) for m in maps)
 
 
 class TestLogSumExp:

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import cholesky, toeplitz
 
 import prop_suites
-from conftest import MASTER_SEED, MODULE_CASES, count_precision_builds
+from conftest import MASTER_SEED, MODULE_CASES, SCORED_PSDS, count_precision_builds
 from robustspec.errors import NotPositiveDefiniteError, ParameterError
 from robustspec.gaussian_model import (
     ToeplitzGaussian,
@@ -274,17 +274,6 @@ class TestSampling:
         first = sample_gaussian(model, 100, 1)
         assert np.array_equal(sample_gaussian(model, 100, 1), first)
         assert len(calls) == 1
-
-
-SCORED_PSDS = {
-    "ar1": make_psd("rational_ar1", grid_size=4096, variance=1.5, pole=0.7),
-    "raised_cosine": make_psd(
-        "raised_cosine", grid_size=4096, peak=2.0, center=0.8, width=1.5
-    ),
-    "tabulated": make_psd(
-        "tabulated", grid_size=64, values=1.0 + np.cos(np.linspace(0.0, np.pi, 64)) ** 2
-    ),
-}
 
 
 class TestQuadForms:

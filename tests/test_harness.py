@@ -333,14 +333,15 @@ class TestModes:
         assert builds == Counter({(label, n): 1 for label in labels for n in (8, 16)})
 
     def test_minimax_streams_the_frozen_null(self, monkeypatch):
-        original = robustspec.detection.log_likelihood_ratios
+        forms = robustspec.detection._WhiteForms
+        original = forms.log_ratios
         rows = []
 
-        def recording(samples, models, null_sigma2):
-            rows.append(len(samples))
-            return original(samples, models, null_sigma2)
+        def recording(self, z):
+            rows.append(len(z))
+            return original(self, z)
 
-        patch_everywhere(monkeypatch, original, recording)
+        monkeypatch.setattr(forms, "log_ratios", recording)
         doc = dict(FLAT_TRIO, mode="minimax", trials=10000, n_values=[8], seed=11)
         run_experiment(parse_config(config_text(doc)))
         assert sum(rows) == 10000

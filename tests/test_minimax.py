@@ -107,6 +107,14 @@ class TestSampleAverageKl:
         ends += 0.5 * sample_average_kl(MixtureWeights(rb), models, 1.0, frozen)
         assert mid <= ends + 1e-12
 
+    @pytest.mark.parametrize("k_weights", [1, 3])
+    def test_operating_point_must_weight_each_model(self, flat_setup, k_weights):
+        _, models, frozen, _ = flat_setup
+        with pytest.raises(ParameterError, match=f"{k_weights} mixture weights for 2"):
+            sample_average_kl(
+                MixtureWeights.uniform(k_weights), models[:2], 1.0, frozen[:2000]
+            )
+
 
 class TestMinimizeMixtureWeights:
     def test_single_model(self, flat_setup):
@@ -261,6 +269,15 @@ class TestUtility:
             utility(
                 MixtureWeights.uniform(k_models), MixtureWeights.uniform(k_weights),
                 models[:k_models], 1.0, frozen, 1, h1_trials=2000,
+            )
+
+    @pytest.mark.parametrize("k_detector", [1, 3])
+    def test_detector_must_weight_each_model(self, flat_setup, k_detector):
+        _, models, frozen, _ = flat_setup
+        with pytest.raises(ParameterError, match=f"{k_detector} mixture weights for 2"):
+            utility(
+                MixtureWeights.uniform(k_detector), MixtureWeights.uniform(2),
+                models[:2], 1.0, frozen[:2000], 1,
             )
 
     def test_grid_enlargement_monotone(self, flat_setup):
