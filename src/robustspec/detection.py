@@ -480,10 +480,12 @@ def operating_characteristics(
         null = _white_forms(scored, sigma2, variance=sigma2)
         g = _null_statistics(score, null, trials, derive_seed(seed, f"cal:{n}"))
         g.sort(axis=1)
+        thresholds = g[:, order].copy()
+        del g  # the error counts read only the thresholds
         factors = [models[t].factor for t in truths]
         signal = _white_forms(scored, sigma2, factors=factors)
         fa[:, i], miss[:, :, i] = _error_counts(
-            score, null, signal, g[:, order], trials, derive_seed(seed, f"mc:{n}")
+            score, null, signal, thresholds, trials, derive_seed(seed, f"mc:{n}")
         )
     return [
         [_ladder(n_values, fa[d], miss[d, t], trials) for t in range(len(truths))]
