@@ -148,7 +148,7 @@ def _white_forms(
     factors: Optional[Sequence[np.ndarray]] = None,
 ) -> _WhiteForms:
     """_WhiteForms of the models under the maps M = each of `factors`, or
-    under the one map M = sqrt(variance) I when there are none.
+    under the one map M = sqrt(variance) I when `factors` is None.
 
     Under a factor a form costs two dense n x n products; under
     sqrt(variance) I it is variance/sigma2 I - variance C_k^{-1}, read from
