@@ -8,23 +8,20 @@ evaluated in the log domain.  The test decides the null when g <= tau, with
 tau calibrated as an empirical quantile under the null at false-alarm
 level alpha.
 
-Every score is taken in white coordinates.  A stream whose rows are y = M z,
-z a block of white normals, has
+Every score is taken in the null's white coordinates u = y / sqrt(sigma2):
 
-    log p_k(y)/p_0(y) = c_k + z^T A_k z / 2,  A_k = M^T (I/sigma2 - C_k^{-1}) M,
+    log p_k(y)/p_0(y) = c_k + u^T A_k u / 2,  A_k = I - sigma2 C_k^{-1},
 
-with c_k = -(log|C_k| - n log sigma2)/2.  The null streams use
-M = sqrt(sigma2) I, so A_k = I - sigma2 C_k^{-1}; the signal stream uses each
-truth's Cholesky factor; samples a caller supplies use M = I.  A stream's A_k
-of every scored model, and for the signal stream of every truth, are built
-once per n and stacked side by side, so a block is scored by one matrix
-product, and the signal stream is never sampled.
+with c_k = -(log|C_k| - n log sigma2)/2, and A_k positive semidefinite since
+C_k >= sigma2 I.  A null stream's white rows are its normals z; the signal
+stream's are z L^T / sqrt(sigma2) for each truth's Cholesky factor L.  The
+A_k of every scored model are built once per n and stacked side by side, so
+a block is scored by one matrix product.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -111,90 +108,70 @@ class DetectorSpec:
 
 @dataclass(frozen=True)
 class _WhiteForms:
-    """The log-ratio quadratic forms of white draws z against m models, under
-    one or more maps y = M z.
+    """The log-ratio quadratic forms of m models in the null's white
+    coordinates u = y / sqrt(sigma2).
 
-    `stack` is the n x (p n) matrix [A_1 | ... | A_p] of the p forms
-    A = M^T (I/sigma2 - C_k^{-1}) M, map-major (the m models of the first
-    map, then of the next), and `offsets` holds their c_k.
+    `stack` is the n x (m n) matrix [A_1 | ... | A_m] of the forms
+    A_k = I - sigma2 C_k^{-1}, and `offsets` holds their c_k.
     """
 
     stack: np.ndarray
     offsets: np.ndarray
 
-    def log_ratios(self, z: np.ndarray) -> np.ndarray:
-        """(rows, p) log(p_k(y)/p_0(y)) of the white rows z, one column per form.
+    def log_ratios(self, u: np.ndarray) -> np.ndarray:
+        """(rows, m) log(p_k(y)/p_0(y)) of the white rows u, one column per model.
 
-        The rows are scored in chunks of ceil(rows/p), so that no product
+        The rows are scored in chunks of ceil(rows/m), so that no product
         is larger than the block itself.
         """
-        n, p = self.stack.shape[0], self.offsets.size
-        rows = z.shape[0]
-        if z.shape[1] != n:
-            raise ParameterError(f"models have n={n}, samples have n={z.shape[1]}")
-        quad = np.empty((rows, p))
-        step = max(1, -(-rows // p))
+        n, m = self.stack.shape[0], self.offsets.size
+        rows = u.shape[0]
+        if u.shape[1] != n:
+            raise ParameterError(f"models have n={n}, samples have n={u.shape[1]}")
+        quad = np.empty((rows, m))
+        step = max(1, -(-rows // m))
         for start in range(0, rows, step):
-            chunk = z[start : start + step]
-            half = (chunk @ self.stack).reshape(chunk.shape[0], p, n)
+            chunk = u[start : start + step]
+            half = (chunk @ self.stack).reshape(chunk.shape[0], m, n)
             quad[start : start + step] = np.einsum("ikj,ij->ik", half, chunk)
         return self.offsets + 0.5 * quad
 
 
-def _white_forms(
-    models: Sequence[ToeplitzGaussian],
-    null_sigma2: float,
-    variance: float = 1.0,
-    factors: Optional[Sequence[np.ndarray]] = None,
-) -> _WhiteForms:
-    """_WhiteForms of the models under the maps M = each of `factors`, or
-    under the one map M = sqrt(variance) I when `factors` is None.
-
-    Under a factor a form costs two dense n x n products; under
-    sqrt(variance) I it is variance/sigma2 I - variance C_k^{-1}, read from
-    the cached `precision` in O(n^2).  Since C_k >= sigma2 I, every form is
-    positive semidefinite.
-    """
+def _white_forms(models: Sequence[ToeplitzGaussian], null_sigma2: float) -> _WhiteForms:
+    """_WhiteForms of the models, each form read from the cached `precision`
+    in O(n^2) and written in place into the stack.  Since C_k >= sigma2 I,
+    every form is positive semidefinite."""
     if not models:
         raise ParameterError("no models to score")
     n = models[0].n
     if any(model.n != n for model in models):
         raise ParameterError("models must share n")
-    maps = factors if factors is not None else [None]
-    stack = np.empty((n, len(maps) * len(models) * n))
-    for i, (factor, model) in enumerate(itertools.product(maps, models)):
-        form = -variance * model.precision
-        form[np.diag_indices(n)] += variance / null_sigma2
-        if factor is not None:
-            form = factor.T @ form @ factor
-        stack[:, i * n : (i + 1) * n] = form
+    stack = np.empty((n, len(models) * n))
+    for k, model in enumerate(models):
+        form = stack[:, k * n : (k + 1) * n]
+        np.multiply(model.precision, -null_sigma2, out=form)
+        form[np.diag_indices(n)] += 1.0
     offsets = [-0.5 * (model.logdet - n * np.log(null_sigma2)) for model in models]
-    return _WhiteForms(stack, np.tile(offsets, len(maps)))
+    return _WhiteForms(stack, np.array(offsets))
 
 
 def log_likelihood_ratios(
     samples: np.ndarray, models: Sequence[ToeplitzGaussian], null_sigma2: float
 ) -> np.ndarray:
-    """Per-model log density ratios log(p_k(y)/p_0(y)) for each sample row,
-    c_k + y^T (I/sigma2 - C_k^{-1}) y / 2: the white form with M = I."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    return _white_forms(models, null_sigma2).log_ratios(samples)
+    """Per-model log density ratios log(p_k(y)/p_0(y)) for each sample row."""
+    return ratio_rows([np.atleast_2d(samples)], models, null_sigma2)
 
 
 def ratio_rows(
-    blocks: Iterable[np.ndarray],
-    models: Sequence[ToeplitzGaussian],
-    null_sigma2: float,
-    variance: float = 1.0,
+    blocks: Iterable[np.ndarray], models: Sequence[ToeplitzGaussian], null_sigma2: float
 ) -> np.ndarray:
-    """log_likelihood_ratios of a stream of blocks, stacked in one matrix.
-
-    Each block holds white rows z of the samples y = sqrt(variance) z, so
-    `normal_blocks` with variance null_sigma2 is a null stream; the forms
-    are built once for the whole stream.
-    """
-    forms = _white_forms(models, null_sigma2, variance=variance)
-    return np.concatenate([forms.log_ratios(z) for z in blocks])
+    """log_likelihood_ratios of a stream of sample blocks, stacked in one
+    matrix; the forms are built once for the whole stream."""
+    forms = _white_forms(models, null_sigma2)
+    scale = np.sqrt(null_sigma2)
+    return np.concatenate(
+        [forms.log_ratios(np.asarray(y, dtype=float) / scale) for y in blocks]
+    )
 
 
 def _log_sum_exp(x: np.ndarray) -> np.ndarray:
@@ -211,8 +188,7 @@ def _log_sum_exp(x: np.ndarray) -> np.ndarray:
 
 
 def _mixture_log_ratios(ratios: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """log sum_k w_k p_k/p_0 along the last axis of the log-ratio array (one
-    column per model): n * g(y; w).
+    """log sum_k w_k p_k/p_0 per row of the log-ratio matrix: n * g(y; w).
 
     The one form of the mixture statistic; detectors, the game objective, its
     gradient and the utility all read it.  A zero weight contributes log 0 =
@@ -228,44 +204,40 @@ def _mixture_log_ratios(ratios: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _scorer(
-    models: Sequence[ToeplitzGaussian], detectors: Sequence[MixtureWeights]
+    models: Sequence[ToeplitzGaussian],
+    detectors: Sequence[MixtureWeights],
+    null_sigma2: float,
 ):
-    """(scored models, score): score(z, forms) is the (map, detector, row)
-    array of g values of a white block z, given `_white_forms` of the scored
-    models.
+    """Map a block of white rows u = y / sqrt(null_sigma2) to its
+    (detector, row) array of g values.
 
     Each model that some detector weights positively is scored once into a
-    shared log-ratio matrix; every detector's statistic is read from it, a
-    singleton's as its own column, which `_mixture_log_ratios` returns bit
-    for bit.
+    shared log-ratio matrix, from one `_white_forms` built with the scorer;
+    every detector's statistic is read from it.
     """
     if any(len(q) != len(models) for q in detectors):
         raise ParameterError("detector weights must match the number of models")
     active = [q.w > 0.0 for q in detectors]
     scored = np.flatnonzero(np.any(active, axis=0))
+    forms = _white_forms([models[k] for k in scored], null_sigma2)
     picks = [
         (np.searchsorted(scored, np.flatnonzero(a)), q.w[a])
         for q, a in zip(detectors, active)
     ]
     n = models[0].n
 
-    def score(z: np.ndarray, forms: _WhiteForms) -> np.ndarray:
-        ratios = forms.log_ratios(z).reshape(z.shape[0], -1, scored.size)
-        stats = [
-            ratios[:, :, cols[0]]
-            if w.tolist() == [1.0]
-            else _mixture_log_ratios(ratios[:, :, cols], w)
-            for cols, w in picks
-        ]
-        return np.array(stats).transpose(2, 0, 1) / n
+    def score(u: np.ndarray) -> np.ndarray:
+        ratios = forms.log_ratios(u)
+        stats = [_mixture_log_ratios(ratios[:, cols], w) for cols, w in picks]
+        return np.array(stats) / n
 
-    return [models[k] for k in scored], score
+    return score
 
 
-def _null_statistics(score, forms: _WhiteForms, trials: int, seed: int) -> np.ndarray:
-    """(detector, trial) g values of a scorer on the white null substream `seed`."""
-    blocks = normal_blocks(forms.stack.shape[0], trials, seed)
-    return np.concatenate([score(z, forms)[0] for z in blocks], axis=1)
+def _null_statistics(score, n: int, trials: int, seed: int) -> np.ndarray:
+    """(detector, trial) g values of a scorer on the white null substream
+    `seed`, whose white rows are its normals."""
+    return np.concatenate([score(z) for z in normal_blocks(n, trials, seed)], axis=1)
 
 
 def mixture_statistics(
@@ -275,9 +247,8 @@ def mixture_statistics(
     null_sigma2: float,
 ) -> np.ndarray:
     """Vector of g(y; q) over the sample rows (log-sum-exp combination)."""
-    scored, score = _scorer(models, [weights])
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    return score(samples, _white_forms(scored, null_sigma2))[0, 0]
+    u = np.atleast_2d(np.asarray(samples, dtype=float)) / np.sqrt(null_sigma2)
+    return _scorer(models, [weights], null_sigma2)(u)[0]
 
 
 def mixture_statistic(
@@ -298,9 +269,8 @@ def h0_statistics(
     seed: int,
 ) -> np.ndarray:
     """g values on `trials` fresh null draws (block-streamed, reproducible)."""
-    scored, score = _scorer(models, [weights])
-    forms = _white_forms(scored, null_sigma2, variance=null_sigma2)
-    return _null_statistics(score, forms, trials, seed)[0]
+    score = _scorer(models, [weights], null_sigma2)
+    return _null_statistics(score, models[0].n, trials, seed)[0]
 
 
 def threshold_order_index(alpha: float, trials: int) -> int:
@@ -337,34 +307,36 @@ def calibrate_threshold(
     return float(g[order])
 
 
-def _check_mc(trials: int, truths: Sequence[int], k: int) -> None:
-    if trials < MIN_MC_TRIALS:
-        raise ParameterError(f"trials must be >= {MIN_MC_TRIALS}, got {trials}")
-    if any(not 0 <= t < k for t in truths):
-        raise ParameterError(f"truth indices {list(truths)} out of range")
-
-
 def _error_counts(
     score,
-    null: _WhiteForms,
-    signal: _WhiteForms,
+    models: Sequence[ToeplitzGaussian],
     thresholds: Sequence[float],
+    truths: Sequence[int],
+    null_sigma2: float,
     trials: int,
     seed: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """False-alarm counts per detector and miss counts per (detector, truth).
 
-    Null draws use substream (seed, "h0") and the `null` forms.  Signal draws
-    use (seed, "h1"): each block of white normals is drawn once and scored
-    by one product with the `signal` forms of every truth's factor, so all
-    detectors and truths score coupled sample sets.
+    Null draws use substream (seed, "h0").  Signal draws use (seed, "h1"):
+    each block of white normals is drawn once and mapped through every
+    truth's factor, so all detectors and truths score coupled sample sets.
     """
+    if trials < MIN_MC_TRIALS:
+        raise ParameterError(f"trials must be >= {MIN_MC_TRIALS}, got {trials}")
+    if any(not 0 <= t < len(models) for t in truths):
+        raise ParameterError(f"truth indices {list(truths)} out of range")
     tau = np.asarray(thresholds, dtype=float)[:, np.newaxis]
-    g0 = _null_statistics(score, null, trials, derive_seed(seed, "h0"))
+    n = models[0].n
+    g0 = _null_statistics(score, n, trials, derive_seed(seed, "h0"))
     fa = np.sum(g0 > tau, axis=1)
-    blocks = normal_blocks(null.stack.shape[0], trials, derive_seed(seed, "h1"))
-    miss = sum(np.sum(score(z, signal) <= tau, axis=2) for z in blocks)
-    return fa, miss.T
+    miss = np.zeros((tau.shape[0], len(truths)), dtype=int)
+    scale = np.sqrt(null_sigma2)
+    for z in normal_blocks(n, trials, derive_seed(seed, "h1")):
+        z /= scale  # the signal rows z L^T in white coordinates
+        for j, truth in enumerate(truths):
+            miss[:, j] += np.sum(score(z @ models[truth].factor.T) <= tau, axis=1)
+    return fa, miss
 
 
 def estimate_error_probs(
@@ -376,12 +348,11 @@ def estimate_error_probs(
     white-noise draws shared across truth models, so detectors and truths
     under comparison score coupled sample sets.
     """
-    _check_mc(trials, [true_psd_index], len(spec.models))
-    scored, score = _scorer(spec.models, [spec.weights])
-    sigma2 = spec.null_sigma2
-    null = _white_forms(scored, sigma2, variance=sigma2)
-    signal = _white_forms(scored, sigma2, factors=[spec.models[true_psd_index].factor])
-    fa, miss = _error_counts(score, null, signal, [spec.threshold], trials, seed)
+    score = _scorer(spec.models, [spec.weights], spec.null_sigma2)
+    fa, miss = _error_counts(
+        score, spec.models, [spec.threshold], [true_psd_index], spec.null_sigma2,
+        trials, seed,
+    )
     return int(fa[0]) / trials, int(miss[0, 0]) / trials, int(miss[0, 0])
 
 
@@ -462,30 +433,26 @@ def operating_characteristics(
     three streams of normals are drawn once each: the calibration null (seed
     label "cal:{n}"), which sets one threshold per detector, then the
     false-alarm null and the signal stream (labels "h0" and "h1" under
-    "mc:{n}"), whose white draws every truth shares.  Both nulls read one
-    `_white_forms` per n, and the signal stream one that stacks every truth.
-    Returns estimates[detector][truth]; a ladder censored at every n has no
-    slope.
+    "mc:{n}"), whose white draws every truth shares.  All three streams are
+    scored with one `_white_forms` per n.  Returns estimates[detector][truth];
+    a ladder censored at every n has no slope.
     """
     n_values = np.array([models[0].n for models in models_by_n], dtype=int)
     if np.any(np.diff(n_values) <= 0):
         raise ParameterError("n_values must be strictly increasing")
     order = threshold_order_index(alpha, trials)
-    _check_mc(trials, truths, len(models_by_n[0]))
     fa = np.empty((len(detectors), len(n_values)), dtype=int)
     miss = np.empty((len(detectors), len(truths), len(n_values)), dtype=int)
     for i, models in enumerate(models_by_n):
         n, sigma2 = models[0].n, models[0].sigma2
-        scored, score = _scorer(models, detectors)
-        null = _white_forms(scored, sigma2, variance=sigma2)
-        g = _null_statistics(score, null, trials, derive_seed(seed, f"cal:{n}"))
+        score = _scorer(models, detectors, sigma2)
+        g = _null_statistics(score, n, trials, derive_seed(seed, f"cal:{n}"))
         g.sort(axis=1)
         thresholds = g[:, order].copy()
         del g  # the error counts read only the thresholds
-        factors = [models[t].factor for t in truths]
-        signal = _white_forms(scored, sigma2, factors=factors)
         fa[:, i], miss[:, :, i] = _error_counts(
-            score, null, signal, thresholds, trials, derive_seed(seed, f"mc:{n}")
+            score, models, thresholds, truths, sigma2, trials,
+            derive_seed(seed, f"mc:{n}"),
         )
     return [
         [_ladder(n_values, fa[d], miss[d, t], trials) for t in range(len(truths))]
@@ -575,10 +542,10 @@ def chernoff_exponent(
     Maximizes t*tau - (1/n) log E_{mixture}[exp(t*n*g)] over normalized
     tilts t <= 0, with the expectation under the mixture of the true models.
     """
-    scored, score = _scorer(spec.models, [spec.weights])
-    forms = _white_forms(scored, spec.null_sigma2)
+    score = _scorer(spec.models, [spec.weights], spec.null_sigma2)
+    scale = np.sqrt(spec.null_sigma2)
     g_chunks = [
-        score(block, forms)[0, 0]
+        score(block / scale)[0]
         for block in sample_mixture_blocks(spec.models, true_model_weights, trials, seed)
     ]
     return _chernoff_bound(spec.threshold, np.concatenate(g_chunks), spec.n, tilt_grid)[0]

@@ -10,12 +10,11 @@ runs the same pass without a model.
 - The closed forms need only that pass: `ratio_expectation` sums the
   difference of two Gohberg-Semencul generators down its diagonals.
 - Scoring reads the `precision` C^{-1}, summed the same way from the model's
-  own generator on first read.  `detection` folds it into the quadratic forms
-  of white draws; `quad_forms` is y^T C^{-1} y of a block by one product.
-- The dense Cholesky `factor` L maps white draws to model draws: samplers
-  multiply by it, and `detection` folds it into the quadratic forms of the
-  signal stream, so that stream is scored without being sampled.  It is
-  built on first read, so models that are only certified never form it.
+  own generator on first read; `detection` reads it into the quadratic form
+  I - sigma2 C^{-1} of white draws, and `quad_forms` is y^T C^{-1} y of a
+  block by one product.
+- Sampling maps white draws through the dense Cholesky `factor` L, built on
+  first read so that unsampled models never form it.
 """
 
 from __future__ import annotations

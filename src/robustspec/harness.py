@@ -43,7 +43,9 @@ _PSD_BLOCK_KEYS = {"label", "family", "params"}
 
 #: Upper bounds that keep a config from asking for more memory than a desk
 #: machine has: one PSD grid of MAX_GRID_SIZE doubles is 32 MiB, and at MAX_N
-#: a sampled model's Cholesky factor or a KKT middle matrix is 512 MiB.
+#: each n x n matrix is 512 MiB: a sampled model's Cholesky factor, a scored
+#: model's precision and, while the Monte Carlo engine scores that n, its
+#: quadratic form, or a KKT middle matrix.
 MAX_GRID_SIZE = 2**22
 MAX_N = 8192
 
@@ -330,10 +332,11 @@ def _run_minimax(config: ExperimentConfig, cand: int, model_sets: ModelSets) -> 
     ]
     n_opt, models = config.n_values[0], model_sets[0]
     # The frozen null enters the optimizer only through its log-ratio rows, so
-    # its white draws are streamed block by block into a trials x K matrix.
+    # it is streamed block by block into a trials x K matrix.
     seed = derive_seed(config.seed, "frozen-h0")
-    null = normal_blocks(n_opt, config.trials, seed)
-    ratios = ratio_rows(null, models, config.sigma2, variance=config.sigma2)
+    scale = math.sqrt(config.sigma2)
+    null = (scale * z for z in normal_blocks(n_opt, config.trials, seed))
+    ratios = ratio_rows(null, models, config.sigma2)
     weights, value, trace = minimize_mixture_kl(
         ratios, n_opt, MixtureWeights.uniform(len(models))
     )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -91,19 +93,18 @@ class TestWhiteScoring:
     @pytest.mark.parametrize("n", [1, 2, 17, 64])
     @pytest.mark.parametrize("sigma2", [0.37, 1.0, 2.5])
     def test_matches_dense_reference(self, n, sigma2):
-        # every map a stream uses: each truth's factor (all in one stack, map
-        # by map), the null sqrt(sigma2) I and the identity
+        # the white rows of every stream: each truth's signal rows
+        # z L^T / sqrt(sigma2) and the null's z, then samples a caller passes
         models = [build_model(psd, sigma2, n) for psd in SCORED_PSDS.values()]
         assert all(model.jitter == 0 for model in models)
         z = standard_normal_block(3, 0, 200, n)
-        factors = [model.factor for model in models]
-        signal = _white_forms(models, sigma2, factors=factors).log_ratios(z)
-        cases = [(factor, signal[:, 3 * t : 3 * t + 3]) for t, factor in enumerate(factors)]
-        null = _white_forms(models, sigma2, variance=sigma2).log_ratios(z)
-        cases.append((np.sqrt(sigma2) * np.eye(n), null))
-        cases.append((np.eye(n), _white_forms(models, sigma2).log_ratios(z)))
-        for matrix, got in cases:
-            y = z @ matrix.T
+        forms = _white_forms(models, sigma2)
+        scale = np.sqrt(sigma2)
+        cases = [(z @ m.factor.T, forms.log_ratios(z / scale @ m.factor.T)) for m in models]
+        cases.append((scale * z, forms.log_ratios(z)))
+        y = z @ models[1].factor.T
+        cases.append((y, log_likelihood_ratios(y, models, sigma2)))
+        for y, got in cases:
             yy = np.einsum("ij,ij->i", y, y) / sigma2
             for k, model in enumerate(models):
                 cov = model.covariance()
@@ -111,43 +112,53 @@ class TestWhiteScoring:
                 quad = np.einsum("ij,ji->i", y, np.linalg.solve(cov, y.T))
                 expected = offset + 0.5 * (yy - quad)
                 # relative to the largest term of the reference's sum
-                scale = abs(offset) + 0.5 * yy
-                assert np.all(np.abs(got[:, k] - expected) <= 1e-12 * scale)
+                bound = 1e-12 * (abs(offset) + 0.5 * yy)
+                assert np.all(np.abs(got[:, k] - expected) <= bound)
 
     def test_singleton_detector_reads_its_column(self):
         models = [build_model(psd, 1.0, 17) for psd in SCORED_PSDS.values()]
         detectors = [MixtureWeights.singleton(1, 3), MixtureWeights.uniform(3)]
-        scored, score = _scorer(models, detectors)
-        forms = _white_forms(scored, 1.0, factors=[models[0].factor, models[2].factor])
         z = standard_normal_block(5, 0, 300, 17)
-        ratios = forms.log_ratios(z)
-        g = score(z, forms)
-        for t in range(2):
-            truth = ratios[:, 3 * t : 3 * t + 3]
-            assert np.array_equal(g[t, 0], truth[:, 1] / 17)
-            assert np.array_equal(g[t, 0], _mixture_log_ratios(truth, detectors[0].w) / 17)
-            assert np.array_equal(g[t, 1], _mixture_log_ratios(truth, detectors[1].w) / 17)
+        ratios = _white_forms(models, 1.0).log_ratios(z)
+        g = _scorer(models, detectors, 1.0)(z)
+        assert np.array_equal(g[0], ratios[:, 1] / 17)
+        assert np.array_equal(g[1], _mixture_log_ratios(ratios, detectors[1].w) / 17)
 
-    def test_forms_built_once_per_n_and_map(self, monkeypatch):
+    def test_forms_built_once_per_n(self, monkeypatch):
         original = robustspec.detection._white_forms
         models_by_n = build_model_sets(flat_set([1.0, 2.0, 3.0]), 1.0, [8, 16])
-        labels = {id(m.factor): m.label for models in models_by_n for m in models}
         builds = []
 
-        def counting(models, null_sigma2, variance=1.0, factors=None):
-            for factor in factors or [None]:
-                label = "null" if factor is None else labels[id(factor)]
-                builds.append((models[0].n, label))
-            return original(models, null_sigma2, variance, factors)
+        def counting(models, null_sigma2):
+            forms = original(models, null_sigma2)
+            builds.append(forms.stack.shape)
+            return forms
 
         monkeypatch.setattr(robustspec.detection, "_white_forms", counting)
         detectors = [MixtureWeights.singleton(0, 3), MixtureWeights.uniform(3)]
-        # three blocks per stream
+        # three blocks per stream, two truths: one n x (3 n) stack per n
         operating_characteristics(
             models_by_n, detectors, [0, 2], 2 * SAMPLE_BLOCK + 100, 0.1, 7
         )
-        maps = ("null", "flat1", "flat3")
-        assert sorted(builds) == sorted((n, m) for n in (8, 16) for m in maps)
+        assert builds == [(8, 24), (16, 48)]
+
+    def test_engine_memory_is_linear_in_models(self):
+        # Beside the models' cached precisions and factors, the engine holds
+        # one n x n form per scored model and a few blocks of rows, however
+        # many truths it scores: 8 (K n^2 + 6 trials n) bytes here is 29 MiB,
+        # and forms for every (truth, model) pair would take 36 MiB.
+        n, trials = 512, 1000
+        models_by_n = build_model_sets(list(SCORED_PSDS.values()), 1.0, [n])
+        for model in models_by_n[0]:
+            model.precision, model.factor
+        detectors = [MixtureWeights.singleton(k, 3) for k in range(3)]
+        tracemalloc.start()
+        try:
+            operating_characteristics(models_by_n, detectors, range(3), trials, 0.1, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (3 * n * n + 6 * trials * n), peak
 
 
 class TestLogSumExp:
