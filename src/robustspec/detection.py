@@ -8,15 +8,15 @@ evaluated in the log domain.  The test decides the null when g <= tau, with
 tau calibrated as an empirical quantile under the null at false-alarm
 level alpha.
 
-Every score is taken in the null's white coordinates u = y / sqrt(sigma2):
+Every log-likelihood ratio is one quadratic form,
 
-    log p_k(y)/p_0(y) = c_k + u^T A_k u / 2,  A_k = I - sigma2 C_k^{-1},
+    log p_k(y)/p_0(y) = c_k + y^T B_k y / 2,  B_k = I/sigma2 - C_k^{-1},
 
-with c_k = -(log|C_k| - n log sigma2)/2, and A_k positive semidefinite since
-C_k >= sigma2 I.  A null stream's white rows are its normals z; the signal
-stream's are z L^T / sqrt(sigma2) for each truth's Cholesky factor L.  The
-A_k of every scored model are built once per n and stacked side by side, so
-a block is scored by one matrix product.
+with c_k = -(log|C_k| - n log sigma2)/2, and B_k positive semidefinite since
+C_k >= sigma2 I.  The B_k of every scored model are built once per n and
+stacked side by side, so a block is scored by one matrix product.  A null
+stream is scored from its white normals z, as sigma2 z^T B_k z, so no null
+sample is formed.
 """
 
 from __future__ import annotations
@@ -107,40 +107,39 @@ class DetectorSpec:
 
 
 @dataclass(frozen=True)
-class _WhiteForms:
-    """The log-ratio quadratic forms of m models in the null's white
-    coordinates u = y / sqrt(sigma2).
-
-    `stack` is the n x (m n) matrix [A_1 | ... | A_m] of the forms
-    A_k = I - sigma2 C_k^{-1}, and `offsets` holds their c_k.
-    """
+class _RatioForms:
+    """The log-ratio quadratic forms of m models: `stack` is the n x (m n)
+    matrix [B_1 | ... | B_m], B_k = I/sigma2 - C_k^{-1}, and `offsets` holds
+    their c_k."""
 
     stack: np.ndarray
     offsets: np.ndarray
 
-    def log_ratios(self, u: np.ndarray) -> np.ndarray:
-        """(rows, m) log(p_k(y)/p_0(y)) of the white rows u, one column per model.
+    def log_ratios(self, x: np.ndarray, variance: float = 1.0) -> np.ndarray:
+        """(rows, m) log(p_k(y)/p_0(y)) of the samples y = sqrt(variance) x,
+        one column per model: a null stream passes its white normals x with
+        variance sigma2.
 
         The rows are scored in chunks of ceil(rows/m), so that no product
-        is larger than the block itself.
+        is larger than the block itself, and each is freed before the next.
         """
         n, m = self.stack.shape[0], self.offsets.size
-        rows = u.shape[0]
-        if u.shape[1] != n:
-            raise ParameterError(f"models have n={n}, samples have n={u.shape[1]}")
+        rows = x.shape[0]
+        if x.shape[1] != n:
+            raise ParameterError(f"models have n={n}, samples have n={x.shape[1]}")
         quad = np.empty((rows, m))
         step = max(1, -(-rows // m))
         for start in range(0, rows, step):
-            chunk = u[start : start + step]
-            half = (chunk @ self.stack).reshape(chunk.shape[0], m, n)
-            quad[start : start + step] = np.einsum("ikj,ij->ik", half, chunk)
-        return self.offsets + 0.5 * quad
+            chunk = x[start : start + step]
+            quad[start : start + step] = np.einsum(
+                "ikj,ij->ik", (chunk @ self.stack).reshape(len(chunk), m, n), chunk
+            )
+        return self.offsets + 0.5 * variance * quad
 
 
-def _white_forms(models: Sequence[ToeplitzGaussian], null_sigma2: float) -> _WhiteForms:
-    """_WhiteForms of the models, each form read from the cached `precision`
-    in O(n^2) and written in place into the stack.  Since C_k >= sigma2 I,
-    every form is positive semidefinite."""
+def _ratio_forms(models: Sequence[ToeplitzGaussian], null_sigma2: float) -> _RatioForms:
+    """_RatioForms of the models, each form read from the cached `precision`
+    in O(n^2) and written in place into the stack."""
     if not models:
         raise ParameterError("no models to score")
     n = models[0].n
@@ -149,10 +148,10 @@ def _white_forms(models: Sequence[ToeplitzGaussian], null_sigma2: float) -> _Whi
     stack = np.empty((n, len(models) * n))
     for k, model in enumerate(models):
         form = stack[:, k * n : (k + 1) * n]
-        np.multiply(model.precision, -null_sigma2, out=form)
-        form[np.diag_indices(n)] += 1.0
+        np.negative(model.precision, out=form)
+        form[np.diag_indices(n)] += 1.0 / null_sigma2
     offsets = [-0.5 * (model.logdet - n * np.log(null_sigma2)) for model in models]
-    return _WhiteForms(stack, np.array(offsets))
+    return _RatioForms(stack, np.array(offsets))
 
 
 def log_likelihood_ratios(
@@ -167,11 +166,8 @@ def ratio_rows(
 ) -> np.ndarray:
     """log_likelihood_ratios of a stream of sample blocks, stacked in one
     matrix; the forms are built once for the whole stream."""
-    forms = _white_forms(models, null_sigma2)
-    scale = np.sqrt(null_sigma2)
-    return np.concatenate(
-        [forms.log_ratios(np.asarray(y, dtype=float) / scale) for y in blocks]
-    )
+    forms = _ratio_forms(models, null_sigma2)
+    return np.concatenate([forms.log_ratios(np.asarray(y, dtype=float)) for y in blocks])
 
 
 def _log_sum_exp(x: np.ndarray) -> np.ndarray:
@@ -208,36 +204,36 @@ def _scorer(
     detectors: Sequence[MixtureWeights],
     null_sigma2: float,
 ):
-    """Map a block of white rows u = y / sqrt(null_sigma2) to its
-    (detector, row) array of g values.
+    """Map a block of samples y = sqrt(variance) x, given as score(x,
+    variance), to its (detector, row) array of g values.
 
     Each model that some detector weights positively is scored once into a
-    shared log-ratio matrix, from one `_white_forms` built with the scorer;
+    shared log-ratio matrix, from one `_ratio_forms` built with the scorer;
     every detector's statistic is read from it.
     """
     if any(len(q) != len(models) for q in detectors):
         raise ParameterError("detector weights must match the number of models")
     active = [q.w > 0.0 for q in detectors]
     scored = np.flatnonzero(np.any(active, axis=0))
-    forms = _white_forms([models[k] for k in scored], null_sigma2)
+    forms = _ratio_forms([models[k] for k in scored], null_sigma2)
     picks = [
         (np.searchsorted(scored, np.flatnonzero(a)), q.w[a])
         for q, a in zip(detectors, active)
     ]
     n = models[0].n
 
-    def score(u: np.ndarray) -> np.ndarray:
-        ratios = forms.log_ratios(u)
+    def score(x: np.ndarray, variance: float = 1.0) -> np.ndarray:
+        ratios = forms.log_ratios(x, variance)
         stats = [_mixture_log_ratios(ratios[:, cols], w) for cols, w in picks]
         return np.array(stats) / n
 
     return score
 
 
-def _null_statistics(score, n: int, trials: int, seed: int) -> np.ndarray:
-    """(detector, trial) g values of a scorer on the white null substream
-    `seed`, whose white rows are its normals."""
-    return np.concatenate([score(z) for z in normal_blocks(n, trials, seed)], axis=1)
+def _null_statistics(score, sigma2: float, n: int, trials: int, seed: int) -> np.ndarray:
+    """(detector, trial) g values of a scorer on the white null substream `seed`."""
+    blocks = normal_blocks(n, trials, seed)
+    return np.concatenate([score(z, sigma2) for z in blocks], axis=1)
 
 
 def mixture_statistics(
@@ -247,8 +243,8 @@ def mixture_statistics(
     null_sigma2: float,
 ) -> np.ndarray:
     """Vector of g(y; q) over the sample rows (log-sum-exp combination)."""
-    u = np.atleast_2d(np.asarray(samples, dtype=float)) / np.sqrt(null_sigma2)
-    return _scorer(models, [weights], null_sigma2)(u)[0]
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    return _scorer(models, [weights], null_sigma2)(samples)[0]
 
 
 def mixture_statistic(
@@ -270,7 +266,7 @@ def h0_statistics(
 ) -> np.ndarray:
     """g values on `trials` fresh null draws (block-streamed, reproducible)."""
     score = _scorer(models, [weights], null_sigma2)
-    return _null_statistics(score, models[0].n, trials, seed)[0]
+    return _null_statistics(score, null_sigma2, models[0].n, trials, seed)[0]
 
 
 def threshold_order_index(alpha: float, trials: int) -> int:
@@ -328,12 +324,10 @@ def _error_counts(
         raise ParameterError(f"truth indices {list(truths)} out of range")
     tau = np.asarray(thresholds, dtype=float)[:, np.newaxis]
     n = models[0].n
-    g0 = _null_statistics(score, n, trials, derive_seed(seed, "h0"))
+    g0 = _null_statistics(score, null_sigma2, n, trials, derive_seed(seed, "h0"))
     fa = np.sum(g0 > tau, axis=1)
     miss = np.zeros((tau.shape[0], len(truths)), dtype=int)
-    scale = np.sqrt(null_sigma2)
     for z in normal_blocks(n, trials, derive_seed(seed, "h1")):
-        z /= scale  # the signal rows z L^T in white coordinates
         for j, truth in enumerate(truths):
             miss[:, j] += np.sum(score(z @ models[truth].factor.T) <= tau, axis=1)
     return fa, miss
@@ -434,7 +428,7 @@ def operating_characteristics(
     label "cal:{n}"), which sets one threshold per detector, then the
     false-alarm null and the signal stream (labels "h0" and "h1" under
     "mc:{n}"), whose white draws every truth shares.  All three streams are
-    scored with one `_white_forms` per n.  Returns estimates[detector][truth];
+    scored with one `_ratio_forms` per n.  Returns estimates[detector][truth];
     a ladder censored at every n has no slope.
     """
     n_values = np.array([models[0].n for models in models_by_n], dtype=int)
@@ -446,7 +440,7 @@ def operating_characteristics(
     for i, models in enumerate(models_by_n):
         n, sigma2 = models[0].n, models[0].sigma2
         score = _scorer(models, detectors, sigma2)
-        g = _null_statistics(score, n, trials, derive_seed(seed, f"cal:{n}"))
+        g = _null_statistics(score, sigma2, n, trials, derive_seed(seed, f"cal:{n}"))
         g.sort(axis=1)
         thresholds = g[:, order].copy()
         del g  # the error counts read only the thresholds
@@ -543,9 +537,8 @@ def chernoff_exponent(
     tilts t <= 0, with the expectation under the mixture of the true models.
     """
     score = _scorer(spec.models, [spec.weights], spec.null_sigma2)
-    scale = np.sqrt(spec.null_sigma2)
     g_chunks = [
-        score(block / scale)[0]
+        score(block)[0]
         for block in sample_mixture_blocks(spec.models, true_model_weights, trials, seed)
     ]
     return _chernoff_bound(spec.threshold, np.concatenate(g_chunks), spec.n, tilt_grid)[0]

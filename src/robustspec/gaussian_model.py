@@ -11,8 +11,8 @@ runs the same pass without a model.
   difference of two Gohberg-Semencul generators down its diagonals.
 - Scoring reads the `precision` C^{-1}, summed the same way from the model's
   own generator on first read; `detection` reads it into the quadratic form
-  I - sigma2 C^{-1} of white draws, and `quad_forms` is y^T C^{-1} y of a
-  block by one product.
+  I/sigma2 - C^{-1} of a log-likelihood ratio, and `quad_forms` is
+  y^T C^{-1} y of a block by one product.
 - Sampling maps white draws through the dense Cholesky `factor` L, built on
   first read so that unsampled models never form it.
 """
@@ -263,6 +263,19 @@ def normal_blocks(n: int, trials: int, seed: int) -> Iterator[np.ndarray]:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     for b, start in enumerate(range(0, trials, SAMPLE_BLOCK)):
         yield standard_normal_block(seed, b, min(SAMPLE_BLOCK, trials - start), n)
+
+
+def white_blocks(sigma2: float, n: int, trials: int, seed: int) -> Iterator[np.ndarray]:
+    """Blocks of null N(0, sigma2*I) draws, sqrt(sigma2)*z with no factorisation.
+
+    Equal bit for bit to sample_gaussian(white_model(sigma2, n), trials, seed)
+    split into blocks: the white factor is the diagonal sqrt(sigma2)*I.  Each
+    block is scaled in place, so no second copy of it is held.
+    """
+    scale = np.sqrt(sigma2)
+    for z in normal_blocks(n, trials, seed):
+        z *= scale
+        yield z
 
 
 def standard_normal_block(

@@ -20,7 +20,7 @@ from .dominance import find_dominated
 from .errors import ConfigError, ParameterError, RobustSpecError
 from .errors import EstimationInfeasibleError
 from .exponent import error_exponent, genie_bound
-from .gaussian_model import ToeplitzGaussian, build_model_sets, normal_blocks
+from .gaussian_model import ToeplitzGaussian, build_model_sets, white_blocks
 from .minimax import kkt_certificate, minimize_mixture_kl
 from .spectral import DEFAULT_GRID_SIZE, MIN_GRID_SIZE, UncertaintySet, make_psd
 
@@ -334,8 +334,7 @@ def _run_minimax(config: ExperimentConfig, cand: int, model_sets: ModelSets) -> 
     # The frozen null enters the optimizer only through its log-ratio rows, so
     # it is streamed block by block into a trials x K matrix.
     seed = derive_seed(config.seed, "frozen-h0")
-    scale = math.sqrt(config.sigma2)
-    null = (scale * z for z in normal_blocks(n_opt, config.trials, seed))
+    null = white_blocks(config.sigma2, n_opt, config.trials, seed)
     ratios = ratio_rows(null, models, config.sigma2)
     weights, value, trace = minimize_mixture_kl(
         ratios, n_opt, MixtureWeights.uniform(len(models))

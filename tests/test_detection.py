@@ -13,8 +13,8 @@ from robustspec.detection import (
     MixtureWeights,
     _log_sum_exp,
     _mixture_log_ratios,
+    _ratio_forms,
     _scorer,
-    _white_forms,
     calibrate_threshold,
     chernoff_exponent,
     derive_seed,
@@ -89,19 +89,18 @@ class TestMixtureStatistic:
             mixture_statistic(np.zeros(9), E1, [model], 1.0)
 
 
-class TestWhiteScoring:
+class TestRatioForms:
     @pytest.mark.parametrize("n", [1, 2, 17, 64])
     @pytest.mark.parametrize("sigma2", [0.37, 1.0, 2.5])
     def test_matches_dense_reference(self, n, sigma2):
-        # the white rows of every stream: each truth's signal rows
-        # z L^T / sqrt(sigma2) and the null's z, then samples a caller passes
+        # every stream: each truth's signal rows z L^T, and the null scored
+        # from its white normals z; then samples a caller passes
         models = [build_model(psd, sigma2, n) for psd in SCORED_PSDS.values()]
         assert all(model.jitter == 0 for model in models)
         z = standard_normal_block(3, 0, 200, n)
-        forms = _white_forms(models, sigma2)
-        scale = np.sqrt(sigma2)
-        cases = [(z @ m.factor.T, forms.log_ratios(z / scale @ m.factor.T)) for m in models]
-        cases.append((scale * z, forms.log_ratios(z)))
+        forms = _ratio_forms(models, sigma2)
+        cases = [(z @ m.factor.T, forms.log_ratios(z @ m.factor.T)) for m in models]
+        cases.append((np.sqrt(sigma2) * z, forms.log_ratios(z, sigma2)))
         y = z @ models[1].factor.T
         cases.append((y, log_likelihood_ratios(y, models, sigma2)))
         for y, got in cases:
@@ -119,13 +118,13 @@ class TestWhiteScoring:
         models = [build_model(psd, 1.0, 17) for psd in SCORED_PSDS.values()]
         detectors = [MixtureWeights.singleton(1, 3), MixtureWeights.uniform(3)]
         z = standard_normal_block(5, 0, 300, 17)
-        ratios = _white_forms(models, 1.0).log_ratios(z)
+        ratios = _ratio_forms(models, 1.0).log_ratios(z)
         g = _scorer(models, detectors, 1.0)(z)
         assert np.array_equal(g[0], ratios[:, 1] / 17)
         assert np.array_equal(g[1], _mixture_log_ratios(ratios, detectors[1].w) / 17)
 
     def test_forms_built_once_per_n(self, monkeypatch):
-        original = robustspec.detection._white_forms
+        original = robustspec.detection._ratio_forms
         models_by_n = build_model_sets(flat_set([1.0, 2.0, 3.0]), 1.0, [8, 16])
         builds = []
 
@@ -134,7 +133,7 @@ class TestWhiteScoring:
             builds.append(forms.stack.shape)
             return forms
 
-        monkeypatch.setattr(robustspec.detection, "_white_forms", counting)
+        monkeypatch.setattr(robustspec.detection, "_ratio_forms", counting)
         detectors = [MixtureWeights.singleton(0, 3), MixtureWeights.uniform(3)]
         # three blocks per stream, two truths: one n x (3 n) stack per n
         operating_characteristics(

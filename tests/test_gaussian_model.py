@@ -14,6 +14,7 @@ from robustspec.gaussian_model import (
     ratio_expectation,
     sample_gaussian,
     standard_normal_block,
+    white_blocks,
     white_model,
 )
 from robustspec.spectral import make_psd
@@ -232,6 +233,13 @@ class TestSampling:
         a = sample_gaussian(model, 5000, 123)
         b = sample_gaussian(model, 5000, 123)
         assert np.array_equal(a, b)
+
+    def test_white_blocks_equal_white_samples(self):
+        # two blocks, each scaled in place
+        blocks = list(white_blocks(2.5, 3, 5000, 11))
+        assert [len(b) for b in blocks] == [4096, 904]
+        samples = sample_gaussian(white_model(2.5, 3), 5000, 11)
+        assert np.array_equal(np.concatenate(blocks), samples)
 
     def test_prefix_stable_under_trial_count(self):
         # adding trials must not disturb earlier draws (block contract)

@@ -333,13 +333,13 @@ class TestModes:
         assert builds == Counter({(label, n): 1 for label in labels for n in (8, 16)})
 
     def test_minimax_streams_the_frozen_null(self, monkeypatch):
-        forms = robustspec.detection._WhiteForms
+        forms = robustspec.detection._RatioForms
         original = forms.log_ratios
         rows = []
 
-        def recording(self, z):
-            rows.append(len(z))
-            return original(self, z)
+        def recording(self, x, variance=1.0):
+            rows.append(len(x))
+            return original(self, x, variance)
 
         monkeypatch.setattr(forms, "log_ratios", recording)
         doc = dict(FLAT_TRIO, mode="minimax", trials=10000, n_values=[8], seed=11)

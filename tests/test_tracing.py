@@ -2,7 +2,7 @@
 restores every binding it patched, so `--trace 1` runs on the current names.
 
 This guards the names, not the layers they stand for: the Monte Carlo engine
-and the frozen null score through `detection._WhiteForms.log_ratios`, which
+and the frozen null score through `detection._RatioForms.log_ratios`, which
 no traced name covers, so a traced run books that time as the caller's self
 time and `detection.llr` and `gaussian_model.quad_forms` read 0 there.
 """
