@@ -13,10 +13,10 @@ Every log-likelihood ratio is one quadratic form,
     log p_k(y)/p_0(y) = c_k + y^T B_k y / 2,  B_k = I/sigma2 - C_k^{-1},
 
 with c_k = -(log|C_k| - n log sigma2)/2, and B_k positive semidefinite since
-C_k >= sigma2 I.  The B_k of every scored model are built once per n and
-stacked side by side, so a block is scored by one matrix product.  A null
-stream is scored from its white normals z, as sigma2 z^T B_k z, so no null
-sample is formed.
+C_k >= sigma2 I.  One `_Scorer` per model set writes the B_k of every scored
+model side by side into one stack, each summed from the model's inverse
+generator and held nowhere else, so a block is scored by one matrix
+product.  A white null is scored as its samples sqrt(sigma2) z.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EstimationInfeasibleError, ParameterError
-from .gaussian_model import ToeplitzGaussian, build_model_sets, normal_blocks
+from .gaussian_model import ToeplitzGaussian, _diagonal_sums, _inverse_generator
+from .gaussian_model import build_model_sets, normal_blocks, white_blocks
 from .spectral import UncertaintySet
 
 #: Default normalized tilt grid for Chernoff-type bounds: 41 points on [-2, 0].
@@ -106,57 +107,6 @@ class DetectorSpec:
         return self.models[0].sigma2
 
 
-@dataclass(frozen=True)
-class _RatioForms:
-    """The log-ratio quadratic forms of m models: `stack` is the n x (m n)
-    matrix [B_1 | ... | B_m], B_k = I/sigma2 - C_k^{-1}, and `offsets` holds
-    their c_k."""
-
-    stack: np.ndarray
-    offsets: np.ndarray
-
-    def log_ratios(self, x: np.ndarray, variance: float = 1.0) -> np.ndarray:
-        """(rows, m) log(p_k(y)/p_0(y)) of the samples y = sqrt(variance) x,
-        one column per model: a null stream passes its white normals x with
-        variance sigma2.
-
-        The rows are scored in chunks of the largest power of two rows that
-        is at most rows // m, so that no product is larger than the block
-        itself, and each is freed before the next.  (With OpenBLAS, chunks
-        of rows // m = 1365 rows at n = 16 crossed the size at which a
-        product runs threaded, and scored 3-5x slower than 1024-row ones.)
-        """
-        n, m = self.stack.shape[0], self.offsets.size
-        rows = x.shape[0]
-        if x.shape[1] != n:
-            raise ParameterError(f"models have n={n}, samples have n={x.shape[1]}")
-        quad = np.empty((rows, m))
-        step = 1 << max(0, (rows // m).bit_length() - 1)
-        for start in range(0, rows, step):
-            chunk = x[start : start + step]
-            quad[start : start + step] = np.einsum(
-                "ikj,ij->ik", (chunk @ self.stack).reshape(len(chunk), m, n), chunk
-            )
-        return self.offsets + 0.5 * variance * quad
-
-
-def _ratio_forms(models: Sequence[ToeplitzGaussian], null_sigma2: float) -> _RatioForms:
-    """_RatioForms of the models, each form read from the cached `precision`
-    in O(n^2) and written in place into the stack."""
-    if not models:
-        raise ParameterError("no models to score")
-    n = models[0].n
-    if any(model.n != n for model in models):
-        raise ParameterError("models must share n")
-    stack = np.empty((n, len(models) * n))
-    for k, model in enumerate(models):
-        form = stack[:, k * n : (k + 1) * n]
-        np.negative(model.precision, out=form)
-        form[np.diag_indices(n)] += 1.0 / null_sigma2
-    offsets = [-0.5 * (model.logdet - n * np.log(null_sigma2)) for model in models]
-    return _RatioForms(stack, np.array(offsets))
-
-
 def log_likelihood_ratios(
     samples: np.ndarray, models: Sequence[ToeplitzGaussian], null_sigma2: float
 ) -> np.ndarray:
@@ -168,9 +118,9 @@ def ratio_rows(
     blocks: Iterable[np.ndarray], models: Sequence[ToeplitzGaussian], null_sigma2: float
 ) -> np.ndarray:
     """log_likelihood_ratios of a stream of sample blocks, stacked in one
-    matrix; the forms are built once for the whole stream."""
-    forms = _ratio_forms(models, null_sigma2)
-    return np.concatenate([forms.log_ratios(np.asarray(y, dtype=float)) for y in blocks])
+    matrix; one scorer weighting every model scores the whole stream."""
+    scorer = _ratio_scorer(models, null_sigma2)
+    return np.concatenate([scorer.log_ratios(np.asarray(y, dtype=float)) for y in blocks])
 
 
 def _log_sum_exp(x: np.ndarray) -> np.ndarray:
@@ -202,41 +152,91 @@ def _mixture_log_ratios(ratios: np.ndarray, w: np.ndarray) -> np.ndarray:
         return _log_sum_exp(ratios + np.log(w))
 
 
+@dataclass(frozen=True)
+class _Scorer:
+    """The mixture statistics of a set of detectors over m scored models.
+
+    `stack` is the n x (m n) matrix [B_1 | ... | B_m], B_k = I/sigma2 -
+    C_k^{-1}, `offsets` holds the c_k, and `picks` holds each detector's
+    (columns, weights) of its positively weighted models.
+    """
+
+    stack: np.ndarray
+    offsets: np.ndarray
+    picks: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+
+    def log_ratios(self, y: np.ndarray) -> np.ndarray:
+        """(rows, m) log(p_k(y)/p_0(y)) of the sample rows, one column per model.
+
+        The rows are scored in chunks of the largest power of two rows that
+        is at most rows // m, so that no product is larger than the block
+        itself, and each is freed before the next.  (With OpenBLAS, chunks
+        of rows // m = 1365 rows at n = 16 crossed the size at which a
+        product runs threaded, and scored 3-5x slower than 1024-row ones.)
+        """
+        n, m = self.stack.shape[0], self.offsets.size
+        rows = y.shape[0]
+        if y.shape[1] != n:
+            raise ParameterError(f"models have n={n}, samples have n={y.shape[1]}")
+        quad = np.empty((rows, m))
+        step = 1 << max(0, (rows // m).bit_length() - 1)
+        for start in range(0, rows, step):
+            chunk = y[start : start + step]
+            quad[start : start + step] = np.einsum(
+                "ikj,ij->ik", (chunk @ self.stack).reshape(len(chunk), m, n), chunk
+            )
+        return self.offsets + 0.5 * quad
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        """(detector, row) g values of the sample rows, every detector's
+        statistic read from one log-ratio matrix."""
+        ratios = self.log_ratios(y)
+        stats = [_mixture_log_ratios(ratios[:, cols], w) for cols, w in self.picks]
+        return np.array(stats) / self.stack.shape[0]
+
+
 def _scorer(
     models: Sequence[ToeplitzGaussian],
     detectors: Sequence[MixtureWeights],
     null_sigma2: float,
-):
-    """Map a block of samples y = sqrt(variance) x, given as score(x,
-    variance), to its (detector, row) array of g values.
-
-    Each model that some detector weights positively is scored once into a
-    shared log-ratio matrix, from one `_ratio_forms` built with the scorer;
-    every detector's statistic is read from it.
-    """
+) -> _Scorer:
+    """The _Scorer of the detectors over the models that some detector
+    weights positively, each form written into the stack in O(n^2) from the
+    model's inverse generator, which is not kept."""
     if any(len(q) != len(models) for q in detectors):
         raise ParameterError("detector weights must match the number of models")
     active = [q.w > 0.0 for q in detectors]
     scored = np.flatnonzero(np.any(active, axis=0))
-    forms = _ratio_forms([models[k] for k in scored], null_sigma2)
-    picks = [
+    if not scored.size:
+        raise ParameterError("no models to score")
+    n = models[0].n
+    if any(model.n != n for model in models):
+        raise ParameterError("models must share n")
+    stack = np.empty((n, scored.size * n))
+    for k, index in enumerate(scored):
+        form = stack[:, k * n : (k + 1) * n]
+        np.negative(_diagonal_sums(_inverse_generator(models[index])), out=form)
+        form[np.diag_indices(n)] += 1.0 / null_sigma2
+    offsets = [-0.5 * (models[k].logdet - n * np.log(null_sigma2)) for k in scored]
+    picks = tuple(
         (np.searchsorted(scored, np.flatnonzero(a)), q.w[a])
         for q, a in zip(detectors, active)
-    ]
-    n = models[0].n
+    )
+    return _Scorer(stack, np.array(offsets), picks)
 
-    def score(x: np.ndarray, variance: float = 1.0) -> np.ndarray:
-        ratios = forms.log_ratios(x, variance)
-        stats = [_mixture_log_ratios(ratios[:, cols], w) for cols, w in picks]
-        return np.array(stats) / n
 
-    return score
+def _ratio_scorer(models: Sequence[ToeplitzGaussian], null_sigma2: float) -> _Scorer:
+    """The _Scorer of one detector that weights every model, so that its
+    `log_ratios` has one column per model."""
+    if not models:
+        raise ParameterError("no models to score")
+    return _scorer(models, [MixtureWeights.uniform(len(models))], null_sigma2)
 
 
 def _null_statistics(score, sigma2: float, n: int, trials: int, seed: int) -> np.ndarray:
     """(detector, trial) g values of a scorer on the white null substream `seed`."""
-    blocks = normal_blocks(n, trials, seed)
-    return np.concatenate([score(z, sigma2) for z in blocks], axis=1)
+    blocks = white_blocks(sigma2, n, trials, seed)
+    return np.concatenate([score(y) for y in blocks], axis=1)
 
 
 def mixture_statistics(
@@ -431,7 +431,7 @@ def operating_characteristics(
     label "cal:{n}"), which sets one threshold per detector, then the
     false-alarm null and the signal stream (labels "h0" and "h1" under
     "mc:{n}"), whose white draws every truth shares.  All three streams are
-    scored with one `_ratio_forms` per n.  Returns estimates[detector][truth];
+    scored with one `_scorer` per n.  Returns estimates[detector][truth];
     a ladder censored at every n has no slope.
     """
     n_values = np.array([models[0].n for models in models_by_n], dtype=int)

@@ -9,10 +9,10 @@ runs the same pass without a model.
 
 - The closed forms need only that pass: `ratio_expectation` sums the
   difference of two Gohberg-Semencul generators down its diagonals.
-- Scoring reads the `precision` C^{-1}, summed the same way from the model's
-  own generator on first read; `detection` reads it into the quadratic form
-  I/sigma2 - C^{-1} of a log-likelihood ratio, and `quad_forms` is
-  y^T C^{-1} y of a block by one product.
+- Scoring sums C^{-1} the same way from the model's own generator and keeps
+  no copy of it: `detection` writes it straight into the quadratic form
+  I/sigma2 - C^{-1} of a log-likelihood ratio, and `quad_forms` sums it
+  anew for y^T C^{-1} y of a block by one product.
 - Sampling maps white draws through the dense Cholesky `factor` L, built on
   first read so that unsampled models never form it.
 """
@@ -49,8 +49,8 @@ class ToeplitzGaussian:
 
     `jitter` is the JITTER_LADDER rung that construction's one Durbin pass
     needed (0: none); `logdet`, `predictor`, `prediction_error` and the
-    lazily built `precision` and Cholesky `factor` all describe the
-    covariance plus that jitter.
+    lazily built Cholesky `factor` all describe the covariance plus that
+    jitter.
     """
 
     n: int
@@ -96,13 +96,6 @@ class ToeplitzGaussian:
         factor.setflags(write=False)
         return factor
 
-    @cached_property
-    def precision(self) -> np.ndarray:
-        """C^{-1}, the diagonal sums of the model's `_inverse_generator`."""
-        precision = _diagonal_sums(_inverse_generator(self))
-        precision.setflags(write=False)
-        return precision
-
     def covariance(self) -> np.ndarray:
         """Dense covariance sigma2*I + Sigma_N."""
         lags = np.arange(self.n)
@@ -111,8 +104,10 @@ class ToeplitzGaussian:
         return cov
 
     def quad_forms(self, samples: np.ndarray) -> np.ndarray:
-        """y^T C^{-1} y for each row y of `samples`."""
-        return np.einsum("ij,ij->i", samples @ self.precision, samples)
+        """y^T C^{-1} y for each row y of `samples`, with C^{-1} summed from
+        the model's `_inverse_generator` on each call."""
+        precision = _diagonal_sums(_inverse_generator(self))
+        return np.einsum("ij,ij->i", samples @ precision, samples)
 
 
 def _durbin_with_jitter(

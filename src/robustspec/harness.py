@@ -44,8 +44,8 @@ _PSD_BLOCK_KEYS = {"label", "family", "params"}
 #: Upper bounds that keep a config from asking for more memory than a desk
 #: machine has: one PSD grid of MAX_GRID_SIZE doubles is 32 MiB, and at MAX_N
 #: each n x n matrix is 512 MiB: a sampled model's Cholesky factor, a scored
-#: model's precision and, while the Monte Carlo engine scores that n, its
-#: quadratic form, or a KKT middle matrix.
+#: model's quadratic form while the Monte Carlo engine scores that n (the only
+#: copy of its inverse: no model caches one), or a KKT middle matrix.
 MAX_GRID_SIZE = 2**22
 MAX_N = 8192
 

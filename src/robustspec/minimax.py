@@ -21,8 +21,8 @@ from .detection import (
     _chernoff_bound,
     _json_float,
     _mixture_log_ratios,
+    _ratio_scorer,
     log_likelihood_ratios,
-    ratio_rows,
     sample_mixture_blocks,
 )
 from .errors import ParameterError, require_positive
@@ -214,9 +214,10 @@ def utility(
     also returns a delta-method standard error at the maximizing tilt.
     """
     trials = h1_trials if h1_trials is not None else h0_samples.shape[0]
-    ratios0 = log_likelihood_ratios(h0_samples, models, null_sigma2)
+    scorer = _ratio_scorer(models, null_sigma2)
+    ratios0 = scorer.log_ratios(h0_samples)
     mixture = sample_mixture_blocks(models, r, trials, h1_sample_seed)
-    ratios1 = ratio_rows(mixture, models, null_sigma2)
+    ratios1 = np.concatenate([scorer.log_ratios(y) for y in mixture])
     value, se = _utility(q, ratios0, ratios1, models[0].n, tilt_grid)
     return (value, se) if with_se else value
 
@@ -245,13 +246,14 @@ def regularity_probe(
         raise ParameterError("beta values must be >= 0")
     tilt_grid = tuple(tilt_grid)  # read twice per beta
     n = models[0].n
-    ratios0 = log_likelihood_ratios(h0_samples, models, null_sigma2)
+    scorer = _ratio_scorer(models, null_sigma2)
+    ratios0 = scorer.log_ratios(h0_samples)
     trials = h1_trials if h1_trials is not None else h0_samples.shape[0]
     records = []
     for beta in betas:
         blend = MixtureWeights((1.0 - beta) * r_star.w + beta * r_dir.w)
         mixture = sample_mixture_blocks(models, blend, trials, h1_sample_seed)
-        ratios1 = ratio_rows(mixture, models, null_sigma2)
+        ratios1 = np.concatenate([scorer.log_ratios(y) for y in mixture])
         best_response, se_a = _utility(blend, ratios0, ratios1, n, tilt_grid)
         candidate, se_b = _utility(r_star, ratios0, ratios1, n, tilt_grid)
         gap, se = float(best_response - candidate), float(np.hypot(se_a, se_b))

@@ -22,19 +22,20 @@ def patch_everywhere(monkeypatch, original, replacement):
                     monkeypatch.setattr(module, attr, replacement)
 
 
-def count_precision_builds(monkeypatch):
-    """List that gains one entry each time a model's `precision` is built."""
-    import robustspec.gaussian_model as gaussian_model
+def count_form_builds(monkeypatch):
+    """List that gains one entry, the model's n, each time `detection._scorer`
+    sums a model's inverse into its log-ratio stack."""
+    import robustspec.detection as detection
 
-    original = gaussian_model._diagonal_sums
+    original = detection._diagonal_sums
     builds = []
 
     def counting(generator):
-        if sys._getframe(1).f_code.co_name == "precision":
+        if sys._getframe(1).f_code.co_name == "_scorer":
             builds.append(generator.shape[0])
         return original(generator)
 
-    monkeypatch.setattr(gaussian_model, "_diagonal_sums", counting)
+    monkeypatch.setattr(detection, "_diagonal_sums", counting)
     return builds
 
 

@@ -13,7 +13,6 @@ from robustspec.detection import (
     MixtureWeights,
     _log_sum_exp,
     _mixture_log_ratios,
-    _ratio_forms,
     _scorer,
     calibrate_threshold,
     chernoff_exponent,
@@ -93,14 +92,15 @@ class TestRatioForms:
     @pytest.mark.parametrize("n", [1, 2, 17, 64])
     @pytest.mark.parametrize("sigma2", [0.37, 1.0, 2.5])
     def test_matches_dense_reference(self, n, sigma2):
-        # every stream: each truth's signal rows z L^T, and the null scored
-        # from its white normals z; then samples a caller passes
+        # every stream: each truth's signal rows z L^T, and the null's
+        # samples sqrt(sigma2) z; then samples a caller passes
         models = [build_model(psd, sigma2, n) for psd in SCORED_PSDS.values()]
         assert all(model.jitter == 0 for model in models)
         z = standard_normal_block(3, 0, 200, n)
-        forms = _ratio_forms(models, sigma2)
-        cases = [(z @ m.factor.T, forms.log_ratios(z @ m.factor.T)) for m in models]
-        cases.append((np.sqrt(sigma2) * z, forms.log_ratios(z, sigma2)))
+        scorer = _scorer(models, [MixtureWeights.uniform(3)], sigma2)
+        cases = [(z @ m.factor.T, scorer.log_ratios(z @ m.factor.T)) for m in models]
+        null = np.sqrt(sigma2) * z
+        cases.append((null, scorer.log_ratios(null)))
         y = z @ models[1].factor.T
         cases.append((y, log_likelihood_ratios(y, models, sigma2)))
         for y, got in cases:
@@ -118,22 +118,26 @@ class TestRatioForms:
         models = [build_model(psd, 1.0, 17) for psd in SCORED_PSDS.values()]
         detectors = [MixtureWeights.singleton(1, 3), MixtureWeights.uniform(3)]
         z = standard_normal_block(5, 0, 300, 17)
-        ratios = _ratio_forms(models, 1.0).log_ratios(z)
+        ratios = _scorer(models, [MixtureWeights.uniform(3)], 1.0).log_ratios(z)
         g = _scorer(models, detectors, 1.0)(z)
         assert np.array_equal(g[0], ratios[:, 1] / 17)
         assert np.array_equal(g[1], _mixture_log_ratios(ratios, detectors[1].w) / 17)
 
+    def test_no_models_to_score(self):
+        with pytest.raises(ParameterError, match="no models to score"):
+            log_likelihood_ratios(np.zeros((2, 8)), [], 1.0)
+
     def test_forms_built_once_per_n(self, monkeypatch):
-        original = robustspec.detection._ratio_forms
+        original = robustspec.detection._scorer
         models_by_n = build_model_sets(flat_set([1.0, 2.0, 3.0]), 1.0, [8, 16])
         builds = []
 
-        def counting(models, null_sigma2):
-            forms = original(models, null_sigma2)
-            builds.append(forms.stack.shape)
-            return forms
+        def counting(models, detectors, null_sigma2):
+            scorer = original(models, detectors, null_sigma2)
+            builds.append(scorer.stack.shape)
+            return scorer
 
-        monkeypatch.setattr(robustspec.detection, "_ratio_forms", counting)
+        monkeypatch.setattr(robustspec.detection, "_scorer", counting)
         detectors = [MixtureWeights.singleton(0, 3), MixtureWeights.uniform(3)]
         # three blocks per stream, two truths: one n x (3 n) stack per n
         operating_characteristics(
@@ -142,14 +146,14 @@ class TestRatioForms:
         assert builds == [(8, 24), (16, 48)]
 
     def test_engine_memory_is_linear_in_models(self):
-        # Beside the models' cached precisions and factors, the engine holds
-        # one n x n form per scored model and a few blocks of rows, however
-        # many truths it scores: 8 (K n^2 + 6 trials n) bytes here is 29 MiB,
-        # and forms for every (truth, model) pair would take 36 MiB.
+        # Beside the models' cached factors, the engine holds one n x n form
+        # per scored model and a few blocks of rows, however many truths it
+        # scores: 8 (K n^2 + 6 trials n) bytes here is 29 MiB, and forms for
+        # every (truth, model) pair would take 36 MiB.
         n, trials = 512, 1000
         models_by_n = build_model_sets(list(SCORED_PSDS.values()), 1.0, [n])
         for model in models_by_n[0]:
-            model.precision, model.factor
+            model.factor
         detectors = [MixtureWeights.singleton(k, 3) for k in range(3)]
         tracemalloc.start()
         try:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import robustspec
 import robustspec.detection
 import robustspec.gaussian_model
-from conftest import MASTER_SEED, count_precision_builds, patch_everywhere
+from conftest import MASTER_SEED, count_form_builds, patch_everywhere
 from robustspec.cli import main as cli_main
 from robustspec.errors import ConfigError
 from robustspec.harness import (
@@ -293,6 +293,32 @@ class TestModes:
             assert cert["certificate"]["candidate_index"] == 1
             assert cert["certificate"]["singleton_verified"] is True
 
+    def test_full_ordering_against_a_non_flat_member(self, rng):
+        # On flat members every singleton statistic is increasing in y^T y,
+        # so every detector calibrates to one rule and the worst-case
+        # ordering compares copies of one test.  An AR(1) member, drawn in
+        # the ranges of the benchmark's `full` workload, gives a detector
+        # with a different rule, so the ordering compares two tests.
+        rho = rng.uniform(0.2, 0.5)
+        pole = rng.uniform(0.3, 0.7)
+        variance = rho * (1.0 + pole) / (1.0 - pole) * rng.uniform(1.2, 1.6)
+        psds = [
+            {"label": "weak", "family": "flat", "params": {"level": rho}},
+            {"label": "ar1", "family": "rational_ar1",
+             "params": {"variance": variance, "pole": pole}},
+            {"label": "strong", "family": "flat",
+             "params": {"level": rho * rng.uniform(1.5, 2.5)}},
+        ]
+        doc = {
+            "mode": "full", "grid_size": 1024, "sigma2": 1.0, "alpha": 0.05,
+            "seed": MASTER_SEED, "trials": 20000, "n_values": [16, 32], "psds": psds,
+        }
+        payload = run_experiment(parse_config(config_text(doc))).payload
+        assert payload["dominance"]["candidate_label"] == "weak"
+        simulation = payload["simulation"]
+        assert simulation["ar1"]["worst_case"] != simulation["weak"]["worst_case"]
+        assert payload["ordering_consistent"] is True
+
     def test_full_mode_draws_each_block_once(self, monkeypatch):
         original = robustspec.gaussian_model.standard_normal_block
         keys = []
@@ -310,12 +336,34 @@ class TestModes:
         assert len(set(keys)) == len(keys)
 
     def test_full_mode_builds_each_precision_once(self, monkeypatch):
-        # scoring is a product with each model's cached precision, so it is
-        # built once per scored model and never per block
-        builds = count_precision_builds(monkeypatch)
+        # each scored model's inverse is summed once per scorer, never per
+        # block: once per model at each n for the engine, and once per model
+        # for the optimizer's frozen null
+        builds = count_form_builds(monkeypatch)
         doc = dict(FLAT_TRIO, mode="full", trials=5000, n_values=[8, 16], seed=11)
         run_experiment(parse_config(config_text(doc)))
-        assert 0 < len(builds) <= 3 * 2
+        assert sorted(builds) == [8] * 6 + [16] * 3
+
+    def test_full_mode_leaves_no_inverse_on_the_models(self, monkeypatch):
+        # the forms live in the scorers only: a model keeps no n x n matrix
+        # but the Cholesky factor it was sampled through
+        original = robustspec.gaussian_model.build_model
+        models = []
+
+        def recording(psd, sigma2, n):
+            models.append(original(psd, sigma2, n))
+            return models[-1]
+
+        patch_everywhere(monkeypatch, original, recording)
+        doc = dict(FLAT_TRIO, mode="full", trials=2000, n_values=[8, 16], seed=11)
+        run_experiment(parse_config(config_text(doc)))
+        assert len(models) == 6
+        for model in models:
+            square = [
+                name for name, value in vars(model).items()
+                if isinstance(value, np.ndarray) and value.shape == (model.n, model.n)
+            ]
+            assert square in ([], ["factor"]), square
 
     @pytest.mark.parametrize("mode", ["minimax", "full"])
     def test_each_model_built_once(self, monkeypatch, mode):
@@ -333,15 +381,15 @@ class TestModes:
         assert builds == Counter({(label, n): 1 for label in labels for n in (8, 16)})
 
     def test_minimax_streams_the_frozen_null(self, monkeypatch):
-        forms = robustspec.detection._RatioForms
-        original = forms.log_ratios
+        scorer = robustspec.detection._Scorer
+        original = scorer.log_ratios
         rows = []
 
-        def recording(self, x, variance=1.0):
-            rows.append(len(x))
-            return original(self, x, variance)
+        def recording(self, y):
+            rows.append(len(y))
+            return original(self, y)
 
-        monkeypatch.setattr(forms, "log_ratios", recording)
+        monkeypatch.setattr(scorer, "log_ratios", recording)
         doc = dict(FLAT_TRIO, mode="minimax", trials=10000, n_values=[8], seed=11)
         run_experiment(parse_config(config_text(doc)))
         assert sum(rows) == 10000

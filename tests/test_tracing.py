@@ -2,12 +2,14 @@
 restores every binding it patched, so `--trace 1` runs on the current names.
 
 This guards the names, not the layers they stand for: the Monte Carlo engine
-and the frozen null score through `detection._RatioForms.log_ratios`, which
-no traced name covers, so a traced run books that time as the caller's self
+and the frozen null score through `detection._Scorer.log_ratios`, which no
+traced name covers, so a traced run books that time as the caller's self
 time and `detection.llr` and `gaussian_model.quad_forms` read 0 there.
 """
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import robustspec.cli  # noqa: F401  (loads every traced module)
 from robustspec.gaussian_model import ToeplitzGaussian
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+RUN = TRACING.parent / "run.py"
 
 
 def load_tracing():
@@ -53,3 +56,21 @@ def test_install_then_uninstall_restores_every_binding():
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
     assert ToeplitzGaussian.__dict__["quad_forms"] is quad_forms
+
+
+def test_bench_runs_one_traced_op_of_every_workload():
+    # `--seconds 0` runs one op per workload: untraced, then twice traced,
+    # checking its payload, the three runs' payload bytes and the counters
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", "all", "--seconds", "0", "--trace", "1"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1])
+    assert (result["correct"], result["attempted"], result["failed"]) == (True, 3, 0), result
+    missing = [line for line in lines if line.startswith("traced functions missing")]
+    # one line per workload; `sample_blocks` is the stale generator-table name
+    assert missing == [
+        "traced functions missing from the package: gaussian_model.sample_blocks"
+    ] * 3, missing
