@@ -272,6 +272,12 @@ def h0_statistics(
     return _null_statistics(score, null_sigma2, models[0].n, trials, seed)[0]
 
 
+def min_calibration_trials(alpha: float) -> int:
+    """Fewest trials with 100 expected exceedances on either side of the
+    (1-alpha)-quantile: ceil(100 / min(alpha, 1 - alpha))."""
+    return int(np.ceil(100.0 / min(alpha, 1.0 - alpha)))
+
+
 def threshold_order_index(alpha: float, trials: int) -> int:
     """0-based order-statistic index of the calibration threshold.
 
@@ -280,7 +286,7 @@ def threshold_order_index(alpha: float, trials: int) -> int:
     """
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must be in (0,1), got {alpha}")
-    needed = int(np.ceil(100.0 / min(alpha, 1.0 - alpha)))
+    needed = min_calibration_trials(alpha)
     if trials < needed:
         raise ParameterError(
             f"calibration needs >= {needed} trials at alpha={alpha}, got {trials}"

@@ -7,8 +7,9 @@ pass at construction, in O(n^2): its prediction errors give log|C| and its
 predictor gives C^{-1} by the Gohberg-Semencul formula.  `exponent.kl_rate`
 runs the same pass without a model.
 
-- The closed forms need only that pass: `ratio_expectation` sums the
-  difference of two Gohberg-Semencul generators down its diagonals.
+- The closed forms need only that pass: `ratio_expectation` sums the top
+  ceil(n/2) rows of the difference of two Gohberg-Semencul generators down
+  their diagonals, and folds them into two half-size blocks.
 - Scoring sums C^{-1} the same way from the model's own generator and keeps
   no copy of it: `detection` writes it straight into the quadratic form
   I/sigma2 - C^{-1} of a log-likelihood ratio, and `quad_forms` sums it
@@ -180,27 +181,31 @@ def levinson_durbin(r: np.ndarray, label: str = "") -> Tuple[np.ndarray, np.ndar
     return a, errors
 
 
-def _inverse_generator(model: ToeplitzGaussian) -> np.ndarray:
+def _inverse_generator(model: ToeplitzGaussian, half: bool = False) -> np.ndarray:
     """G = (a a^T - b b^T) / eps with b = (0, a[n-1], ..., a[1]).
 
     a and eps are the model's predictor and last prediction error.  By the
     Gohberg-Semencul formula C^{-1} = (L(a) L(a)^T - L(b) L(b)^T) / eps for
     the lower-triangular Toeplitz L(.), so C^{-1}[i, j] is the sum of G down
-    the diagonal from its edge to (i, j).
+    the diagonal from its edge to (i, j).  With half=True only the top
+    ceil(n/2) rows of G are built: all that `_ratio_expectation` reads.
     """
     a = model.predictor
     b = np.concatenate(([0.0], a[:0:-1]))
-    return (np.outer(a, a) - np.outer(b, b)) / model.prediction_error
+    rows = (model.n + 1) // 2 if half else model.n
+    generator = np.outer(a[:rows], a)
+    generator -= np.outer(b[:rows], b)
+    generator /= model.prediction_error
+    return generator
 
 
 def _diagonal_sums(generator: np.ndarray) -> np.ndarray:
-    """Running sums of `generator` down each diagonal: C^{-1} from its generator G."""
-    out = np.empty_like(generator)
-    out[0] = generator[0]
+    """Running sums of `generator` down each diagonal, in place: C^{-1} from
+    its generator G, or the top rows of C^{-1} from the same top rows of G.
+    Returns `generator`."""
     for i in range(1, generator.shape[0]):
-        out[i, 0] = generator[i, 0]
-        out[i, 1:] = out[i - 1, :-1] + generator[i, 1:]
-    return out
+        generator[i, 1:] += generator[i - 1, :-1]
+    return generator
 
 
 def ratio_expectation(
@@ -208,15 +213,17 @@ def ratio_expectation(
 ) -> float:
     """Closed-form E_{N(0, s2 I)}[p2(Y)/p1(Y)] for Gaussian densities p1, p2.
 
-    Equals [|C1| / (|C2| * |I + s2 (C2^{-1} - C1^{-1})|)]^{1/2} where C_i is
-    the covariance of p_i.  The middle matrix comes from the Gohberg-Semencul
-    generators of C1^{-1} and C2^{-1} in O(n^2), read from the Durbin pass
-    each model holds, with no recursion and no dense solve; its Cholesky
-    factor gives its log-determinant.  Returns +inf when the middle
-    matrix is not positive definite (the defining integral diverges).
+    Equals [|C1| / (|C2| * |M|)]^{1/2} with M = I + s2 (C2^{-1} - C1^{-1}),
+    where C_i is the covariance of p_i.  The top ceil(n/2) rows of M come
+    from the Gohberg-Semencul generators of C1^{-1} and C2^{-1} in O(n^2),
+    read from the Durbin pass each model holds, with no recursion and no
+    dense solve; M is symmetric and centrosymmetric, so the even/odd fold
+    of those rows splits it into two half-size blocks, and their Cholesky
+    factors give log|M|.  Returns +inf when M is not positive definite (the
+    defining integral diverges).
     """
     require_positive("p0_sigma2", p0_sigma2)
-    return _ratio_expectation(p0_sigma2, p1, _inverse_generator(p1), p2)
+    return _ratio_expectation(p0_sigma2, p1, _inverse_generator(p1, half=True), p2)
 
 
 def _ratio_expectation(
@@ -225,19 +232,47 @@ def _ratio_expectation(
     generator1: np.ndarray,
     p2: ToeplitzGaussian,
 ) -> float:
-    """ratio_expectation with p1's `_inverse_generator` already built, so one
-    p1 can be compared with many p2 from one generator."""
+    """ratio_expectation with the top rows of p1's `_inverse_generator`
+    already built, so one p1 can be compared with many p2 from one generator."""
     if p1.n != p2.n:
         raise ParameterError(f"dimension mismatch: {p1.n} vs {p2.n}")
     # the generator of a difference of inverses is the difference of generators
-    middle = _diagonal_sums(p0_sigma2 * (_inverse_generator(p2) - generator1))
-    middle[np.diag_indices(p1.n)] += 1.0
-    try:
-        factor = np.linalg.cholesky(middle)
-    except np.linalg.LinAlgError:
-        return float("inf")
-    logdet_middle = float(2.0 * np.sum(np.log(np.diag(factor))))
+    top = _inverse_generator(p2, half=True)
+    top -= generator1
+    top *= p0_sigma2
+    _diagonal_sums(top)
+    top[np.diag_indices(top.shape[0])] += 1.0  # the top rows of the middle matrix
+    logdet_middle = 0.0
+    for block in _fold(top):
+        try:
+            factor = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            return float("inf")
+        logdet_middle += float(2.0 * np.sum(np.log(np.diag(factor))))
     return float(np.exp(0.5 * (p1.logdet - p2.logdet - logdet_middle)))
+
+
+def _fold(top: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The even and odd blocks of a symmetric centrosymmetric M (J M J = M for
+    the exchange J) from its top ceil(n/2) rows.
+
+    With k = n // 2, A = M[:k, :k] and B = M[:k, n-k:], the orthogonal change to (y_top + J y_bot)/sqrt(2) and
+    (y_top - J y_bot)/sqrt(2) makes M block diagonal, with blocks A + B J
+    and A - B J; for odd n the middle coordinate joins the even block, its
+    row and column scaled by sqrt(2).  |M| is the product of their
+    determinants.  Any matrix made of symmetric Toeplitz inverses and I, such
+    as the middle matrix of `_ratio_expectation`, is such an M.
+    """
+    n = top.shape[1]
+    k = n // 2
+    middle = n - k  # the even block's size, ceil(n/2)
+    a, bj = top[:k, :k], top[:k, : middle - 1 : -1]
+    even = np.empty((middle, middle))
+    np.add(a, bj, out=even[:k, :k])
+    if middle > k:
+        even[:k, k] = even[k, :k] = np.sqrt(2.0) * top[:k, k]
+        even[k, k] = top[k, k]
+    return even, a - bj
 
 
 def finite_n_dominates(

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 
 from . import __version__
 from .detection import MIN_MC_TRIALS, MixtureWeights, derive_seed
-from .detection import operating_characteristics, ratio_rows
+from .detection import min_calibration_trials, operating_characteristics, ratio_rows
 from .dominance import find_dominated
 from .errors import ConfigError, ParameterError, RobustSpecError
 from .errors import EstimationInfeasibleError
@@ -43,9 +43,12 @@ _PSD_BLOCK_KEYS = {"label", "family", "params"}
 
 #: Upper bounds that keep a config from asking for more memory than a desk
 #: machine has: one PSD grid of MAX_GRID_SIZE doubles is 32 MiB, and at MAX_N
-#: each n x n matrix is 512 MiB: a sampled model's Cholesky factor, a scored
-#: model's quadratic form while the Monte Carlo engine scores that n (the only
-#: copy of its inverse: no model caches one), or a KKT middle matrix.
+#: each n x n matrix is 512 MiB: a sampled model's Cholesky factor, or a
+#: scored model's quadratic form while the Monte Carlo engine scores that n
+#: (the only copy of its inverse: no model caches one).  The KKT temporaries
+#: are ceil(n/2)-row: at n = 1024 a three-member `kkt_certificate` peaks at
+#: 16.0 MiB under tracemalloc, against 24.1 MiB when it formed n x n
+#: generators and middle matrices.
 MAX_GRID_SIZE = 2**22
 MAX_N = 8192
 
@@ -135,7 +138,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     seed = _as_int(doc.get("seed", 0), "seed")
     trials = _as_int(doc.get("trials", 10000), "trials")
-    _check_trials(mode, trials)
+    _check_trials(mode, trials, alpha)
 
     n_values = doc.get("n_values", [64, 256])
     if not isinstance(n_values, list):
@@ -203,10 +206,15 @@ def _check_grid(grid_size: int) -> None:
         )
 
 
-def _check_trials(mode: str, trials: int) -> None:
+def _check_trials(mode: str, trials: int, alpha: float) -> None:
     floor = MIN_MC_TRIALS if mode in ("simulate", "minimax", "full") else 1
+    at = ""
+    if mode in ("simulate", "full"):  # both calibrate a threshold at alpha
+        floor, at = max(floor, min_calibration_trials(alpha)), f" at alpha={alpha}"
     if trials < floor:
-        raise ConfigError(f"trials must be >= {floor} for mode {mode!r}, got {trials}")
+        raise ConfigError(
+            f"trials must be >= {floor} for mode {mode!r}{at}, got {trials}"
+        )
 
 
 def _as_int(value, key: str) -> int:
@@ -231,7 +239,7 @@ def run_experiment(config: ExperimentConfig) -> ReportRecord:
     """Execute the configured mode and wrap the result in a report record."""
     start = time.perf_counter()
     # the CLI may have changed the mode and the grid size
-    _check_trials(config.mode, config.trials)
+    _check_trials(config.mode, config.trials, config.alpha)
     _check_grid(config.grid_size)
     uset = config.build_psds()
     try:

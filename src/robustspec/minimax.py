@@ -2,10 +2,10 @@
 
 The engineer picks detector weights q, Nature picks an operating point r;
 both live on the K-simplex.  The game value at the saddle is the normalized
-KL divergence from the null to the least favorable mixture.  Cover's
-multiplicative step over a frozen sample-average objective locates it and
-stops on the sample KKT condition; a closed-form KKT certificate verifies
-the dominated singleton.
+KL divergence from the null to the least favorable mixture.  Newton steps on
+the active face of a frozen sample-average objective locate it and stop on
+the sample KKT condition; a closed-form KKT certificate verifies the
+dominated singleton.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ from .gaussian_model import (
     _inverse_generator,
     _ratio_expectation,
 )
+
+#: Halvings of a Newton step before `minimize_mixture_kl` gives up on it.
+_BACKTRACKS = 40
+
 
 @dataclass(frozen=True)
 class KktCertificate:
@@ -94,11 +98,12 @@ def minimize_mixture_kl(
     current point, gaps records the Frank-Wolfe duality gap, which is
     (max_k m_k - 1)/n since sum_k r_k m_k = 1: the sample KKT residual of
     the point divided by n.  The solve stops when it is <= tol.  Otherwise
-    it moves to the exact vertex of the largest m_k when that vertex passes
-    the same test itself, and takes Cover's multiplicative step
-    r_k <- r_k m_k / sum(r m) when it does not; a move that raises the
-    objective by more than 1e-15 ends the solve.  Returns (weights, value,
-    trace) with per-iteration objectives and gaps.
+    it takes a Newton step on the active face (`_face_step`), cut by a ratio
+    test that sets the member blocking it to exactly 0 and then halved
+    until the objective rises by at most 1e-15; a step that cannot be cut
+    that far ends the solve.  Returns (weights, value, trace) with
+    per-iteration objectives and gaps, and `converged`, true iff the last
+    gap is <= tol.
     """
     k = ratios.shape[1]
     if len(init) != k:
@@ -110,29 +115,100 @@ def minimize_mixture_kl(
     objectives = [float(-np.mean(mix)) / n]
     gaps: List[float] = []
     for _ in range(max_iters):
-        m = np.mean(np.exp(ratios - mix[:, np.newaxis]), axis=0)
+        p = np.exp(ratios - mix[:, np.newaxis])
+        m = np.mean(p, axis=0)
         if not np.all(np.isfinite(m)):
             raise ParameterError("non-finite gradient in the mixture-weight step")
         grad = -m / n
-        vertex = int(np.argmin(grad))
-        gap = float(grad @ x - grad[vertex])
+        gap = float(grad @ x - np.min(grad))
         gaps.append(gap)
         if gap <= tol:
             break
-        column = ratios[:, vertex]
-        at_vertex = np.mean(np.exp(ratios - column[:, np.newaxis]), axis=0)
-        if (np.max(at_vertex) - 1.0) / n <= tol:
-            candidate, candidate_mix = np.eye(k)[vertex], column
-        else:
-            candidate = x * m / np.sum(x * m)
+        members, direction = _face_step(p, m, x)
+        shrinking = direction < 0.0
+        steps = x[members[shrinking]] / -direction[shrinking]
+        t, block = 1.0, None
+        if steps.size and np.min(steps) <= 1.0:
+            first = np.argmin(steps)
+            t, block = float(steps[first]), members[shrinking][first]
+        for _ in range(_BACKTRACKS):
+            candidate = x.copy()
+            candidate[members] += t * direction
+            if block is not None:
+                candidate[block] = 0.0
+            # a member that ties with the blocking one may round below 0
+            candidate = np.maximum(candidate, 0.0)
+            candidate /= np.sum(candidate)
             candidate_mix = _mixture_log_ratios(ratios, candidate)
-        value = float(-np.mean(candidate_mix)) / n
-        if value > objectives[-1] + 1e-15:
+            value = float(-np.mean(candidate_mix)) / n
+            if value <= objectives[-1] + 1e-15:
+                break
+            t, block = 0.5 * t, None
+        else:
             break
         x, mix = candidate, candidate_mix
         objectives.append(value)
-    trace = {"objectives": objectives, "gaps": gaps, "iterations": len(gaps)}
+    trace = {
+        "objectives": objectives,
+        "gaps": gaps,
+        "iterations": len(gaps),
+        "converged": bool(gaps) and gaps[-1] <= tol,
+    }
     return MixtureWeights(x), objectives[-1], trace
+
+
+def _face_step(
+    p: np.ndarray, m: np.ndarray, x: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(members, direction): the Newton step of the objective on the face.
+
+    `p` holds P = p_k/p_mix per sample and `m` its column means, the negated
+    gradient; the Hessian is P^T P/rows.  The face is the support of x plus
+    the inactive member with the largest m_k > 1, unless its own component
+    of the step is not positive.
+    """
+    face = x > 0.0
+    outside = np.where(face, -np.inf, m)
+    entering = int(np.argmax(outside))
+    enters = bool(outside[entering] > 1.0)
+    face[entering] |= enters
+    members = np.flatnonzero(face)
+    direction = _newton_direction(p[:, members], m[members])
+    entry = np.searchsorted(members, entering)
+    if enters and direction[entry] <= 0.0:
+        members = np.delete(members, entry)
+        direction = _newton_direction(p[:, members], m[members])
+    return members, direction
+
+
+def _newton_direction(p: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The d with sum(d) = 0 that solves H d = m - lam*1 for some lam, where
+    H = p^T p/rows.
+
+    A ridge of 1e-12 trace(H) keeps a singular H, as from two equal members,
+    factorable by Cholesky; the step has no component along a null direction
+    with no gradient.  The right side m - 1 is small near the optimum, so y
+    and lam*z below do not cancel.
+    """
+    size = p.shape[1]
+    hessian = p.T @ p / p.shape[0]
+    hessian[np.diag_indices(size)] += 1e-12 * np.trace(hessian)
+    factor = np.linalg.cholesky(hessian)
+    y, z = _cholesky_solve(factor, np.stack([m - 1.0, np.ones(size)], axis=1)).T
+    return y - (np.sum(y) / np.sum(z)) * z
+
+
+def _cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = rhs by forward and back substitution on the lower
+    factor L: a face has at most K members, and numpy has no triangular
+    solve to call in place of this loop."""
+    x = np.array(rhs, dtype=float)
+    size = factor.shape[0]
+    for i in range(size):
+        x[i] = (x[i] - factor[i, :i] @ x[:i]) / factor[i, i]
+    for i in reversed(range(size)):
+        x[i] = (x[i] - factor[i + 1 :, i] @ x[i + 1 :]) / factor[i, i]
+    return x
 
 
 def kkt_certificate(
@@ -144,15 +220,15 @@ def kkt_certificate(
 
     At the singleton the equality multiplier is 1/n and the inequality
     multiplier for member k is (1 - E_null[p_k/p_cand])/n, computed from the
-    exact Gaussian ratio expectation with no sampling; the candidate's
-    inverse generator is built once for all K-1 members.
+    exact Gaussian ratio expectation with no sampling; the top rows of the
+    candidate's inverse generator are built once for all K-1 members.
     """
     if not 0 <= candidate_index < len(models):
         raise ParameterError(f"candidate_index {candidate_index} out of range")
     require_positive("null_sigma2", null_sigma2)
     n = models[0].n
     candidate = models[candidate_index]
-    generator = _inverse_generator(candidate)
+    generator = _inverse_generator(candidate, half=True)
     mu = np.zeros(len(models))
     diverged = []
     max_violation = 0.0

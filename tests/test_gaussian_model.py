@@ -164,8 +164,9 @@ class TestGaussianKl:
 
 class TestRatioExpectation:
     def test_self_ratio_is_one(self):
-        m = build_model(make_psd("flat", grid_size=64, level=2.0), 1.0, 6)
-        assert ratio_expectation(1.0, m, m) == 1.0
+        for n in (5, 6):  # both fold parities
+            m = build_model(make_psd("flat", grid_size=64, level=2.0), 1.0, n)
+            assert ratio_expectation(1.0, m, m) == 1.0
 
     def test_scalar_forward(self):
         val = ratio_expectation(1.0, scalar_model(2.0, 1.0), scalar_model(3.0, 1.0))
@@ -199,23 +200,26 @@ class TestRatioExpectation:
         assert not finite_n_dominates(2.0, scalar_model(0.5, 1.0), scalar_model(4.0, 1.0))
 
     @pytest.mark.parametrize("sigma2", [0.37, 1.0, 2.5])
-    @pytest.mark.parametrize("n", [1, 2, 17, 128])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 128, 255, 256])
     def test_matches_dense_inverses(self, sigma2, n):
-        models = [build_model(psd, sigma2, n) for psd in reference_psds(512)]
+        # odd and even n fold the middle matrix differently
+        psds = reference_psds(512) + (make_psd("flat", grid_size=512, level=1.5),)
+        models = [build_model(psd, sigma2, n) for psd in psds]
         for p1 in models:
             for p2 in models:
                 expected = dense_ratio_expectation(sigma2, p1, p2)
                 assert np.isfinite(expected)
                 got = ratio_expectation(sigma2, p1, p2)
-                assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
+                assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_divergent_integral_gives_infinity_at_n(self):
         # a heavy-tailed p2 against a light-tailed p1: the middle matrix has
-        # a negative eigenvalue at every n
-        light = build_model(reference_psds(256)[0], 0.5, 16)
-        heavy = build_model(make_psd("flat", grid_size=256, level=6.0), 0.5, 16)
-        assert dense_ratio_expectation(2.0, light, heavy) == float("inf")
-        assert ratio_expectation(2.0, light, heavy) == float("inf")
+        # a negative eigenvalue at every n, odd or even
+        for n in (15, 16):
+            light = build_model(reference_psds(256)[0], 0.5, n)
+            heavy = build_model(make_psd("flat", grid_size=256, level=6.0), 0.5, n)
+            assert dense_ratio_expectation(2.0, light, heavy) == float("inf")
+            assert ratio_expectation(2.0, light, heavy) == float("inf")
 
     def test_forms_no_dense_solve(self, monkeypatch):
         def refuse(*args):

@@ -545,6 +545,8 @@ class TestCli:
             ("exponent", {"trials": 0}, "trials"),
             ("dominance", {"trials": -5}, "trials"),
             ("simulate", {"mode": "exponent", "trials": 5}, "trials"),
+            ("full", {"alpha": 1e-6, "trials": 1000}, "trials"),
+            ("simulate", {"alpha": 0.999, "trials": 50000}, "alpha"),
             ("exponent", {"candidate_label": [1]}, "candidate_label"),
             ("exponent", {"n_values": 5}, "n_values"),
             ("exponent", {"output_path": 12}, "output_path"),
@@ -555,7 +557,9 @@ class TestCli:
         ids=[
             "negative-param", "string-param", "psd-param-bool", "unknown-family",
             "tabulated-length", "n-zero", "n-negative", "trials-zero", "trials-negative",
-            "trials-below-subcommand-floor", "label-not-string", "n-values-not-list",
+            "trials-below-subcommand-floor", "trials-below-calibration-floor",
+            "trials-below-calibration-floor-upper-alpha", "label-not-string",
+            "n-values-not-list",
             "output-path-not-string", "grid-huge", "grid-above-cap", "n-huge",
         ],
     )

@@ -10,6 +10,7 @@ from robustspec.detection import (
     MixtureWeights,
     derive_seed,
     log_likelihood_ratios,
+    ratio_rows,
 )
 from robustspec.errors import ParameterError
 from robustspec.exponent import kl_rate
@@ -19,10 +20,12 @@ from robustspec.gaussian_model import (
     build_model_sets,
     levinson_durbin,
     sample_gaussian,
+    white_blocks,
     white_model,
 )
 from robustspec.minimax import (
     kkt_certificate,
+    minimize_mixture_kl,
     minimize_mixture_weights,
     regularity_probe,
     sample_average_kl,
@@ -63,6 +66,29 @@ def interior_setup():
     models = [build_model(p, 1.0, n) for p in psds]
     frozen = sample_gaussian(white_model(1.0, n), 5000, derive_seed(MASTER_SEED, "interior"))
     return models, frozen, n
+
+
+@pytest.fixture(scope="module")
+def stalled_interior_ratios():
+    """Log-ratio rows at n = 64 of an interior set on which 200 multiplicative
+    steps leave the gap above tol: the members and frozen null of the
+    `minimax_interior` benchmark's op 0 at seed 1."""
+    bump = lambda peak, center, width: make_psd(  # noqa: E731
+        "raised_cosine", grid_size=1024, peak=peak, center=center, width=width
+    )
+    psds = [
+        bump(2.1794597788548975, 1.514345762398042, 0.5211663224486288),
+        make_psd(
+            "rational_ar1", grid_size=1024,
+            variance=0.5137795566215342, pole=-0.47394606739755807,
+        ),
+        bump(2.0047286498801027, 0.6587378844960794, 0.5072079806359817),
+        bump(2.131081037528177, 2.5907536189022426, 0.527479684383653),
+    ]
+    n = 64
+    models = [build_model(psd, 1.0, n) for psd in psds]
+    null = white_blocks(1.0, n, 20000, derive_seed(1799343697, "frozen-h0"))
+    return ratio_rows(null, models, 1.0), n
 
 
 def multiplicative_reference(ratios, n, steps=5000):
@@ -149,7 +175,8 @@ class TestMinimizeMixtureWeights:
         )
         assert np.array_equal(w.w, [1.0, 0.0, 0.0])
         assert trace["gaps"][-1] == 0.0
-        assert trace["iterations"] == 2
+        assert trace["iterations"] == 3
+        assert trace["converged"]
 
     def test_interior_set_stops_on_the_kkt_condition(self, interior_setup):
         models, frozen, n = interior_setup
@@ -163,6 +190,42 @@ class TestMinimizeMixtureWeights:
         assert abs(value - ref_value) <= 1e-9
         assert np.any(ref_w < 1e-12)  # the optimum lies on a face
         assert np.all(w.w[ref_w < 1e-12] < 1e-4)
+
+    def test_stalled_interior_set_converges(self, stalled_interior_ratios):
+        ratios, n = stalled_interior_ratios
+        _, value, trace = minimize_mixture_kl(ratios, n, MixtureWeights.uniform(4))
+        assert trace["converged"]
+        assert trace["iterations"] <= 15
+        assert trace["gaps"][-1] <= 1e-8
+        assert value <= multiplicative_reference(ratios, n)[1] + 1e-12
+
+    def test_repeated_member_makes_a_singular_face(self, interior_setup):
+        # the face of {m0, m0, m1} keeps both copies: its Hessian is singular
+        models, frozen, n = interior_setup
+        ratios = log_likelihood_ratios(frozen, [models[0], models[0], models[1]], 1.0)
+        w, value, trace = minimize_mixture_kl(
+            ratios, n, MixtureWeights(np.array([0.5, 0.3, 0.2]))
+        )
+        assert trace["iterations"] > 2
+        assert trace["converged"] and trace["gaps"][-1] <= 1e-8
+        assert np.all(w.w > 0.0)
+        _, pair_value, _ = minimize_mixture_kl(
+            ratios[:, 1:], n, MixtureWeights.uniform(2)
+        )
+        assert abs(value - pair_value) <= 1e-12
+
+    def test_solver_calls_no_solve_but_cholesky(self, monkeypatch, interior_setup):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK routine other than Cholesky called")
+
+        models, frozen, n = interior_setup
+        interior = log_likelihood_ratios(frozen, models, 1.0)
+        singular = log_likelihood_ratios(frozen, [models[0], models[0], models[1]], 1.0)
+        for name in ("lstsq", "solve", "pinv", "eigh", "inv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        assert minimize_mixture_kl(interior, n, MixtureWeights.uniform(4))[2]["converged"]
+        init = MixtureWeights(np.array([0.5, 0.3, 0.2]))
+        assert minimize_mixture_kl(singular, n, init)[2]["converged"]
 
     def test_init_must_be_interior(self, flat_setup):
         _, models, frozen, _ = flat_setup
@@ -233,9 +296,9 @@ class TestKktCertificate:
         original = robustspec.gaussian_model._inverse_generator
         built = []
 
-        def counting(model):
+        def counting(model, *args, **kwargs):
             built.append(model.label)
-            return original(model)
+            return original(model, *args, **kwargs)
 
         patch_everywhere(monkeypatch, original, counting)
         (models,) = build_model_sets(flat_set([1.0, 2.0, 3.0, 4.0]), 1.0, [32])
