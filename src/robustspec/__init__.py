@@ -5,7 +5,7 @@ simulates likelihood-ratio and mixture detectors at finite dimension, and
 certifies the saddle-point structure of the underlying robustness game.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .spectral import (  # noqa: F401
     PsdGrid,
@@ -30,6 +30,7 @@ from .gaussian_model import (  # noqa: F401
     gaussian_kl,
     levinson_durbin,
     ratio_expectation,
+    ratio_expectations,
     sample_gaussian,
     white_model,
 )

@@ -36,11 +36,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 4
+    except UnicodeDecodeError as exc:
+        print(f"config error: config is not UTF-8: {exc}", file=sys.stderr)
+        return 2
     try:
         config = parse_config(text)
         config.mode = args.mode

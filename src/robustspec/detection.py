@@ -14,9 +14,9 @@ Every log-likelihood ratio is one quadratic form,
 
 with c_k = -(log|C_k| - n log sigma2)/2, and B_k positive semidefinite since
 C_k >= sigma2 I.  One `_Scorer` per model set writes the B_k of every scored
-model side by side into one stack, each summed from the model's inverse
-generator and held nowhere else, so a block is scored by one matrix
-product.  A white null is scored as its samples sqrt(sigma2) z.
+model side by side into one stack, each from the model's `inverse` and held
+nowhere else, so a block is scored by one matrix product.  A white null is
+scored as its samples sqrt(sigma2) z.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EstimationInfeasibleError, ParameterError
-from .gaussian_model import ToeplitzGaussian, _diagonal_sums, _inverse_generator
-from .gaussian_model import build_model_sets, normal_blocks, white_blocks
+from .errors import EstimationInfeasibleError, ParameterError, require_positive
+from .gaussian_model import ToeplitzGaussian, build_model_sets, normal_blocks, white_blocks
 from .spectral import UncertaintySet
 
 #: Default normalized tilt grid for Chernoff-type bounds: 41 points on [-2, 0].
@@ -201,8 +200,10 @@ def _scorer(
     null_sigma2: float,
 ) -> _Scorer:
     """The _Scorer of the detectors over the models that some detector
-    weights positively, each form written into the stack in O(n^2) from the
-    model's inverse generator, which is not kept."""
+    weights positively, each form written into the stack from the model's
+    `inverse`, which is not kept.  Every Monte Carlo statistic passes here,
+    so this is where a bad noise floor is refused."""
+    require_positive("null_sigma2", null_sigma2)
     if any(len(q) != len(models) for q in detectors):
         raise ParameterError("detector weights must match the number of models")
     active = [q.w > 0.0 for q in detectors]
@@ -215,7 +216,7 @@ def _scorer(
     stack = np.empty((n, scored.size * n))
     for k, index in enumerate(scored):
         form = stack[:, k * n : (k + 1) * n]
-        np.negative(_diagonal_sums(_inverse_generator(models[index])), out=form)
+        np.negative(models[index].inverse(), out=form)
         form[np.diag_indices(n)] += 1.0 / null_sigma2
     offsets = [-0.5 * (models[k].logdet - n * np.log(null_sigma2)) for k in scored]
     picks = tuple(

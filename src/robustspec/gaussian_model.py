@@ -7,13 +7,13 @@ pass at construction, in O(n^2): its prediction errors give log|C| and its
 predictor gives C^{-1} by the Gohberg-Semencul formula.  `exponent.kl_rate`
 runs the same pass without a model.
 
-- The closed forms need only that pass: `ratio_expectation` sums the top
-  ceil(n/2) rows of the difference of two Gohberg-Semencul generators down
-  their diagonals, and folds them into two half-size blocks.
-- Scoring sums C^{-1} the same way from the model's own generator and keeps
-  no copy of it: `detection` writes it straight into the quadratic form
-  I/sigma2 - C^{-1} of a log-likelihood ratio, and `quad_forms` sums it
-  anew for y^T C^{-1} y of a block by one product.
+- The inverse algebra lives here alone.  `ToeplitzGaussian.inverse` sums
+  C^{-1} down the diagonals of the model's Gohberg-Semencul generator and
+  keeps no copy of it: `detection` writes it straight into the quadratic
+  form I/sigma2 - C^{-1} of a log-likelihood ratio, and `quad_forms` reads
+  it for y^T C^{-1} y of a block by one product.
+- `ratio_expectations` sums the top ceil(n/2) rows of the difference of
+  two generators the same way, and folds them into two half-size blocks.
 - Sampling maps white draws through the dense Cholesky `factor` L, built on
   first read so that unsampled models never form it.
 """
@@ -104,11 +104,14 @@ class ToeplitzGaussian:
         cov[np.diag_indices(self.n)] += self.sigma2
         return cov
 
+    def inverse(self) -> np.ndarray:
+        """C^{-1} of the covariance plus the model's jitter, summed from its
+        `_inverse_generator` in O(n^2): a new array on each call, cached nowhere."""
+        return _diagonal_sums(_inverse_generator(self))
+
     def quad_forms(self, samples: np.ndarray) -> np.ndarray:
-        """y^T C^{-1} y for each row y of `samples`, with C^{-1} summed from
-        the model's `_inverse_generator` on each call."""
-        precision = _diagonal_sums(_inverse_generator(self))
-        return np.einsum("ij,ij->i", samples @ precision, samples)
+        """y^T C^{-1} y for each row y of `samples`."""
+        return np.einsum("ij,ij->i", samples @ self.inverse(), samples)
 
 
 def _durbin_with_jitter(
@@ -188,7 +191,7 @@ def _inverse_generator(model: ToeplitzGaussian, half: bool = False) -> np.ndarra
     Gohberg-Semencul formula C^{-1} = (L(a) L(a)^T - L(b) L(b)^T) / eps for
     the lower-triangular Toeplitz L(.), so C^{-1}[i, j] is the sum of G down
     the diagonal from its edge to (i, j).  With half=True only the top
-    ceil(n/2) rows of G are built: all that `_ratio_expectation` reads.
+    ceil(n/2) rows of G are built: all that `ratio_expectations` reads.
     """
     a = model.predictor
     b = np.concatenate(([0.0], a[:0:-1]))
@@ -211,57 +214,63 @@ def _diagonal_sums(generator: np.ndarray) -> np.ndarray:
 def ratio_expectation(
     p0_sigma2: float, p1: ToeplitzGaussian, p2: ToeplitzGaussian
 ) -> float:
-    """Closed-form E_{N(0, s2 I)}[p2(Y)/p1(Y)] for Gaussian densities p1, p2.
+    """E_{N(0, s2 I)}[p2(Y)/p1(Y)]: the one entry of `ratio_expectations`."""
+    return float(ratio_expectations(p0_sigma2, p1, [p2])[0])
 
-    Equals [|C1| / (|C2| * |M|)]^{1/2} with M = I + s2 (C2^{-1} - C1^{-1}),
-    where C_i is the covariance of p_i.  The top ceil(n/2) rows of M come
-    from the Gohberg-Semencul generators of C1^{-1} and C2^{-1} in O(n^2),
-    read from the Durbin pass each model holds, with no recursion and no
-    dense solve; M is symmetric and centrosymmetric, so the even/odd fold
-    of those rows splits it into two half-size blocks, and their Cholesky
-    factors give log|M|.  Returns +inf when M is not positive definite (the
-    defining integral diverges).
+
+def ratio_expectations(
+    p0_sigma2: float, p1: ToeplitzGaussian, others: Sequence[ToeplitzGaussian]
+) -> np.ndarray:
+    """E_{N(0, s2 I)}[p2(Y)/p1(Y)] for each p2 in `others`, in closed form.
+
+    Each is [|C1| / (|C2| |M|)]^{1/2} with M = I + s2 (C2^{-1} - C1^{-1}) for
+    the covariances C_i of p_i.  The top ceil(n/2) rows of M come from the
+    Gohberg-Semencul generators of the two inverses in O(n^2), with no
+    recursion and no dense solve, p1's built once for all members, and
+    `_folded_logdet` reads log|M| off them.  An entry is +inf when M is not
+    positive definite (the defining integral diverges).
     """
     require_positive("p0_sigma2", p0_sigma2)
-    return _ratio_expectation(p0_sigma2, p1, _inverse_generator(p1, half=True), p2)
+    if any(p2.n != p1.n for p2 in others):
+        raise ParameterError(f"dimension mismatch: every model must have n={p1.n}")
+    generator1 = _inverse_generator(p1, half=True)
+    ratios = np.empty(len(others))
+    for k, p2 in enumerate(others):
+        # the generator of a difference of inverses is the difference of generators
+        top = _inverse_generator(p2, half=True)
+        top -= generator1
+        top *= p0_sigma2
+        _diagonal_sums(top)
+        top[np.diag_indices(top.shape[0])] += 1.0  # the top rows of M
+        ratios[k] = np.exp(0.5 * (p1.logdet - p2.logdet - _folded_logdet(top)))
+        del top  # freed before the next member's generator: a lower memory peak
+    return ratios
 
 
-def _ratio_expectation(
-    p0_sigma2: float,
-    p1: ToeplitzGaussian,
-    generator1: np.ndarray,
-    p2: ToeplitzGaussian,
-) -> float:
-    """ratio_expectation with the top rows of p1's `_inverse_generator`
-    already built, so one p1 can be compared with many p2 from one generator."""
-    if p1.n != p2.n:
-        raise ParameterError(f"dimension mismatch: {p1.n} vs {p2.n}")
-    # the generator of a difference of inverses is the difference of generators
-    top = _inverse_generator(p2, half=True)
-    top -= generator1
-    top *= p0_sigma2
-    _diagonal_sums(top)
-    top[np.diag_indices(top.shape[0])] += 1.0  # the top rows of the middle matrix
-    logdet_middle = 0.0
+def _folded_logdet(top: np.ndarray) -> float:
+    """log|M| from the top rows of M by the Cholesky factors of its `_fold`
+    blocks; -inf when either is not positive definite (the ratio diverges)."""
+    logdet = 0.0
     for block in _fold(top):
         try:
             factor = np.linalg.cholesky(block)
         except np.linalg.LinAlgError:
-            return float("inf")
-        logdet_middle += float(2.0 * np.sum(np.log(np.diag(factor))))
-    return float(np.exp(0.5 * (p1.logdet - p2.logdet - logdet_middle)))
+            return -np.inf
+        logdet += float(2.0 * np.sum(np.log(np.diag(factor))))
+    return logdet
 
 
 def _fold(top: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The even and odd blocks of a symmetric centrosymmetric M (J M J = M for
     the exchange J) from its top ceil(n/2) rows.
 
-    With k = n // 2, A = M[:k, :k] and B = M[:k, n-k:], the orthogonal change to (y_top + J y_bot)/sqrt(2) and
-    (y_top - J y_bot)/sqrt(2) makes M block diagonal, with blocks A + B J
-    and A - B J; for odd n the middle coordinate joins the even block, its
-    row and column scaled by sqrt(2).  |M| is the product of their
-    determinants.  Any matrix made of symmetric Toeplitz inverses and I, such
-    as the middle matrix of `_ratio_expectation`, is such an M.
+    With k = n // 2, A = M[:k, :k] and B = M[:k, n-k:], the orthogonal
+    change to (y_top + J y_bot)/sqrt(2) and (y_top - J y_bot)/sqrt(2) makes
+    M block diagonal, with blocks A + B J and A - B J; for odd n the middle
+    coordinate joins the even block, its row and column scaled by sqrt(2).
+    |M| is the product of their determinants.  Any matrix made of symmetric
+    Toeplitz inverses and I, such as the middle matrix of
+    `ratio_expectations`, is such an M.
     """
     n = top.shape[1]
     k = n // 2
@@ -291,6 +300,8 @@ def normal_blocks(n: int, trials: int, seed: int) -> Iterator[np.ndarray]:
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     for b, start in enumerate(range(0, trials, SAMPLE_BLOCK)):
         yield standard_normal_block(seed, b, min(SAMPLE_BLOCK, trials - start), n)
 

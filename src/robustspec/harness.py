@@ -47,8 +47,7 @@ _PSD_BLOCK_KEYS = {"label", "family", "params"}
 #: scored model's quadratic form while the Monte Carlo engine scores that n
 #: (the only copy of its inverse: no model caches one).  The KKT temporaries
 #: are ceil(n/2)-row: at n = 1024 a three-member `kkt_certificate` peaks at
-#: 16.0 MiB under tracemalloc, against 24.1 MiB when it formed n x n
-#: generators and middle matrices.
+#: 16.0 MiB under tracemalloc.
 MAX_GRID_SIZE = 2**22
 MAX_N = 8192
 

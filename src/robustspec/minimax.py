@@ -26,12 +26,7 @@ from .detection import (
     sample_mixture_blocks,
 )
 from .errors import ParameterError, require_positive
-from .gaussian_model import (
-    RATIO_TOLERANCE,
-    ToeplitzGaussian,
-    _inverse_generator,
-    _ratio_expectation,
-)
+from .gaussian_model import RATIO_TOLERANCE, ToeplitzGaussian, ratio_expectations
 
 #: Halvings of a Newton step before `minimize_mixture_kl` gives up on it.
 _BACKTRACKS = 40
@@ -219,37 +214,26 @@ def kkt_certificate(
     """Closed-form KKT verification that the candidate singleton is optimal.
 
     At the singleton the equality multiplier is 1/n and the inequality
-    multiplier for member k is (1 - E_null[p_k/p_cand])/n, computed from the
-    exact Gaussian ratio expectation with no sampling; the top rows of the
-    candidate's inverse generator are built once for all K-1 members.
+    multiplier for member k is (1 - r_k)/n, with r_k = E_null[p_k/p_cand]
+    from one `ratio_expectations` call and r = 1 at the candidate: no
+    sampling.  A member whose r_k is infinite diverged; its mu is -inf and
+    it makes max_violation infinite.
     """
     if not 0 <= candidate_index < len(models):
         raise ParameterError(f"candidate_index {candidate_index} out of range")
     require_positive("null_sigma2", null_sigma2)
+    others = [model for k, model in enumerate(models) if k != candidate_index]
+    ratios = ratio_expectations(null_sigma2, models[candidate_index], others)
+    ratios = np.insert(ratios, candidate_index, 1.0)
     n = models[0].n
-    candidate = models[candidate_index]
-    generator = _inverse_generator(candidate, half=True)
-    mu = np.zeros(len(models))
-    diverged = []
-    max_violation = 0.0
-    for k, model in enumerate(models):
-        if k == candidate_index:
-            continue
-        ratio = _ratio_expectation(null_sigma2, candidate, generator, model)
-        if np.isinf(ratio):
-            diverged.append(k)
-            mu[k] = -np.inf
-            continue
-        mu[k] = (1.0 - ratio) / n
-        max_violation = max(max_violation, ratio - 1.0)
-    verified = not diverged and max_violation <= RATIO_TOLERANCE
+    max_violation = max(0.0, float(np.max(ratios)) - 1.0)
     return KktCertificate(
         lam=1.0 / n,
-        mu=mu,
-        max_violation=max(0.0, max_violation) if not diverged else float("inf"),
-        singleton_verified=verified,
+        mu=(1.0 - ratios) / n,
+        max_violation=max_violation,
+        singleton_verified=max_violation <= RATIO_TOLERANCE,
         candidate_index=candidate_index,
-        diverged_indices=tuple(diverged),
+        diverged_indices=tuple(int(k) for k in np.flatnonzero(np.isinf(ratios))),
     )
 
 

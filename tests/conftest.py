@@ -23,19 +23,18 @@ def patch_everywhere(monkeypatch, original, replacement):
 
 
 def count_form_builds(monkeypatch):
-    """List that gains one entry, the model's n, each time `detection._scorer`
-    sums a model's inverse into its log-ratio stack."""
-    import robustspec.detection as detection
+    """List that gains one entry, the model's n, each time a model's inverse
+    is summed by `ToeplitzGaussian.inverse`."""
+    from robustspec.gaussian_model import ToeplitzGaussian
 
-    original = detection._diagonal_sums
+    original = ToeplitzGaussian.inverse
     builds = []
 
-    def counting(generator):
-        if sys._getframe(1).f_code.co_name == "_scorer":
-            builds.append(generator.shape[0])
-        return original(generator)
+    def counting(model):
+        builds.append(model.n)
+        return original(model)
 
-    monkeypatch.setattr(detection, "_diagonal_sums", counting)
+    monkeypatch.setattr(ToeplitzGaussian, "inverse", counting)
     return builds
 
 

@@ -206,6 +206,10 @@ class TestCalibration:
         with pytest.raises(ParameterError):
             calibrate_threshold(E1, self.models, 1.0, 0.01, 500, 1)
 
+    def test_negative_seed_names_seed(self):
+        with pytest.raises(ParameterError, match="seed"):
+            calibrate_threshold(E1, self.models, 1.0, 0.1, 2000, -1)
+
     @pytest.mark.parametrize("alpha,trials,expected", [(0.1, 1000, 900), (0.5, 999, 499)])
     def test_order_index(self, alpha, trials, expected):
         assert threshold_order_index(alpha, trials) == expected

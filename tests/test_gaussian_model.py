@@ -1,19 +1,22 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, toeplitz
 
 import prop_suites
+import robustspec
 from conftest import MASTER_SEED, MODULE_CASES, SCORED_PSDS
 from robustspec.errors import NotPositiveDefiniteError, ParameterError
 from robustspec.gaussian_model import (
     ToeplitzGaussian,
-    _diagonal_sums,
-    _inverse_generator,
     build_model,
     finite_n_dominates,
     gaussian_kl,
     levinson_durbin,
     ratio_expectation,
+    ratio_expectations,
     sample_gaussian,
     standard_normal_block,
     white_blocks,
@@ -221,6 +224,31 @@ class TestRatioExpectation:
             assert dense_ratio_expectation(2.0, light, heavy) == float("inf")
             assert ratio_expectation(2.0, light, heavy) == float("inf")
 
+    @pytest.mark.parametrize("n", [1, 16, 17])
+    def test_batch_equals_single_calls(self, n):
+        # AR(1), raised-cosine and flat members against each candidate, and a
+        # heavy flat member that diverges against the light AR(1)
+        psds = reference_psds(256)[:2] + (
+            make_psd("flat", grid_size=256, level=1.5),
+            make_psd("flat", grid_size=256, level=6.0),
+        )
+        models = [build_model(psd, 0.5, n) for psd in psds]
+        for p1 in models:
+            got = ratio_expectations(2.0, p1, models)
+            assert got.tolist() == [ratio_expectation(2.0, p1, p2) for p2 in models]
+        assert ratio_expectations(2.0, models[0], models)[3] == float("inf")
+
+    def test_members_must_share_n(self):
+        psd = reference_psds(256)[0]
+        p1, p2 = build_model(psd, 1.0, 8), build_model(psd, 1.0, 9)
+        with pytest.raises(ParameterError, match="dimension mismatch"):
+            ratio_expectations(1.0, p1, [p1, p2])
+
+    def test_no_members_gives_empty_vector(self):
+        model = build_model(reference_psds(256)[0], 1.0, 8)
+        got = ratio_expectations(1.0, model, [])
+        assert got.shape == (0,) and got.dtype == float
+
     def test_forms_no_dense_solve(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("dense solve called")
@@ -268,6 +296,11 @@ class TestSampling:
         with pytest.raises(ParameterError):
             sample_gaussian(white_model(1.0, 2), 0, 1)
 
+    def test_seed_validated(self):
+        with pytest.raises(ParameterError, match="seed"):
+            sample_gaussian(white_model(1.0, 2), 10, -1)
+        assert sample_gaussian(white_model(1.0, 2), 10, 2**70 + 3).shape == (10, 2)
+
     def test_short_block_is_prefix_of_full_block(self):
         full = standard_normal_block(7, 3, 4096, 5)
         assert np.array_equal(standard_normal_block(7, 3, 3616, 5), full[:3616])
@@ -296,7 +329,7 @@ class TestQuadForms:
     @pytest.mark.parametrize("sigma2", [0.37, 1.0, 2.5])
     def test_matches_dense_solve(self, family, n, sigma2):
         model = build_model(SCORED_PSDS[family], sigma2, n)
-        identity = _diagonal_sums(_inverse_generator(model)) @ model.covariance()
+        identity = model.inverse() @ model.covariance()
         assert np.allclose(identity, np.eye(n), rtol=0.0, atol=1e-12)
         samples = sample_gaussian(model, 50, 3)
         solved = np.linalg.solve(model.covariance(), samples.T)
@@ -316,3 +349,19 @@ class TestInvariantSuites:
 
     def test_logdet_consistency_property(self):
         prop_suites.check_logdet_consistency(MASTER_SEED, MODULE_CASES)
+
+
+def test_inverse_algebra_is_named_only_in_gaussian_model():
+    # the Gohberg-Semencul generator, its diagonal sums and the fold stay
+    # behind `ToeplitzGaussian.inverse` and `ratio_expectations`
+    private = {"_inverse_generator", "_diagonal_sums", "_fold"}
+    named = []
+    for path in sorted(Path(robustspec.__file__).parent.glob("*.py")):
+        if path.name == "gaussian_model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                         node.name if isinstance(node, ast.alias) else None):
+                if name in private:
+                    named.append((path.name, name))
+    assert named == []

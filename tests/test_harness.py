@@ -571,6 +571,12 @@ class TestCli:
         assert cli_main([mode, "--config", cfg]) == 2
         assert field in capsys.readouterr().err
 
+    def test_config_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert cli_main(["full", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_grid_override_is_bounded(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, MINIMAL)
         assert cli_main(["exponent", "--config", cfg, "--grid", str(10**12)]) == 2
