@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands mirror the experiment modes: exponent, dominance, simulate,
+The first argument is the experiment mode: exponent, dominance, simulate,
 minimax, full.  Exit codes: 0 success, 2 config error, 3 numerical failure,
 4 IO failure.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .errors import ConfigError, RobustSpecError
 from .harness import MODES, parse_config, run_experiment, write_report
@@ -20,16 +21,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="robustspec",
         description="Minimax-robust Gaussian detection experiments",
     )
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
-        p = sub.add_parser(mode, help=f"run a {mode!r} experiment")
-        p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--out", default=None, help="report output path")
-        p.add_argument(
-            "--format", choices=("json", "csv"), default="json", help="report format"
-        )
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--grid", type=int, default=None, help="override grid size")
+    parser.add_argument("mode", choices=MODES, help="experiment mode")
+    parser.add_argument("--config", required=True, help="path to the JSON config")
+    parser.add_argument("--out", default=None, help="report output path")
+    parser.add_argument(
+        "--format", choices=("json", "csv"), default="json", help="report format"
+    )
+    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument("--grid", type=int, default=None, help="override grid size")
     return parser
 
 
@@ -45,12 +44,10 @@ def main(argv=None) -> int:
         print(f"config error: config is not UTF-8: {exc}", file=sys.stderr)
         return 2
     try:
-        config = parse_config(text)
-        config.mode = args.mode
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.grid is not None:  # checked again by run_experiment
-            config.grid_size = args.grid
+        overrides = {"mode": args.mode, "seed": args.seed, "grid_size": args.grid}
+        config = replace(
+            parse_config(text), **{k: v for k, v in overrides.items() if v is not None}
+        )
         record = run_experiment(config)
     except ConfigError as exc:  # a RobustSpecError too: keep it first
         print(f"config error: {exc}", file=sys.stderr)

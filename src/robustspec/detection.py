@@ -28,7 +28,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EstimationInfeasibleError, ParameterError, require_positive
-from .gaussian_model import ToeplitzGaussian, build_model_sets, normal_blocks, white_blocks
+from .gaussian_model import ToeplitzGaussian, build_model_sets, normal_blocks
+from .gaussian_model import sample_blocks, white_blocks
 from .spectral import UncertaintySet
 
 #: Default normalized tilt grid for Chernoff-type bounds: 41 points on [-2, 0].
@@ -330,16 +331,16 @@ def _error_counts(
     """
     if trials < MIN_MC_TRIALS:
         raise ParameterError(f"trials must be >= {MIN_MC_TRIALS}, got {trials}")
-    if any(not 0 <= t < len(models) for t in truths):
-        raise ParameterError(f"truth indices {list(truths)} out of range")
+    if not truths or any(not 0 <= t < len(models) for t in truths):
+        raise ParameterError(f"truth indices {list(truths)} empty or out of range")
     tau = np.asarray(thresholds, dtype=float)[:, np.newaxis]
     n = models[0].n
     g0 = _null_statistics(score, null_sigma2, n, trials, derive_seed(seed, "h0"))
     fa = np.sum(g0 > tau, axis=1)
     miss = np.zeros((tau.shape[0], len(truths)), dtype=int)
-    for z in normal_blocks(n, trials, derive_seed(seed, "h1")):
-        for j, truth in enumerate(truths):
-            miss[:, j] += np.sum(score(z @ models[truth].factor.T) <= tau, axis=1)
+    signals = sample_blocks([models[t] for t in truths], trials, derive_seed(seed, "h1"))
+    for i, y in enumerate(signals):
+        miss[:, i % len(truths)] += np.sum(score(y) <= tau, axis=1)
     return fa, miss
 
 

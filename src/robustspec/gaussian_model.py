@@ -153,7 +153,7 @@ def gaussian_kl(p: ToeplitzGaussian, q: ToeplitzGaussian) -> float:
     """KL divergence D(p || q) between two zero-mean Gaussians, in nats."""
     if p.n != q.n:
         raise ParameterError(f"dimension mismatch: {p.n} vs {q.n}")
-    trace = float(np.trace(np.linalg.solve(q.covariance(), p.covariance())))
+    trace = float(np.sum(q.inverse() * p.covariance()))
     return 0.5 * (trace - p.n + q.logdet - p.logdet)
 
 
@@ -300,8 +300,6 @@ def normal_blocks(n: int, trials: int, seed: int) -> Iterator[np.ndarray]:
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
     for b, start in enumerate(range(0, trials, SAMPLE_BLOCK)):
         yield standard_normal_block(seed, b, min(SAMPLE_BLOCK, trials - start), n)
 
@@ -331,13 +329,24 @@ def standard_normal_block(
     """
     if not 1 <= size <= block:
         raise ParameterError(f"block size must be in [1, {block}], got {size}")
+    for name, value in (("seed", seed), ("block_index", block_index)):
+        if value < 0:
+            raise ParameterError(f"{name} must be >= 0, got {value}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
     return np.random.default_rng(ss).standard_normal((size, n))
 
 
+def sample_blocks(
+    models: Sequence[ToeplitzGaussian], trials: int, seed: int
+) -> Iterator[np.ndarray]:
+    """For each block of `normal_blocks`, that block mapped through each
+    model's Cholesky factor in turn: every model is sampled from the same
+    white draws, and each item is a (rows, n) array."""
+    for z in normal_blocks(models[0].n, trials, seed):
+        for model in models:
+            yield z @ model.factor.T
+
+
 def sample_gaussian(model: ToeplitzGaussian, trials: int, seed: int) -> np.ndarray:
-    """Matrix of `trials` i.i.d. rows from the model, each block of
-    `normal_blocks` mapped through the Cholesky factor; bit-reproducible."""
-    return np.concatenate(
-        [z @ model.factor.T for z in normal_blocks(model.n, trials, seed)], axis=0
-    )
+    """Matrix of `trials` i.i.d. rows from the model; bit-reproducible."""
+    return np.concatenate(list(sample_blocks([model], trials, seed)))

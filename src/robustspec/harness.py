@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import List, Optional, Sequence
 
 from . import __version__
@@ -23,8 +23,6 @@ from .exponent import error_exponent, genie_bound
 from .gaussian_model import ToeplitzGaussian, build_model_sets, white_blocks
 from .minimax import kkt_certificate, minimize_mixture_kl
 from .spectral import DEFAULT_GRID_SIZE, MIN_GRID_SIZE, UncertaintySet, make_psd
-
-MODES = ("exponent", "dominance", "simulate", "minimax", "full")
 
 #: Frozen CSV column order; downstream plotting depends on this.
 CSV_COLUMNS = (
@@ -55,21 +53,101 @@ MAX_N = 8192
 ModelSets = List[List[ToeplitzGaussian]]
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """The resolved config: its fields are the accepted top-level keys, and
-    asdict(config), in field order, is the config a report records."""
+    asdict(config), in field order, is the config a report records.
+
+    Construction checks and normalises every field, raising ConfigError
+    naming it, so a config built from JSON, changed by `dataclasses.replace`
+    or built by a library caller is valid once it exists.
+    """
 
     mode: str
-    grid_size: int
-    sigma2: float
-    alpha: float
-    seed: int
-    trials: int
-    n_values: List[int]
-    candidate_label: Optional[str]
+    grid_size: int = DEFAULT_GRID_SIZE
+    sigma2: float = 1.0
+    alpha: float = 0.1
+    seed: int = 0
+    trials: int = 10000
+    n_values: List[int] = field(default_factory=lambda: [64, 256])
+    candidate_label: Optional[str] = None
     psds: List[dict]
-    output_path: Optional[str]
+    output_path: Optional[str] = None
+
+    def __post_init__(self):
+        def normalise(name, value):
+            object.__setattr__(self, name, value)
+
+        if not isinstance(self.mode, str) or self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
+
+        normalise("grid_size", _as_int(self.grid_size, "grid_size"))
+        if not MIN_GRID_SIZE <= self.grid_size <= MAX_GRID_SIZE:
+            raise ConfigError(
+                f"grid_size must be in [{MIN_GRID_SIZE}, {MAX_GRID_SIZE}], got {self.grid_size}"
+            )
+
+        normalise("sigma2", _as_float(self.sigma2, "sigma2"))
+        if self.sigma2 <= 0:
+            raise ConfigError(f"sigma2 must be > 0, got {self.sigma2}")
+
+        normalise("alpha", _as_float(self.alpha, "alpha"))
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"alpha must be in (0,1), got {self.alpha}")
+
+        normalise("seed", _as_int(self.seed, "seed"))
+        normalise("trials", _as_int(self.trials, "trials"))
+        floor = MIN_MC_TRIALS if self.mode in ("simulate", "minimax", "full") else 1
+        at = ""
+        if self.mode in ("simulate", "full"):  # both calibrate a threshold at alpha
+            floor, at = max(floor, min_calibration_trials(self.alpha)), f" at alpha={self.alpha}"
+        if self.trials < floor:
+            raise ConfigError(
+                f"trials must be >= {floor} for mode {self.mode!r}{at}, got {self.trials}"
+            )
+
+        if not isinstance(self.n_values, list):
+            raise ConfigError(f"n_values must be a list of integers, got {self.n_values!r}")
+        n_values = [_as_int(v, "n_values entry") for v in self.n_values]
+        increasing = all(b > a for a, b in zip(n_values, n_values[1:]))
+        if not (n_values and n_values[0] >= 1 and increasing):
+            raise ConfigError("n_values must be nonempty, strictly increasing and >= 1")
+        if n_values[-1] > MAX_N:
+            raise ConfigError(f"n_values entries must be <= {MAX_N}, got {n_values[-1]}")
+        normalise("n_values", n_values)
+
+        if not isinstance(self.psds, list) or not self.psds:
+            raise ConfigError("psds must be a nonempty list of PSD blocks")
+        psds = []
+        labels = set()
+        for i, block in enumerate(self.psds):
+            if not isinstance(block, dict):
+                raise ConfigError(f"psds[{i}] must be an object")
+            extra = set(block) - _PSD_BLOCK_KEYS
+            if extra:
+                raise ConfigError(f"psds[{i}] has unknown keys: {sorted(extra)}")
+            label = block.get("label")
+            family = block.get("family")
+            if not isinstance(label, str) or not label:
+                raise ConfigError(f"psds[{i}].label must be a nonempty string")
+            if label in labels:
+                raise ConfigError(f"duplicate PSD label {label!r}")
+            labels.add(label)
+            if not isinstance(family, str):
+                raise ConfigError(f"psds[{i}].family must be a string")
+            params = block.get("params", {})
+            if not isinstance(params, dict):
+                raise ConfigError(f"psds[{i}].params must be an object")
+            psds.append({"label": label, "family": family, "params": params})
+        normalise("psds", psds)
+
+        label = self.candidate_label
+        if label is not None and not (isinstance(label, str) and label in labels):
+            raise ConfigError(f"candidate_label {label!r} matches no PSD")
+
+        path = self.output_path
+        if path is not None and not (isinstance(path, str) and path):
+            raise ConfigError(f"output_path must be a nonempty string, got {path!r}")
 
     def build_psds(self) -> UncertaintySet:
         members = []
@@ -79,7 +157,7 @@ class ExperimentConfig:
                     block["family"],
                     grid_size=self.grid_size,
                     label=block["label"],
-                    **block.get("params", {}),
+                    **block["params"],
                 )
             except (ParameterError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"psds[{i}] ({block['label']!r}): {exc}") from exc
@@ -109,7 +187,8 @@ class ReportRecord:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON experiment document, resolving defaults."""
+    """Parse a JSON experiment document; ExperimentConfig checks its fields
+    and resolves the defaults."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -119,101 +198,10 @@ def parse_config(text: str) -> ExperimentConfig:
     unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    mode = doc.get("mode")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-
-    grid_size = _as_int(doc.get("grid_size", DEFAULT_GRID_SIZE), "grid_size")
-    _check_grid(grid_size)
-
-    sigma2 = _as_float(doc.get("sigma2", 1.0), "sigma2")
-    if sigma2 <= 0:
-        raise ConfigError(f"sigma2 must be > 0, got {sigma2}")
-
-    alpha = _as_float(doc.get("alpha", 0.1), "alpha")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0,1), got {alpha}")
-
-    seed = _as_int(doc.get("seed", 0), "seed")
-    trials = _as_int(doc.get("trials", 10000), "trials")
-    _check_trials(mode, trials, alpha)
-
-    n_values = doc.get("n_values", [64, 256])
-    if not isinstance(n_values, list):
-        raise ConfigError(f"n_values must be a list of integers, got {n_values!r}")
-    n_values = [_as_int(v, "n_values entry") for v in n_values]
-    increasing = all(b > a for a, b in zip(n_values, n_values[1:]))
-    if not (n_values and n_values[0] >= 1 and increasing):
-        raise ConfigError("n_values must be nonempty, strictly increasing and >= 1")
-    if n_values[-1] > MAX_N:
-        raise ConfigError(f"n_values entries must be <= {MAX_N}, got {n_values[-1]}")
-
-    raw_psds = doc.get("psds")
-    if not isinstance(raw_psds, list) or not raw_psds:
-        raise ConfigError("psds must be a nonempty list of PSD blocks")
-    psds = []
-    labels = set()
-    for i, block in enumerate(raw_psds):
-        if not isinstance(block, dict):
-            raise ConfigError(f"psds[{i}] must be an object")
-        extra = set(block) - _PSD_BLOCK_KEYS
-        if extra:
-            raise ConfigError(f"psds[{i}] has unknown keys: {sorted(extra)}")
-        label = block.get("label")
-        family = block.get("family")
-        if not isinstance(label, str) or not label:
-            raise ConfigError(f"psds[{i}].label must be a nonempty string")
-        if label in labels:
-            raise ConfigError(f"duplicate PSD label {label!r}")
-        labels.add(label)
-        if not isinstance(family, str):
-            raise ConfigError(f"psds[{i}].family must be a string")
-        params = block.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"psds[{i}].params must be an object")
-        psds.append({"label": label, "family": family, "params": params})
-
-    candidate_label = doc.get("candidate_label")
-    if candidate_label is not None and (
-        not isinstance(candidate_label, str) or candidate_label not in labels
-    ):
-        raise ConfigError(f"candidate_label {candidate_label!r} matches no PSD")
-
-    output_path = doc.get("output_path")
-    if output_path is not None and not (isinstance(output_path, str) and output_path):
-        raise ConfigError(f"output_path must be a nonempty string, got {output_path!r}")
-
-    return ExperimentConfig(
-        mode=mode,
-        grid_size=grid_size,
-        sigma2=sigma2,
-        alpha=alpha,
-        seed=seed,
-        trials=trials,
-        n_values=n_values,
-        candidate_label=candidate_label,
-        psds=psds,
-        output_path=output_path,
-    )
-
-
-def _check_grid(grid_size: int) -> None:
-    if not MIN_GRID_SIZE <= grid_size <= MAX_GRID_SIZE:
-        raise ConfigError(
-            f"grid_size must be in [{MIN_GRID_SIZE}, {MAX_GRID_SIZE}], got {grid_size}"
-        )
-
-
-def _check_trials(mode: str, trials: int, alpha: float) -> None:
-    floor = MIN_MC_TRIALS if mode in ("simulate", "minimax", "full") else 1
-    at = ""
-    if mode in ("simulate", "full"):  # both calibrate a threshold at alpha
-        floor, at = max(floor, min_calibration_trials(alpha)), f" at alpha={alpha}"
-    if trials < floor:
-        raise ConfigError(
-            f"trials must be >= {floor} for mode {mode!r}{at}, got {trials}"
-        )
+    missing = [key for key in ("mode", "psds") if key not in doc]
+    if missing:
+        raise ConfigError(f"config is missing required keys: {missing}")
+    return ExperimentConfig(**doc)
 
 
 def _as_int(value, key: str) -> int:
@@ -237,22 +225,9 @@ def _as_float(value, key: str) -> float:
 def run_experiment(config: ExperimentConfig) -> ReportRecord:
     """Execute the configured mode and wrap the result in a report record."""
     start = time.perf_counter()
-    # the CLI may have changed the mode and the grid size
-    _check_trials(config.mode, config.trials, config.alpha)
-    _check_grid(config.grid_size)
     uset = config.build_psds()
     try:
-        if config.mode == "exponent":
-            payload = _run_exponent(config, uset)
-        elif config.mode == "dominance":
-            payload = _run_dominance(config, uset)
-        elif config.mode == "simulate":
-            payload = _run_simulate(config, uset)
-        elif config.mode == "minimax":
-            model_sets = build_model_sets(uset.members, config.sigma2, config.n_values)
-            payload = _run_minimax(config, uset.candidate_index or 0, model_sets)
-        else:
-            payload = _run_full(config, uset)
+        payload = MODES[config.mode](config, uset)
     except RobustSpecError as exc:
         raise type(exc)(f"[stage {config.mode}] {exc}") from exc
     wall = (time.perf_counter() - start) * 1000.0
@@ -332,7 +307,12 @@ def _run_simulate(config: ExperimentConfig, uset: UncertaintySet) -> dict:
     return {"detector_label": uset.members[cand].label, "estimates": estimates}
 
 
-def _run_minimax(config: ExperimentConfig, cand: int, model_sets: ModelSets) -> dict:
+def _run_minimax(config: ExperimentConfig, uset: UncertaintySet) -> dict:
+    model_sets = build_model_sets(uset.members, config.sigma2, config.n_values)
+    return _minimax(config, uset.candidate_index or 0, model_sets)
+
+
+def _minimax(config: ExperimentConfig, cand: int, model_sets: ModelSets) -> dict:
     certificates = [
         {"n": n, "certificate": kkt_certificate(cand, models, config.sigma2).to_json()}
         for n, models in zip(config.n_values, model_sets)
@@ -370,7 +350,7 @@ def _run_full(config: ExperimentConfig, uset: UncertaintySet) -> dict:
         }
     cand = dominance["candidate_index"]
     model_sets = build_model_sets(uset.members, config.sigma2, config.n_values)
-    minimax = _run_minimax(config, cand, model_sets)
+    minimax = _minimax(config, cand, model_sets)
 
     k = len(uset)
     ladders = _ladders(config, model_sets, range(k), "full")
@@ -402,6 +382,16 @@ def _run_full(config: ExperimentConfig, uset: UncertaintySet) -> dict:
         "simulation": detectors,
         "ordering_consistent": bool(ordering),
     }
+
+
+#: Each mode's runner: (config, uncertainty set) -> payload.
+MODES = {
+    "exponent": _run_exponent,
+    "dominance": _run_dominance,
+    "simulate": _run_simulate,
+    "minimax": _run_minimax,
+    "full": _run_full,
+}
 
 
 def payload_rows(mode: str, payload: dict) -> List[dict]:

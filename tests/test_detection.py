@@ -27,6 +27,7 @@ from robustspec.detection import (
     sample_mixture_blocks,
     threshold_order_index,
 )
+from robustspec.dominance import find_dominated
 from robustspec.errors import EstimationInfeasibleError, ParameterError
 from robustspec.exponent import error_exponent, kl_rate
 from robustspec.gaussian_model import (
@@ -251,6 +252,13 @@ class TestErrorProbs:
                     threshold=0.0,
                 )
 
+    def test_truths_must_index_the_models(self):
+        spec = self.make_spec(0.0)
+        with pytest.raises(ParameterError, match="truth"):
+            estimate_error_probs(spec, 1, 1000, 0)
+        with pytest.raises(ParameterError, match="truth"):
+            operating_characteristics([spec.models], [E1], [], 1000, 0.1, 0)
+
     def test_nan_threshold_rejected(self):
         with pytest.raises(ParameterError):
             self.make_spec(np.nan)
@@ -299,6 +307,27 @@ class TestEmpiricalExponent:
         uset = UncertaintySet(members=(flat1,))
         with pytest.raises(ParameterError):
             empirical_exponent(uset, 1.0, E1, 0, [32, 32], 2000, 0.1, 3)
+
+
+class TestWorstCaseOrdering:
+    def test_robust_detector_wins_the_worst_case(self):
+        # Three AR(1) members with three different decision rules, so the
+        # worst-case comparison is between distinct tests (on flat members
+        # every singleton thresholds y^T y and the comparison is with itself).
+        psds = tuple(
+            make_psd("rational_ar1", grid_size=4096, variance=v, pole=a, label=f"ar{i}")
+            for i, (v, a) in enumerate([(1.0, 0.3), (1.5, 0.6), (2.0, -0.2)])
+        )
+        assert find_dominated(UncertaintySet(members=psds), 1.0)[0] == 0
+        ladders = operating_characteristics(
+            build_model_sets(psds, 1.0, [64]),
+            [MixtureWeights.singleton(det, 3) for det in range(3)],
+            range(3), 200000, 0.02, derive_seed(MASTER_SEED, "ordering"),
+        )
+        assert all(est.slope is not None for row in ladders for est in row)
+        worst = [min(row, key=lambda est: est.slope) for row in ladders]
+        for other in worst[1:]:
+            assert worst[0].slope - other.slope > other.ci_half_width, (worst[0], other)
 
 
 class TestMixtureSampling:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ from robustspec.cli import main as cli_main
 from robustspec.errors import ConfigError
 from robustspec.harness import (
     CSV_COLUMNS,
+    ExperimentConfig,
     parse_config,
     payload_rows,
     read_report,
@@ -186,6 +188,40 @@ class TestParseConfig:
     def test_candidate_label_must_exist(self):
         with pytest.raises(ConfigError, match="candidate_label"):
             parse_config(config_text(dict(MINIMAL, candidate_label="two")))
+
+
+class TestExperimentConfig:
+    # a config checks itself however it is built: these reach the runners
+    # when only the JSON path checks them
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("mode", "bogus"),
+            ("grid_size", 4),
+            ("sigma2", float("nan")),
+            ("alpha", 7.0),
+            ("seed", "x"),
+            ("trials", 999),
+            ("n_values", [5, 3]),
+            ("candidate_label", "zzz"),
+            ("output_path", ""),
+        ],
+    )
+    def test_bad_field_raises_naming_it(self, key, value):
+        doc = {**MINIMAL, "mode": "simulate", "trials": 2000, key: value}
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(**doc)
+
+    def test_replace_is_checked(self):
+        config = parse_config(config_text(MINIMAL))
+        with pytest.raises(ConfigError, match="trials"):
+            dataclasses.replace(config, mode="simulate", trials=5)
+
+    def test_fields_cannot_be_assigned(self):
+        config = ExperimentConfig(**MINIMAL)
+        assert config == parse_config(config_text(MINIMAL))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.mode = "full"
 
 
 class TestConfigFuzz:
