@@ -8,15 +8,15 @@ evaluated in the log domain.  The test decides the null when g <= tau, with
 tau calibrated as an empirical quantile under the null at false-alarm
 level alpha.
 
-Every log-likelihood ratio is one quadratic form,
+Every log-likelihood ratio is a running sum of innovations (W_k y)_i, with
+W_k the model's lower-triangular `whitener` (W_k C_k W_k^T = I) and eps_{k,i}
+its prediction errors:
 
-    log p_k(y)/p_0(y) = c_k + y^T B_k y / 2,  B_k = I/sigma2 - C_k^{-1},
+    log p_k/p_0 (y_{<n}) = c_k(n) + sum_{i<n} (y_i^2/sigma2 - (W_k y)_i^2) / 2,
 
-with c_k = -(log|C_k| - n log sigma2)/2, and B_k positive semidefinite since
-C_k >= sigma2 I.  One `_Scorer` per model set writes the B_k of every scored
-model side by side into one stack, each from the model's `inverse` and held
-nowhere else, so a block is scored by one matrix product.  A white null is
-scored as its samples sqrt(sigma2) z.
+with c_k(n) = -(sum_{i<n} log eps_{k,i} - n log sigma2)/2.  So one `_Scorer`
+of the largest models scores every n of a ladder from the prefixes of one
+draw.  A white null is scored as its samples sqrt(sigma2) z.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EstimationInfeasibleError, ParameterError, require_positive
-from .gaussian_model import ToeplitzGaussian, build_model_sets, normal_blocks
+from .gaussian_model import SAMPLE_BLOCK, ToeplitzGaussian, build_model_sets, normal_blocks
 from .gaussian_model import sample_blocks, white_blocks
 from .spectral import UncertaintySet
 
@@ -154,56 +154,65 @@ def _mixture_log_ratios(ratios: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Scorer:
-    """The mixture statistics of a set of detectors over m scored models.
+    """The mixture statistics of detectors over m scored models at each n in
+    `ends`, from the prefixes y[:, :n].  Per segment [s, e), `blocks` holds
+    [V_1 | ... | V_m], V_k the e x (e-s) transpose of rows s..e-1 of
+    I/sigma - W_k for the model's `whitener` W_k; `offsets` holds c_k(n) by
+    (end, model), `scale` 1/sigma, and `picks` each detector's (columns, weights)."""
 
-    `stack` is the n x (m n) matrix [B_1 | ... | B_m], B_k = I/sigma2 -
-    C_k^{-1}, `offsets` holds the c_k, and `picks` holds each detector's
-    (columns, weights) of its positively weighted models.
-    """
-
-    stack: np.ndarray
+    ends: Tuple[int, ...]
+    blocks: Tuple[np.ndarray, ...]
     offsets: np.ndarray
+    scale: float
     picks: Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
     def log_ratios(self, y: np.ndarray) -> np.ndarray:
-        """(rows, m) log(p_k(y)/p_0(y)) of the sample rows, one column per model.
-
-        The rows are scored in chunks of the largest power of two rows that
-        is at most rows // m, so that no product is larger than the block
-        itself, and each is freed before the next.  (With OpenBLAS, chunks
-        of rows // m = 1365 rows at n = 16 crossed the size at which a
-        product runs threaded, and scored 3-5x slower than 1024-row ones.)
-        """
-        n, m = self.stack.shape[0], self.offsets.size
-        rows = y.shape[0]
-        if y.shape[1] != n:
-            raise ParameterError(f"models have n={n}, samples have n={y.shape[1]}")
-        quad = np.empty((rows, m))
-        step = 1 << max(0, (rows // m).bit_length() - 1)
+        """(rows, ends x m) log(p_k/p_0) of each row's prefixes, column j m + k
+        for the j-th end and model k: with d = y/sigma - W_k y, one product per
+        segment, c_k(n) + sum_{i<n} d_i (2 y_i/sigma - d_i) / 2, which never
+        subtracts y^T y / sigma2 and y^T C_k^{-1} y.  Rows go in chunks of 512:
+        at n = 256 and m = 4, 1024-row chunks scored 16% slower and kept
+        2.5 MiB more resident (OpenBLAS, 2 cores)."""
+        (rows, n), m = y.shape, self.offsets.size // len(self.ends)
+        if n != self.ends[-1]:
+            raise ParameterError(f"models have n={self.ends[-1]}, samples have n={n}")
+        quad = np.empty((rows, len(self.ends), m))
+        step = 512
         for start in range(0, rows, step):
             chunk = y[start : start + step]
-            quad[start : start + step] = np.einsum(
-                "ikj,ij->ik", (chunk @ self.stack).reshape(len(chunk), m, n), chunk
-            )
-        return self.offsets + 0.5 * quad
+            total = np.zeros((len(chunk), m))
+            for block in self.blocks:
+                e = block.shape[0]
+                s = e - block.shape[1] // m
+                d = (chunk[:, :e] @ block).reshape(len(chunk), m, e - s)
+                total += (2.0 * self.scale) * np.einsum("ikj,ij->ik", d, chunk[:, s:e])
+                total -= np.einsum("ikj,ikj->ik", d, d)
+                if e in self.ends:
+                    quad[start : start + step, self.ends.index(e)] = total
+        return self.offsets + 0.5 * quad.reshape(rows, -1)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        """(detector, row) g values of the sample rows, every detector's
-        statistic read from one log-ratio matrix."""
-        ratios = self.log_ratios(y)
-        stats = [_mixture_log_ratios(ratios[:, cols], w) for cols, w in self.picks]
-        return np.array(stats) / self.stack.shape[0]
+        """(ends x detectors, row) g values of each row's prefixes, row j d + i
+        for the j-th end and detector i; a singleton detector reads its column."""
+        ratios = self.log_ratios(y).reshape(len(y), len(self.ends), -1)
+        stats = [
+            ratios[..., c[0]] if c.size == 1 else _mixture_log_ratios(ratios[..., c], w)
+            for c, w in self.picks
+        ]
+        ends = np.array(self.ends)[:, np.newaxis, np.newaxis]
+        return (np.stack(stats).transpose(2, 0, 1) / ends).reshape(-1, len(y))
 
 
 def _scorer(
     models: Sequence[ToeplitzGaussian],
     detectors: Sequence[MixtureWeights],
     null_sigma2: float,
+    ends: Optional[Sequence[int]] = None,
 ) -> _Scorer:
     """The _Scorer of the detectors over the models that some detector
-    weights positively, each form written into the stack from the model's
-    `inverse`, which is not kept.  Every Monte Carlo statistic passes here,
-    so this is where a bad noise floor is refused."""
+    weights positively, at the increasing `ends` (default and last: the
+    models' n).  Every Monte Carlo statistic passes here, so this is where a
+    bad noise floor is refused."""
     require_positive("null_sigma2", null_sigma2)
     if any(len(q) != len(models) for q in detectors):
         raise ParameterError("detector weights must match the number of models")
@@ -214,17 +223,25 @@ def _scorer(
     n = models[0].n
     if any(model.n != n for model in models):
         raise ParameterError("models must share n")
-    stack = np.empty((n, scored.size * n))
+    ends = np.array([n] if ends is None else ends, dtype=int)
+    # a segment [s, e) reads only the first e coordinates: 64 keeps it near triangular
+    cuts = np.union1d(ends, np.arange(0, n, 64))
+    scale = 1.0 / np.sqrt(null_sigma2)
+    blocks = [np.empty((e, scored.size * (e - s))) for s, e in zip(cuts, cuts[1:])]
+    offsets = np.empty((ends.size, scored.size))
     for k, index in enumerate(scored):
-        form = stack[:, k * n : (k + 1) * n]
-        np.negative(models[index].inverse(), out=form)
-        form[np.diag_indices(n)] += 1.0 / null_sigma2
-    offsets = [-0.5 * (models[k].logdet - n * np.log(null_sigma2)) for k in scored]
+        w, errors = models[index].whitener()
+        np.negative(w, out=w)
+        w[np.diag_indices(n)] += scale
+        for block, s, e in zip(blocks, cuts, cuts[1:]):
+            block[:, k * (e - s) : (k + 1) * (e - s)] = w[s:e, :e].T
+        logdets = np.cumsum(np.log(errors))[ends - 1]
+        offsets[:, k] = -0.5 * (logdets - ends * np.log(null_sigma2))
     picks = tuple(
         (np.searchsorted(scored, np.flatnonzero(a)), q.w[a])
         for q, a in zip(detectors, active)
     )
-    return _Scorer(stack, np.array(offsets), picks)
+    return _Scorer(tuple(ends.tolist()), tuple(blocks), offsets.ravel(), scale, picks)
 
 
 def _ratio_scorer(models: Sequence[ToeplitzGaussian], null_sigma2: float) -> _Scorer:
@@ -235,10 +252,12 @@ def _ratio_scorer(models: Sequence[ToeplitzGaussian], null_sigma2: float) -> _Sc
     return _scorer(models, [MixtureWeights.uniform(len(models))], null_sigma2)
 
 
-def _null_statistics(score, sigma2: float, n: int, trials: int, seed: int) -> np.ndarray:
-    """(detector, trial) g values of a scorer on the white null substream `seed`."""
-    blocks = white_blocks(sigma2, n, trials, seed)
-    return np.concatenate([score(y) for y in blocks], axis=1)
+def _null_statistics(score: _Scorer, sigma2: float, trials: int, seed: int) -> np.ndarray:
+    """(statistic, trial) g values of a scorer on the white null substream `seed`."""
+    g = np.empty((len(score.ends) * len(score.picks), trials))
+    for b, y in enumerate(white_blocks(sigma2, score.ends[-1], trials, seed)):
+        g[:, b * SAMPLE_BLOCK : b * SAMPLE_BLOCK + len(y)] = score(y)
+    return g
 
 
 def mixture_statistics(
@@ -271,7 +290,7 @@ def h0_statistics(
 ) -> np.ndarray:
     """g values on `trials` fresh null draws (block-streamed, reproducible)."""
     score = _scorer(models, [weights], null_sigma2)
-    return _null_statistics(score, null_sigma2, models[0].n, trials, seed)[0]
+    return _null_statistics(score, null_sigma2, trials, seed)[0]
 
 
 def min_calibration_trials(alpha: float) -> int:
@@ -310,12 +329,12 @@ def calibrate_threshold(
     ceil(alpha*trials) - 1 strict exceedances (continuous statistics).
     """
     order = threshold_order_index(alpha, trials)
-    g = np.sort(h0_statistics(weights, models, null_sigma2, trials, seed))
-    return float(g[order])
+    g = h0_statistics(weights, models, null_sigma2, trials, seed)
+    return float(np.partition(g, order)[order])
 
 
 def _error_counts(
-    score,
+    score: _Scorer,
     models: Sequence[ToeplitzGaussian],
     thresholds: Sequence[float],
     truths: Sequence[int],
@@ -323,7 +342,8 @@ def _error_counts(
     trials: int,
     seed: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """False-alarm counts per detector and miss counts per (detector, truth).
+    """False-alarm counts per scorer statistic and miss counts per
+    (statistic, truth).
 
     Null draws use substream (seed, "h0").  Signal draws use (seed, "h1"):
     each block of white normals is drawn once and mapped through every
@@ -334,9 +354,9 @@ def _error_counts(
     if not truths or any(not 0 <= t < len(models) for t in truths):
         raise ParameterError(f"truth indices {list(truths)} empty or out of range")
     tau = np.asarray(thresholds, dtype=float)[:, np.newaxis]
-    n = models[0].n
-    g0 = _null_statistics(score, null_sigma2, n, trials, derive_seed(seed, "h0"))
-    fa = np.sum(g0 > tau, axis=1)
+    fa = np.zeros(tau.shape[0], dtype=int)
+    for y in white_blocks(null_sigma2, score.ends[-1], trials, derive_seed(seed, "h0")):
+        fa += np.sum(score(y) > tau, axis=1)
     miss = np.zeros((tau.shape[0], len(truths)), dtype=int)
     signals = sample_blocks([models[t] for t in truths], trials, derive_seed(seed, "h1"))
     for i, y in enumerate(signals):
@@ -434,33 +454,38 @@ def operating_characteristics(
 ) -> List[List[ExponentEstimate]]:
     """Calibrated miss-exponent ladders of every detector against every truth.
 
-    models_by_n holds the K models of each n, n strictly increasing.  Per n
-    three streams of normals are drawn once each: the calibration null (seed
-    label "cal:{n}"), which sets one threshold per detector, then the
-    false-alarm null and the signal stream (labels "h0" and "h1" under
-    "mc:{n}"), whose white draws every truth shares.  All three streams are
-    scored with one `_scorer` per n.  Returns estimates[detector][truth];
-    a ladder censored at every n has no slope.
-    """
+    models_by_n holds the K models of each n, n strictly increasing, each set
+    the first n coordinates of the largest (same sigma2, autocov its first n
+    lags).  Three streams are drawn once, at the largest n: the calibration
+    null ("cal"), one threshold per (detector, n), then the false-alarm null
+    and the signal ("h0", "h1" under "mc"), whose white draws every truth
+    shares.  One `_scorer` scores every n from prefixes y[:, :n], so the n are
+    coupled, and a prefix inherits the largest model's jitter rung (<= 1e-8,
+    roundoff only).  Returns estimates[detector][truth]; a ladder censored at
+    every n has no slope."""
     n_values = np.array([models[0].n for models in models_by_n], dtype=int)
     if np.any(np.diff(n_values) <= 0):
         raise ParameterError("n_values must be strictly increasing")
+    largest = models_by_n[-1]
+    for models in models_by_n[:-1]:
+        n = models[0].n
+        if [(m.sigma2, list(m.autocov)) for m in models] != [
+            (m.sigma2, list(m.autocov[:n])) for m in largest
+        ]:
+            raise ParameterError(f"the models at n={n} are not the first n of the largest")
     order = threshold_order_index(alpha, trials)
-    fa = np.empty((len(detectors), len(n_values)), dtype=int)
-    miss = np.empty((len(detectors), len(truths), len(n_values)), dtype=int)
-    for i, models in enumerate(models_by_n):
-        n, sigma2 = models[0].n, models[0].sigma2
-        score = _scorer(models, detectors, sigma2)
-        g = _null_statistics(score, sigma2, n, trials, derive_seed(seed, f"cal:{n}"))
-        g.sort(axis=1)
-        thresholds = g[:, order].copy()
-        del g  # the error counts read only the thresholds
-        fa[:, i], miss[:, :, i] = _error_counts(
-            score, models, thresholds, truths, sigma2, trials,
-            derive_seed(seed, f"mc:{n}"),
-        )
+    sigma2 = largest[0].sigma2
+    score = _scorer(largest, detectors, sigma2, n_values)
+    g = _null_statistics(score, sigma2, trials, derive_seed(seed, "cal"))
+    g.partition(order, axis=1)
+    thresholds = g[:, order].copy()
+    del g  # the error counts read only the thresholds
+    fa, miss = _error_counts(
+        score, largest, thresholds, truths, sigma2, trials, derive_seed(seed, "mc")
+    )
+    fa, miss = fa.reshape(n_values.size, -1), miss.reshape(n_values.size, len(detectors), -1)
     return [
-        [_ladder(n_values, fa[d], miss[d, t], trials) for t in range(len(truths))]
+        [_ladder(n_values, fa[:, d], miss[:, d, t], trials) for t in range(len(truths))]
         for d in range(len(detectors))
     ]
 

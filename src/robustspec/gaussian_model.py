@@ -7,11 +7,11 @@ pass at construction, in O(n^2): its prediction errors give log|C| and its
 predictor gives C^{-1} by the Gohberg-Semencul formula.  `exponent.kl_rate`
 runs the same pass without a model.
 
-- The inverse algebra lives here alone.  `ToeplitzGaussian.inverse` sums
-  C^{-1} down the diagonals of the model's Gohberg-Semencul generator and
-  keeps no copy of it: `detection` writes it straight into the quadratic
-  form I/sigma2 - C^{-1} of a log-likelihood ratio, and `quad_forms` reads
-  it for y^T C^{-1} y of a block by one product.
+- The inverse algebra lives here alone, and no model keeps a matrix of it.
+  `ToeplitzGaussian.whitener` reruns the pass to fill the triangular W with
+  W C W^T = I, whose innovations W y `detection` scores, and
+  `ToeplitzGaussian.inverse` sums C^{-1} down the diagonals of the model's
+  Gohberg-Semencul generator for `gaussian_kl` and `quad_forms`.
 - `ratio_expectations` sums the top ceil(n/2) rows of the difference of
   two generators the same way, and folds them into two half-size blocks.
 - Sampling maps white draws through the dense Cholesky `factor` L, built on
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,13 +109,22 @@ class ToeplitzGaussian:
         `_inverse_generator` in O(n^2): a new array on each call, cached nowhere."""
         return _diagonal_sums(_inverse_generator(self))
 
+    def whitener(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(W, errors), W = diag(errors)^{-1/2} U with W C W^T = I (C plus jitter)
+        from a second Durbin pass that fills U, lower triangular, so that its
+        leading blocks whiten every prefix of y.  A new array, cached nowhere."""
+        rows = np.zeros((self.n, self.n))
+        _, errors, _ = _durbin_with_jitter(self.autocov, self.sigma2, self.label, rows)
+        rows /= np.sqrt(errors)[:, np.newaxis]
+        return rows, errors
+
     def quad_forms(self, samples: np.ndarray) -> np.ndarray:
         """y^T C^{-1} y for each row y of `samples`."""
         return np.einsum("ij,ij->i", samples @ self.inverse(), samples)
 
 
 def _durbin_with_jitter(
-    autocov: np.ndarray, sigma2: float, label: str
+    autocov: np.ndarray, sigma2: float, label: str, rows: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """(predictor, errors, rung) of the first JITTER_LADDER rung whose r[0] =
     autocov[0] + sigma2 + jitter passes `levinson_durbin`, the one PD test."""
@@ -123,7 +132,7 @@ def _durbin_with_jitter(
     for rung, jitter in enumerate(JITTER_LADDER):
         r[0] = autocov[0] + sigma2 + jitter
         try:
-            return (*levinson_durbin(r, label), rung)
+            return (*levinson_durbin(r, label, rows), rung)
         except NotPositiveDefiniteError:
             continue
     raise NotPositiveDefiniteError(
@@ -157,14 +166,18 @@ def gaussian_kl(p: ToeplitzGaussian, q: ToeplitzGaussian) -> float:
     return 0.5 * (trace - p.n + q.logdet - p.logdet)
 
 
-def levinson_durbin(r: np.ndarray, label: str = "") -> Tuple[np.ndarray, np.ndarray]:
+def levinson_durbin(
+    r: np.ndarray, label: str = "", rows: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """Durbin's recursion on the symmetric Toeplitz matrix with first column r.
 
     Returns the order-(n-1) predictor a (a[0] = 1), which solves
     Toeplitz(r) a = errors[-1] * e_0, and the prediction errors
     errors[k] = |C_{k+1}| / |C_k| of the leading k+1 by k+1 blocks, so that
     log|C| = sum(log(errors)).  Raises NotPositiveDefiniteError naming
-    `label` when an error is not finite and positive.
+    `label` when an error is not finite and positive.  A zeroed n x n `rows`
+    gets the order-k predictor reversed in row k: the unit lower-triangular U
+    with U C U^T = diag(errors), row k mapping y to its k-th innovation.
     """
     n = r.size
     a = np.zeros(n)
@@ -181,6 +194,8 @@ def levinson_durbin(r: np.ndarray, label: str = "") -> Tuple[np.ndarray, np.ndar
                 f"covariance for PSD {label!r} is not positive definite "
                 f"(Levinson-Durbin prediction error {errors[k]:g} at order {k})"
             )
+        if rows is not None:
+            rows[k, : k + 1] = a[k::-1]
     return a, errors
 
 

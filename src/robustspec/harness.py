@@ -42,10 +42,10 @@ _PSD_BLOCK_KEYS = {"label", "family", "params"}
 #: Upper bounds that keep a config from asking for more memory than a desk
 #: machine has: one PSD grid of MAX_GRID_SIZE doubles is 32 MiB, and at MAX_N
 #: each n x n matrix is 512 MiB: a sampled model's Cholesky factor, or a
-#: scored model's quadratic form while the Monte Carlo engine scores that n
-#: (the only copy of its inverse: no model caches one).  The KKT temporaries
-#: are ceil(n/2)-row: at n = 1024 a three-member `kkt_certificate` peaks at
-#: 16.0 MiB under tracemalloc.
+#: scored model's whitener while a scorer copies it.  The scorer keeps only
+#: the triangle of each scored model's whitener, about n^2/2 doubles (no
+#: model caches one).  The KKT temporaries are ceil(n/2)-row: at n = 1024 a
+#: three-member `kkt_certificate` peaks at 16.0 MiB under tracemalloc.
 MAX_GRID_SIZE = 2**22
 MAX_N = 8192
 

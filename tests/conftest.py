@@ -23,18 +23,18 @@ def patch_everywhere(monkeypatch, original, replacement):
 
 
 def count_form_builds(monkeypatch):
-    """List that gains one entry, the model's n, each time a model's inverse
-    is summed by `ToeplitzGaussian.inverse`."""
+    """List that gains one entry, the model's n, each time a scorer's rows
+    are built by `ToeplitzGaussian.whitener`."""
     from robustspec.gaussian_model import ToeplitzGaussian
 
-    original = ToeplitzGaussian.inverse
+    original = ToeplitzGaussian.whitener
     builds = []
 
     def counting(model):
         builds.append(model.n)
         return original(model)
 
-    monkeypatch.setattr(ToeplitzGaussian, "inverse", counting)
+    monkeypatch.setattr(ToeplitzGaussian, "whitener", counting)
     return builds
 
 

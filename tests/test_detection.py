@@ -124,6 +124,45 @@ class TestRatioForms:
         assert np.array_equal(g[0], ratios[:, 1] / 17)
         assert np.array_equal(g[1], _mixture_log_ratios(ratios, detectors[1].w) / 17)
 
+    @pytest.mark.parametrize("ends", [[1], [5, 9, 40], [16, 32, 64], [100, 300]])
+    def test_ladder_matches_dense_reference_per_n(self, ends):
+        # every prefix y[:, :n] of one draw at the largest n, scored by the
+        # one scorer of the largest models, against slogdet and solve of each
+        # n x n leading block; the ends cross the segment edges at 64 and 256
+        sigma2 = 0.8
+        models = [build_model(psd, sigma2, ends[-1]) for psd in SCORED_PSDS.values()]
+        assert all(model.jitter == 0 for model in models)
+        y = standard_normal_block(4, 0, 100, ends[-1]) @ models[0].factor.T
+        scorer = _scorer(models, [MixtureWeights.uniform(3)], sigma2, ends)
+        ratios = scorer.log_ratios(y)
+        assert ratios.shape == (100, len(ends) * 3)
+        for j, n in enumerate(ends):
+            got = ratios[:, 3 * j : 3 * j + 3]
+            prefix = y[:, :n]
+            yy = np.einsum("ij,ij->i", prefix, prefix) / sigma2
+            for k, model in enumerate(models):
+                cov = model.covariance()[:n, :n]
+                offset = -0.5 * (np.linalg.slogdet(cov)[1] - n * np.log(sigma2))
+                quad = np.einsum("ij,ji->i", prefix, np.linalg.solve(cov, prefix.T))
+                expected = offset + 0.5 * (yy - quad)
+                bound = 1e-12 * (abs(offset) + 0.5 * yy)
+                assert np.all(np.abs(got[:, k] - expected) <= bound), (n, k)
+
+    def test_singleton_detectors_skip_the_log_sum_exp(self, monkeypatch):
+        models = [build_model(psd, 1.0, 17) for psd in SCORED_PSDS.values()]
+        z = standard_normal_block(6, 0, 300, 17)
+        ratios = _scorer(models, [MixtureWeights.uniform(3)], 1.0, [5, 17]).log_ratios(z)
+
+        def refuse(x):
+            raise AssertionError("a singleton detector called the log-sum-exp")
+
+        monkeypatch.setattr(robustspec.detection, "_log_sum_exp", refuse)
+        detectors = [MixtureWeights.singleton(k, 3) for k in (2, 0, 1)]
+        g = _scorer(models, detectors, 1.0, [5, 17])(z)
+        for j, n in enumerate([5, 17]):
+            for d, k in enumerate((2, 0, 1)):
+                assert np.array_equal(g[3 * j + d], ratios[:, 3 * j + k] / n)
+
     def test_no_models_to_score(self):
         with pytest.raises(ParameterError, match="no models to score"):
             log_likelihood_ratios(np.zeros((2, 8)), [], 1.0)
@@ -133,18 +172,19 @@ class TestRatioForms:
         models_by_n = build_model_sets(flat_set([1.0, 2.0, 3.0]), 1.0, [8, 16])
         builds = []
 
-        def counting(models, detectors, null_sigma2):
-            scorer = original(models, detectors, null_sigma2)
-            builds.append(scorer.stack.shape)
+        def counting(models, detectors, null_sigma2, ends=None):
+            scorer = original(models, detectors, null_sigma2, ends)
+            builds.append((scorer.ends, [block.shape for block in scorer.blocks]))
             return scorer
 
         monkeypatch.setattr(robustspec.detection, "_scorer", counting)
         detectors = [MixtureWeights.singleton(0, 3), MixtureWeights.uniform(3)]
-        # three blocks per stream, two truths: one n x (3 n) stack per n
+        # three blocks per stream, two truths: one scorer for the ladder, with
+        # one e x (3 (e - s)) block per segment [s, e) = [0, 8) and [8, 16)
         operating_characteristics(
             models_by_n, detectors, [0, 2], 2 * SAMPLE_BLOCK + 100, 0.1, 7
         )
-        assert builds == [(8, 24), (16, 48)]
+        assert builds == [((8, 16), [(8, 24), (16, 24)])]
 
     def test_engine_memory_is_linear_in_models(self):
         # Beside the models' cached factors, the engine holds one n x n form
@@ -307,6 +347,23 @@ class TestEmpiricalExponent:
         uset = UncertaintySet(members=(flat1,))
         with pytest.raises(ParameterError):
             empirical_exponent(uset, 1.0, E1, 0, [32, 32], 2000, 0.1, 3)
+
+
+class TestLadderPrefixes:
+    @pytest.mark.parametrize("change", ["sigma2", "members", "autocov"])
+    def test_each_smaller_set_is_a_prefix_of_the_largest(self, change):
+        psds = flat_set([1.0, 2.0, 3.0])
+        small, large = build_model_sets(psds, 1.0, [8, 16])
+        if change == "sigma2":
+            (small,) = build_model_sets(psds, 1.5, [8])
+        elif change == "members":
+            small = small[:2]
+        else:
+            small = [build_model(make_psd("flat", grid_size=256, level=1.5), 1.0, 8)] + small[1:]
+        with pytest.raises(ParameterError, match="n=8 are not the first"):
+            operating_characteristics(
+                [small, large], [MixtureWeights.uniform(3)], [0], 2000, 0.1, 1
+            )
 
 
 class TestWorstCaseOrdering:

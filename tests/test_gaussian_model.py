@@ -17,6 +17,7 @@ from robustspec.gaussian_model import (
     levinson_durbin,
     ratio_expectation,
     ratio_expectations,
+    sample_blocks,
     sample_gaussian,
     standard_normal_block,
     white_blocks,
@@ -307,6 +308,17 @@ class TestSampling:
         assert np.array_equal(standard_normal_block(7, 3, 1, 5), full[:1])
         with pytest.raises(ParameterError):
             standard_normal_block(7, 3, 4097, 5)
+
+    @pytest.mark.parametrize("family", sorted(SCORED_PSDS))
+    def test_prefix_of_a_draw_is_a_draw_at_that_n(self, family):
+        # the leading n x n block of the largest model's factor is the factor
+        # of the model at n, so the first n columns of a draw are a draw at n
+        psd = SCORED_PSDS[family]
+        (y,) = sample_blocks([build_model(psd, 0.6, 300)], 50, 9)
+        z = standard_normal_block(9, 0, 50, 300)
+        for n in (1, 16, 64, 299):
+            expected = z[:, :n] @ build_model(psd, 0.6, n).factor.T
+            assert np.allclose(y[:, :n], expected, rtol=0.0, atol=1e-12), n
 
     def test_factor_built_once_on_first_draw(self, monkeypatch):
         model = build_model(make_psd("flat", grid_size=64, level=1.0), 1.0, 6)

@@ -366,19 +366,19 @@ class TestModes:
         patch_everywhere(monkeypatch, original, recording)
         doc = dict(FLAT_TRIO, mode="full", trials=5000, n_values=[8, 16], seed=11)
         run_experiment(parse_config(config_text(doc)))
-        # per n: calibration, false-alarm and signal streams of 2 blocks each,
-        # plus the frozen null of the optimizer at the first n
-        assert len(keys) == 2 * 3 * 2 + 2
+        # calibration, false-alarm and signal streams of 2 blocks each at the
+        # largest n, plus the frozen null of the optimizer at the first n
+        assert sorted(n for _, _, n in keys) == [8] * 2 + [16] * 3 * 2
         assert len(set(keys)) == len(keys)
 
     def test_full_mode_builds_each_precision_once(self, monkeypatch):
-        # each scored model's inverse is summed once per scorer, never per
-        # block: once per model at each n for the engine, and once per model
-        # for the optimizer's frozen null
+        # each scored model's whitener is built once per scorer, never per
+        # block: once per model at the largest n for the engine's one ladder
+        # scorer, and once per model for the optimizer's frozen null
         builds = count_form_builds(monkeypatch)
         doc = dict(FLAT_TRIO, mode="full", trials=5000, n_values=[8, 16], seed=11)
         run_experiment(parse_config(config_text(doc)))
-        assert sorted(builds) == [8] * 6 + [16] * 3
+        assert sorted(builds) == [8] * 3 + [16] * 3
 
     def test_full_mode_leaves_no_inverse_on_the_models(self, monkeypatch):
         # the forms live in the scorers only: a model keeps no n x n matrix
