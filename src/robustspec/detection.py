@@ -28,8 +28,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EstimationInfeasibleError, ParameterError, require_positive
-from .gaussian_model import SAMPLE_BLOCK, ToeplitzGaussian, build_model_sets, normal_blocks
-from .gaussian_model import sample_blocks, white_blocks
+from .gaussian_model import TILE_ROWS, ToeplitzGaussian, build_model_sets, normal_blocks
+from .gaussian_model import sample_blocks, seeded_tiles, white_blocks
 from .spectral import UncertaintySet
 
 #: Default normalized tilt grid for Chernoff-type bounds: 41 points on [-2, 0].
@@ -170,21 +170,28 @@ class _Scorer:
         """(rows, ends x m) log(p_k/p_0) of each row's prefixes, column j m + k
         for the j-th end and model k: with d = y/sigma - W_k y, one product per
         segment, c_k(n) + sum_{i<n} d_i (2 y_i/sigma - d_i) / 2, which never
-        subtracts y^T y / sigma2 and y^T C_k^{-1} y.  Rows go in chunks of 512:
-        at n = 256 and m = 4, 1024-row chunks scored 16% slower and kept
-        2.5 MiB more resident (OpenBLAS, 2 cores)."""
+        subtracts y^T y / sigma2 and y^T C_k^{-1} y.  Rows go in chunks of
+        TILE_ROWS: at n = 256 and m = 4, 1024-row chunks scored 16% slower and
+        kept 2.5 MiB more resident (OpenBLAS, 2 cores).  Every segment's
+        product goes into one buffer per call, sized for the widest segment:
+        with a fresh product per segment and tile-sized input, glibc trimmed
+        and re-faulted its heap, and a `minimax_interior` bench op ran 13%
+        slower."""
         (rows, n), m = y.shape, self.offsets.size // len(self.ends)
         if n != self.ends[-1]:
             raise ParameterError(f"models have n={self.ends[-1]}, samples have n={n}")
         quad = np.empty((rows, len(self.ends), m))
-        step = 512
+        step = TILE_ROWS
+        product = np.empty(min(rows, step) * max(block.shape[1] for block in self.blocks))
         for start in range(0, rows, step):
             chunk = y[start : start + step]
             total = np.zeros((len(chunk), m))
             for block in self.blocks:
-                e = block.shape[0]
-                s = e - block.shape[1] // m
-                d = (chunk[:, :e] @ block).reshape(len(chunk), m, e - s)
+                e, width = block.shape
+                s = e - width // m
+                d = product[: len(chunk) * width].reshape(len(chunk), width)
+                np.matmul(chunk[:, :e], block, out=d)
+                d = d.reshape(len(chunk), m, e - s)
                 total += (2.0 * self.scale) * np.einsum("ikj,ij->ik", d, chunk[:, s:e])
                 total -= np.einsum("ikj,ikj->ik", d, d)
                 if e in self.ends:
@@ -255,8 +262,10 @@ def _ratio_scorer(models: Sequence[ToeplitzGaussian], null_sigma2: float) -> _Sc
 def _null_statistics(score: _Scorer, sigma2: float, trials: int, seed: int) -> np.ndarray:
     """(statistic, trial) g values of a scorer on the white null substream `seed`."""
     g = np.empty((len(score.ends) * len(score.picks), trials))
-    for b, y in enumerate(white_blocks(sigma2, score.ends[-1], trials, seed)):
-        g[:, b * SAMPLE_BLOCK : b * SAMPLE_BLOCK + len(y)] = score(y)
+    start = 0
+    for y in white_blocks(sigma2, score.ends[-1], trials, seed):
+        g[:, start : start + len(y)] = score(y)
+        start += len(y)
     return g
 
 
@@ -346,7 +355,7 @@ def _error_counts(
     (statistic, truth).
 
     Null draws use substream (seed, "h0").  Signal draws use (seed, "h1"):
-    each block of white normals is drawn once and mapped through every
+    each tile of white normals is drawn once and mapped through every
     truth's factor, so all detectors and truths score coupled sample sets.
     """
     if trials < MIN_MC_TRIALS:
@@ -463,6 +472,8 @@ def operating_characteristics(
     coupled, and a prefix inherits the largest model's jitter rung (<= 1e-8,
     roundoff only).  Returns estimates[detector][truth]; a ladder censored at
     every n has no slope."""
+    if not models_by_n:
+        raise ParameterError("n_values must be nonempty")
     n_values = np.array([models[0].n for models in models_by_n], dtype=int)
     if np.any(np.diff(n_values) <= 0):
         raise ParameterError("n_values must be strictly increasing")
@@ -523,21 +534,22 @@ def sample_mixture_blocks(
     trials: int,
     seed: int,
 ):
-    """Blocks of draws from the Gaussian mixture sum_k w_k p_k, one weight per
-    model, blocked as `normal_blocks`.
+    """Tiles of draws from the Gaussian mixture sum_k w_k p_k, one weight per
+    model, tiled as `normal_blocks`.
 
     The white-noise draws and component-selection uniforms are generated from
     substreams of `seed` that do not depend on `weights`, so runs with
-    different operating points are coupled sample-by-sample.
+    different operating points are coupled sample-by-sample.  The uniforms
+    of a block come from one generator per block, drawn tile by tile.
     """
     if len(weights) != len(models):
         raise ParameterError(
             f"mixture has {len(weights)} weights for {len(models)} models"
         )
     cdf = np.cumsum(weights.w)
-    for b, z in enumerate(normal_blocks(models[0].n, trials, seed)):
-        ss = np.random.SeedSequence(entropy=derive_seed(seed, "mixsel"), spawn_key=(b,))
-        u = np.random.default_rng(ss).random(len(z))
+    select = derive_seed(seed, "mixsel")
+    uniforms = seeded_tiles(trials, select, lambda rng, rows: rng.random(rows))
+    for z, u in zip(normal_blocks(models[0].n, trials, seed), uniforms):
         comp = np.minimum(np.searchsorted(cdf, u, side="right"), len(models) - 1)
         out = np.empty_like(z)
         for k, model in enumerate(models):

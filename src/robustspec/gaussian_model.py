@@ -16,17 +16,22 @@ runs the same pass without a model.
   two generators the same way, and folds them into two half-size blocks.
 - Sampling maps white draws through the dense Cholesky `factor` L, built on
   first read so that unsampled models never form it.
+- Draws are seeded per block of SAMPLE_BLOCK rows and streamed in tiles of at
+  most TILE_ROWS rows from the block's one generator, so a stream holds one
+  tile at a time and the tiling never changes a draw.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import NotPositiveDefiniteError, ParameterError, require_positive
+from .errors import warn_fallback
 from .spectral import PsdGrid, autocovariance
 
 #: Diagonal jitter ladder tried in order before declaring the covariance
@@ -42,6 +47,11 @@ RATIO_TOLERANCE = 1e-10
 #: independent of the total trial count, so blocks can run concurrently and
 #: shared-seed comparisons see identical draws.
 SAMPLE_BLOCK = 4096
+
+#: Rows per tile, the unit of Monte Carlo work: a block is drawn, sampled and
+#: scored TILE_ROWS rows at a time from its one generator.  At n = 8192 a tile
+#: of normals is 32 MiB, where a whole block is 256 MiB.
+TILE_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -76,6 +86,11 @@ class ToeplitzGaussian:
             raise ParameterError("autocov must be finite")
         autocov.setflags(write=False)
         a, errors, rung = _durbin_with_jitter(autocov, self.sigma2, self.label)
+        if rung:
+            warn_fallback(
+                "covariance for PSD %r at n=%d needed diagonal jitter %g to pass "
+                "Levinson-Durbin", self.label, self.n, JITTER_LADDER[rung],
+            )
         a.setflags(write=False)
         object.__setattr__(self, "autocov", autocov)
         object.__setattr__(self, "jitter", rung)
@@ -306,25 +321,50 @@ def finite_n_dominates(
     return ratio_expectation(p0_sigma2, p1, p2) <= 1.0 + RATIO_TOLERANCE
 
 
-def normal_blocks(n: int, trials: int, seed: int) -> Iterator[np.ndarray]:
-    """Yield consecutive blocks of standard normal draws of dimension n.
+def block_generator(seed: int, block_index: int) -> np.random.Generator:
+    """The generator of substream (seed, block_index): every draw of that
+    block comes from it, in order.  Raises ParameterError naming `seed` or
+    `block_index` unless it is a non-negative integer (of any size)."""
+    for name, value in (("seed", seed), ("block_index", block_index)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise ParameterError(f"{name} must be a non-negative integer, got {value!r}")
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(block_index),))
+    return np.random.default_rng(ss)
 
-    Block b holds trials b*SAMPLE_BLOCK onward and is generated from
-    substream (seed, b) regardless of `trials`, so two runs with the same
-    seed see identical draws sample-by-sample.
+
+def seeded_tiles(
+    trials: int, seed: int, draw: Callable[[np.random.Generator, int], np.ndarray]
+) -> Iterator[np.ndarray]:
+    """Yield draw(generator, rows) for consecutive tiles of `trials` rows.
+
+    Block b holds trials b*SAMPLE_BLOCK onward and is drawn from
+    block_generator(seed, b) regardless of `trials`, in tiles of at most
+    TILE_ROWS rows one after another.  The generator fills in order, so the
+    tiles of a block concatenate to the draws of the whole block, and a
+    short block equals the first rows of a full one.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     for b, start in enumerate(range(0, trials, SAMPLE_BLOCK)):
-        yield standard_normal_block(seed, b, min(SAMPLE_BLOCK, trials - start), n)
+        generator = block_generator(seed, b)
+        end = min(start + SAMPLE_BLOCK, trials)
+        for first in range(start, end, TILE_ROWS):
+            yield draw(generator, min(TILE_ROWS, end - first))
+
+
+def normal_blocks(n: int, trials: int, seed: int) -> Iterator[np.ndarray]:
+    """Tiles of standard normal draws of dimension n, seeded per block as
+    `seeded_tiles`, so two runs with the same seed see identical draws
+    sample by sample."""
+    return seeded_tiles(trials, seed, lambda rng, rows: rng.standard_normal((rows, n)))
 
 
 def white_blocks(sigma2: float, n: int, trials: int, seed: int) -> Iterator[np.ndarray]:
-    """Blocks of null N(0, sigma2*I) draws, sqrt(sigma2)*z with no factorisation.
+    """Tiles of null N(0, sigma2*I) draws, sqrt(sigma2)*z with no factorisation.
 
     Equal bit for bit to sample_gaussian(white_model(sigma2, n), trials, seed)
-    split into blocks: the white factor is the diagonal sqrt(sigma2)*I.  Each
-    block is scaled in place, so no second copy of it is held.
+    split into tiles: the white factor is the diagonal sqrt(sigma2)*I.  Each
+    tile is scaled in place, so no second copy of it is held.
     """
     scale = np.sqrt(sigma2)
     for z in normal_blocks(n, trials, seed):
@@ -335,28 +375,20 @@ def white_blocks(sigma2: float, n: int, trials: int, seed: int) -> Iterator[np.n
 def standard_normal_block(
     seed: int, block_index: int, size: int, n: int, block: int = SAMPLE_BLOCK
 ) -> np.ndarray:
-    """Standard normal draws for substream (seed, block_index), shape (size, n).
-
-    Shared across models so that detectors under comparison score coupled
-    sample sets (the underlying white draws are identical).  Only `size` of
-    the substream's `block` rows are drawn: the generator fills in order, so
-    a short block equals the first rows of a full one.
-    """
+    """The first `size` of the `block` rows of substream (seed, block_index),
+    shape (size, n), in one array: the rows that `normal_blocks` yields as
+    the tiles of that block."""
     if not 1 <= size <= block:
         raise ParameterError(f"block size must be in [1, {block}], got {size}")
-    for name, value in (("seed", seed), ("block_index", block_index)):
-        if value < 0:
-            raise ParameterError(f"{name} must be >= 0, got {value}")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
-    return np.random.default_rng(ss).standard_normal((size, n))
+    return block_generator(seed, block_index).standard_normal((size, n))
 
 
 def sample_blocks(
     models: Sequence[ToeplitzGaussian], trials: int, seed: int
 ) -> Iterator[np.ndarray]:
-    """For each block of `normal_blocks`, that block mapped through each
+    """For each tile of `normal_blocks`, that tile mapped through each
     model's Cholesky factor in turn: every model is sampled from the same
-    white draws, and each item is a (rows, n) array."""
+    white draws, and each item is a (rows, n) array of at most TILE_ROWS rows."""
     for z in normal_blocks(models[0].n, trials, seed):
         for model in models:
             yield z @ model.factor.T

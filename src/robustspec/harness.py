@@ -44,8 +44,10 @@ _PSD_BLOCK_KEYS = {"label", "family", "params"}
 #: each n x n matrix is 512 MiB: a sampled model's Cholesky factor, or a
 #: scored model's whitener while a scorer copies it.  The scorer keeps only
 #: the triangle of each scored model's whitener, about n^2/2 doubles (no
-#: model caches one).  The KKT temporaries are ceil(n/2)-row: at n = 1024 a
-#: three-member `kkt_certificate` peaks at 16.0 MiB under tracemalloc.
+#: model caches one).  A Monte Carlo stream holds one tile of TILE_ROWS rows
+#: at a time, 32 MiB at MAX_N, however many trials it draws.  The KKT
+#: temporaries are ceil(n/2)-row: at n = 1024 a three-member
+#: `kkt_certificate` peaks at 16.0 MiB under tracemalloc.
 MAX_GRID_SIZE = 2**22
 MAX_N = 8192
 
@@ -319,7 +321,7 @@ def _minimax(config: ExperimentConfig, cand: int, model_sets: ModelSets) -> dict
     ]
     n_opt, models = config.n_values[0], model_sets[0]
     # The frozen null enters the optimizer only through its log-ratio rows, so
-    # it is streamed block by block into a trials x K matrix.
+    # it is streamed tile by tile into a trials x K matrix.
     seed = derive_seed(config.seed, "frozen-h0")
     null = white_blocks(config.sigma2, n_opt, config.trials, seed)
     ratios = ratio_rows(null, models, config.sigma2)

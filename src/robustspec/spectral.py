@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, require_positive
+from .errors import DomainError, ParameterError, require_positive, warn_fallback
 
 MIN_GRID_SIZE = 8
 DEFAULT_GRID_SIZE = 4096
@@ -191,10 +191,17 @@ def autocovariance(psd: PsdGrid, max_lag: int) -> np.ndarray:
     On this grid cos(m w_j) has period 2(M-1) in m and is even about
     m = M-1, so lags above M-1 alias: c[m] = c[m'] with
     m' = min(m mod 2(M-1), 2(M-1) - m mod 2(M-1)).  A Toeplitz matrix of
-    dimension n > M-1 therefore repeats reflected lags of the grid.
+    dimension n > M therefore repeats reflected lags of the grid (at n = M
+    the largest lag is M-1, which is exact); such a request logs a warning.
     """
     if max_lag < 0:
         raise ParameterError(f"max_lag must be >= 0, got {max_lag}")
+    if max_lag >= psd.grid_size:
+        warn_fallback(
+            "PSD %r: lags %d..%d are at or beyond grid_size %d and repeat reflected "
+            "lags (a Toeplitz dimension n > grid_size aliases)",
+            psd.label, psd.grid_size, max_lag, psd.grid_size,
+        )
     values = psd.values
     period = 2 * (psd.grid_size - 1)
     base = np.fft.rfft(np.concatenate((values, values[-2:0:-1]))).real / period

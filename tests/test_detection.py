@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from robustspec.detection import (
     mixture_statistic,
     mixture_statistics,
     operating_characteristics,
+    ratio_rows,
     sample_mixture_blocks,
     threshold_order_index,
 )
@@ -36,6 +38,7 @@ from robustspec.gaussian_model import (
     build_model_sets,
     sample_gaussian,
     standard_normal_block,
+    white_blocks,
     white_model,
 )
 from robustspec.spectral import UncertaintySet, make_psd
@@ -205,6 +208,44 @@ class TestRatioForms:
         assert peak <= 8 * (3 * n * n + 6 * trials * n), peak
 
 
+def traced_peak(run) -> int:
+    """tracemalloc's peak in bytes while `run()` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingMemory:
+    # Every stream holds one tile of normals at a time, not a whole block.
+    PSDS = [
+        make_psd("flat", grid_size=4096, level=0.3),
+        make_psd("rational_ar1", grid_size=4096, variance=1.0, pole=0.5),
+        make_psd("raised_cosine", grid_size=4096, peak=1.5, center=1.0, width=2.0),
+        make_psd("flat", grid_size=4096, level=0.8),
+    ]
+
+    def test_frozen_null_peaks_below_one_block(self):
+        # the optimizer's frozen null: 20,000 rows at n = 256 against K = 4
+        # models, streamed into a trials x K matrix of log-ratios
+        n = 256
+        models = [build_model(psd, 1.0, n) for psd in self.PSDS]
+        peak = traced_peak(lambda: ratio_rows(white_blocks(1.0, n, 20000, 5), models, 1.0))
+        assert peak < 8 * SAMPLE_BLOCK * n, peak
+
+    def test_engine_peak_at_n_1024(self):
+        # one detector against one truth on the ladder 256/1024: a whole
+        # 4,096 x 1024 block of normals alone would be 32 MiB
+        models_by_n = build_model_sets(self.PSDS[:3], 1.0, [256, 1024])
+        detectors = [MixtureWeights.singleton(0, 3)]
+        peak = traced_peak(
+            lambda: operating_characteristics(models_by_n, detectors, [1], 4096, 0.1, 3)
+        )
+        assert peak < 40 * 2**20, peak
+
+
 class TestLogSumExp:
     def test_matches_scipy(self, rng):
         ratios = rng.normal(scale=40.0, size=(4096, 4)) + rng.normal(scale=300.0, size=(4096, 1))
@@ -342,6 +383,13 @@ class TestEmpiricalExponent:
         with pytest.raises(EstimationInfeasibleError):
             empirical_exponent(uset, 1.0, E1, 0, [64], 2000, 0.1, 3)
 
+    def test_empty_ladder_rejected(self):
+        uset = UncertaintySet(members=(make_psd("flat", grid_size=256, level=1.0),))
+        with pytest.raises(ParameterError, match="n_values"):
+            operating_characteristics([], [E1], [0], 2000, 0.1, 3)
+        with pytest.raises(ParameterError, match="n_values"):
+            empirical_exponent(uset, 1.0, E1, 0, [], 2000, 0.1, 3)
+
     def test_n_values_must_increase(self):
         flat1 = make_psd("flat", grid_size=256, level=1.0)
         uset = UncertaintySet(members=(flat1,))
@@ -427,6 +475,26 @@ class TestMixtureSampling:
         full = np.concatenate(list(sample_mixture_blocks(models, weights, 4096, 17)))
         short = np.concatenate(list(sample_mixture_blocks(models, weights, 3616, 17)))
         assert np.array_equal(short, full[:3616])
+
+
+    def test_draws_match_the_block_sampler(self):
+        # digest of the draws as they were when each block drew its normals
+        # and selection uniforms in one piece; the tiles leave them unchanged
+        # (rounded to 10 decimals, so a BLAS that rounds the last bit of a
+        # product differently still agrees)
+        models = [
+            build_model(make_psd("flat", grid_size=64, level=1.0), 1.0, 5),
+            build_model(make_psd("rational_ar1", grid_size=64, variance=2.0, pole=0.5), 1.0, 5),
+            build_model(
+                make_psd("raised_cosine", grid_size=64, peak=3.0, center=1.0, width=2.0), 1.0, 5
+            ),
+        ]
+        weights = MixtureWeights(np.array([0.2, 0.5, 0.3]))
+        draws = np.concatenate(list(sample_mixture_blocks(models, weights, 9000, 23)))
+        assert draws.shape == (9000, 5)
+        assert hashlib.sha256(np.round(draws, 10).tobytes()).hexdigest() == (
+            "eebc5d3d19e737c169cc87e9f4b1c4a15b5db1ad6cce617a9942d13c7398df19"
+        )
 
 
 class TestChernoffExponent:

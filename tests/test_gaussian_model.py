@@ -1,4 +1,5 @@
 import ast
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,10 @@ import robustspec
 from conftest import MASTER_SEED, MODULE_CASES, SCORED_PSDS
 from robustspec.errors import NotPositiveDefiniteError, ParameterError
 from robustspec.gaussian_model import (
+    SAMPLE_BLOCK,
+    TILE_ROWS,
     ToeplitzGaussian,
+    block_generator,
     build_model,
     finite_n_dominates,
     gaussian_kl,
@@ -18,6 +22,7 @@ from robustspec.gaussian_model import (
     ratio_expectation,
     ratio_expectations,
     sample_blocks,
+    normal_blocks,
     sample_gaussian,
     standard_normal_block,
     white_blocks,
@@ -63,6 +68,16 @@ class TestBuildModel:
         assert model.logdet == pytest.approx(
             2.0 * np.sum(np.log(np.diag(model.factor))), rel=0.0, abs=1e-12
         )
+
+    def test_jitter_rung_is_logged(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="robustspec"):
+            build_model(make_psd("flat", grid_size=64, level=2.0), 1.0, 4)
+            assert caplog.records == []
+            ToeplitzGaussian(n=3, sigma2=1.0, autocov=np.array([-1.0 - 1e-11, 0.0, 0.0]),
+                             label="cancel")
+        (record,) = caplog.records
+        assert record.name.startswith("robustspec") and record.levelno == logging.WARNING
+        assert "'cancel'" in record.getMessage() and "1e-10" in record.getMessage()
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
@@ -270,9 +285,9 @@ class TestSampling:
         assert np.array_equal(a, b)
 
     def test_white_blocks_equal_white_samples(self):
-        # two blocks, each scaled in place
+        # two blocks streamed as tiles, each scaled in place
         blocks = list(white_blocks(2.5, 3, 5000, 11))
-        assert [len(b) for b in blocks] == [4096, 904]
+        assert [len(b) for b in blocks] == [TILE_ROWS] * 8 + [TILE_ROWS, 392]
         samples = sample_gaussian(white_model(2.5, 3), 5000, 11)
         assert np.array_equal(np.concatenate(blocks), samples)
 
@@ -298,9 +313,35 @@ class TestSampling:
             sample_gaussian(white_model(1.0, 2), 0, 1)
 
     def test_seed_validated(self):
-        with pytest.raises(ParameterError, match="seed"):
-            sample_gaussian(white_model(1.0, 2), 10, -1)
+        for seed in (-1, 1.5, "3", True, None):
+            with pytest.raises(ParameterError, match="seed"):
+                sample_gaussian(white_model(1.0, 2), 10, seed)
         assert sample_gaussian(white_model(1.0, 2), 10, 2**70 + 3).shape == (10, 2)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert np.array_equal(
+            sample_gaussian(white_model(1.0, 2), 10, np.int64(5)),
+            sample_gaussian(white_model(1.0, 2), 10, 5),
+        )
+
+    @pytest.mark.parametrize("block_index", [-1, 0.5])
+    def test_block_index_validated(self, block_index):
+        with pytest.raises(ParameterError, match="block_index"):
+            block_generator(3, block_index)
+        with pytest.raises(ParameterError, match="block_index"):
+            standard_normal_block(3, block_index, 10, 2)
+
+    @pytest.mark.parametrize("n", [1, 17, 300])
+    def test_tiles_concatenate_to_the_block(self, n):
+        # a full block, then a short one: tiles of at most TILE_ROWS rows
+        # drawn in turn from the block's generator are its rows bit for bit
+        tiles = list(normal_blocks(n, SAMPLE_BLOCK + 700, 21))
+        first = SAMPLE_BLOCK // TILE_ROWS
+        assert [len(t) for t in tiles] == [TILE_ROWS] * first + [TILE_ROWS, 700 - TILE_ROWS]
+        assert np.array_equal(
+            np.concatenate(tiles[:first]), standard_normal_block(21, 0, SAMPLE_BLOCK, n)
+        )
+        assert np.array_equal(np.concatenate(tiles[first:]), standard_normal_block(21, 1, 700, n))
 
     def test_short_block_is_prefix_of_full_block(self):
         full = standard_normal_block(7, 3, 4096, 5)

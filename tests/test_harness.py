@@ -1,11 +1,13 @@
 import copy
 import dataclasses
 import json
+import logging
 import os
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -356,20 +358,41 @@ class TestModes:
         assert payload["ordering_consistent"] is True
 
     def test_full_mode_draws_each_block_once(self, monkeypatch):
-        original = robustspec.gaussian_model.standard_normal_block
+        # each block seeds one generator, and every tile of the block is
+        # drawn from it at the stream's n
+        original = robustspec.gaussian_model.block_generator
         keys = []
+        widths = {}
 
-        def recording(seed, block_index, size, n, *args, **kwargs):
-            keys.append((seed, block_index, n))
-            return original(seed, block_index, size, n, *args, **kwargs)
+        def recording(seed, block_index):
+            generator = original(seed, block_index)
+            key = (seed, block_index)
+            keys.append(key)
+
+            def standard_normal(shape):
+                widths.setdefault(key, set()).add(shape[1])
+                return generator.standard_normal(shape)
+
+            return SimpleNamespace(standard_normal=standard_normal)
 
         patch_everywhere(monkeypatch, original, recording)
         doc = dict(FLAT_TRIO, mode="full", trials=5000, n_values=[8, 16], seed=11)
         run_experiment(parse_config(config_text(doc)))
         # calibration, false-alarm and signal streams of 2 blocks each at the
         # largest n, plus the frozen null of the optimizer at the first n
-        assert sorted(n for _, _, n in keys) == [8] * 2 + [16] * 3 * 2
+        assert all(len(widths[key]) == 1 for key in keys)
+        assert sorted(n for key in keys for n in widths[key]) == [8] * 2 + [16] * 3 * 2
         assert len(set(keys)) == len(keys)
+
+    def test_full_mode_logs_aliasing(self, caplog):
+        # n = 100 > grid_size = 64 repeats reflected lags: every member's
+        # model at n = 100 says so, and the run still completes
+        doc = dict(FLAT_TRIO, mode="full", grid_size=64, trials=1000, n_values=[8, 100])
+        with caplog.at_level(logging.WARNING, logger="robustspec"):
+            payload = run_experiment(parse_config(config_text(doc))).payload
+        assert payload["dominance"]["candidate_label"] == "weak"
+        aliased = [r.getMessage() for r in caplog.records if "grid_size 64" in r.getMessage()]
+        assert sorted(message.split("'")[1] for message in aliased) == ["mid", "strong", "weak"]
 
     def test_full_mode_builds_each_precision_once(self, monkeypatch):
         # each scored model's whitener is built once per scorer, never per
@@ -429,7 +452,7 @@ class TestModes:
         doc = dict(FLAT_TRIO, mode="minimax", trials=10000, n_values=[8], seed=11)
         run_experiment(parse_config(config_text(doc)))
         assert sum(rows) == 10000
-        assert max(rows) <= robustspec.gaussian_model.SAMPLE_BLOCK
+        assert max(rows) <= robustspec.gaussian_model.TILE_ROWS
 
     def test_config_echo_completeness(self):
         record = run_experiment(parse_config(config_text(MINIMAL)))

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,17 @@ class TestAutocovariance:
             assert np.max(np.abs(c - direct)) <= 1e-13 * np.max(psd.values)
             period = 2 * (grid_size - 1)
             assert c[period - 3] == c[3] and c[period + 3] == c[3]
+
+    def test_aliasing_is_logged(self, caplog):
+        # at n = grid_size the largest lag is grid_size - 1, still exact
+        psd = make_psd("flat", grid_size=64, level=1.0, label="f")
+        with caplog.at_level(logging.WARNING, logger="robustspec"):
+            autocovariance(psd, 63)
+            assert caplog.records == []
+            autocovariance(psd, 99)
+        (record,) = caplog.records
+        assert record.name.startswith("robustspec") and record.levelno == logging.WARNING
+        assert "'f'" in record.getMessage() and "grid_size 64" in record.getMessage()
 
     def test_negative_lag_rejected(self):
         with pytest.raises(ParameterError):
