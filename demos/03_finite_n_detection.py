@@ -1,7 +1,8 @@
 """Walkthrough: calibrated mixture detectors at finite dimension.
 
-We calibrate a Neyman-Pearson threshold by Monte Carlo, measure false-alarm
-and miss rates, and track the empirical miss exponent across a ladder of
+We calibrate a mixture detector's Neyman-Pearson threshold by Monte Carlo,
+measure false-alarm and miss rates, and track the empirical miss exponent of
+the matched detector, whose thresholds are exact, across a ladder of
 dimensions.  Seeds are explicit everywhere: rerunning this script reproduces
 every number bit for bit.
 """

@@ -5,8 +5,9 @@ The decision statistic for weights q over candidate models p_1..p_K is
     g(y; q) = (1/n) * log sum_k q_k p_k(y) / p_0(y),
 
 evaluated in the log domain.  The test decides the null when g <= tau, with
-tau calibrated as an empirical quantile under the null at false-alarm
-level alpha.
+tau the (1-alpha)-quantile of g under the white null: exact for a singleton
+detector, whose statistic is a weighted sum of chi-square variables there
+(`weighted_chi2_isf`), and an empirical quantile for a mixture.
 
 Every log-likelihood ratio is a running sum of innovations (W_k y)_i, with
 W_k the model's lower-triangular `whitener` (W_k C_k W_k^T = I) and eps_{k,i}
@@ -158,13 +159,15 @@ class _Scorer:
     `ends`, from the prefixes y[:, :n].  Per segment [s, e), `blocks` holds
     [V_1 | ... | V_m], V_k the e x (e-s) transpose of rows s..e-1 of
     I/sigma - W_k for the model's `whitener` W_k; `offsets` holds c_k(n) by
-    (end, model), `scale` 1/sigma, and `picks` each detector's (columns, weights)."""
+    (end, model), `scale` 1/sigma, `picks` each detector's (columns, weights),
+    and `product` room for one chunk's product with the widest block."""
 
     ends: Tuple[int, ...]
     blocks: Tuple[np.ndarray, ...]
     offsets: np.ndarray
     scale: float
     picks: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    product: np.ndarray
 
     def log_ratios(self, y: np.ndarray) -> np.ndarray:
         """(rows, ends x m) log(p_k/p_0) of each row's prefixes, column j m + k
@@ -173,16 +176,16 @@ class _Scorer:
         subtracts y^T y / sigma2 and y^T C_k^{-1} y.  Rows go in chunks of
         TILE_ROWS: at n = 256 and m = 4, 1024-row chunks scored 16% slower and
         kept 2.5 MiB more resident (OpenBLAS, 2 cores).  Every segment's
-        product goes into one buffer per call, sized for the widest segment:
-        with a fresh product per segment and tile-sized input, glibc trimmed
-        and re-faulted its heap, and a `minimax_interior` bench op ran 13%
-        slower."""
+        product goes into the scorer's one `product` buffer, made once: with
+        a fresh product per segment, glibc trimmed and re-faulted its heap
+        and a `minimax_interior` bench op ran 13% slower; with a fresh
+        buffer per call, an `mc_full` op with no calibration stream took
+        12,008 minor page faults where it takes 1,060."""
         (rows, n), m = y.shape, self.offsets.size // len(self.ends)
         if n != self.ends[-1]:
             raise ParameterError(f"models have n={self.ends[-1]}, samples have n={n}")
         quad = np.empty((rows, len(self.ends), m))
-        step = TILE_ROWS
-        product = np.empty(min(rows, step) * max(block.shape[1] for block in self.blocks))
+        step, product = TILE_ROWS, self.product
         for start in range(0, rows, step):
             chunk = y[start : start + step]
             total = np.zeros((len(chunk), m))
@@ -248,7 +251,9 @@ def _scorer(
         (np.searchsorted(scored, np.flatnonzero(a)), q.w[a])
         for q, a in zip(detectors, active)
     )
-    return _Scorer(tuple(ends.tolist()), tuple(blocks), offsets.ravel(), scale, picks)
+    # a segment is at most 64 wide, so the buffer is at most TILE_ROWS x 64 m
+    product = np.empty(TILE_ROWS * max(block.shape[1] for block in blocks))
+    return _Scorer(tuple(ends.tolist()), tuple(blocks), offsets.ravel(), scale, picks, product)
 
 
 def _ratio_scorer(models: Sequence[ToeplitzGaussian], null_sigma2: float) -> _Scorer:
@@ -324,6 +329,129 @@ def threshold_order_index(alpha: float, trials: int) -> int:
     return trials - int(np.ceil(alpha * trials))
 
 
+#: Trapezoid nodes on each half of the contour of `_saddle_tail`: the step is
+#: at most a fifth of the integrand's narrowest scale, and 64 steps span at
+#: least nine widths of its peak, past which it has fallen by e^-36.
+_CONTOUR_NODES = np.arange(64) + 0.5
+
+
+def _saddle_tail(
+    lam: np.ndarray, group: np.ndarray, starts: np.ndarray, shat: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, P(Q > x), dP/dshat) for each group of Q = sum lam chi2_1, at the x
+    whose saddle point is shat: lam > 0 with largest 1 in every group, so
+    that the branch points -1/(2 lam) lie left of -1/2 < shat.
+
+    With M(s) = prod (1 + 2 lam s)^(-1/2) the Laplace transform of Q and
+    K = log M, the saddle point of s x + K(s) solves x = -K'(shat) = sum
+    lam/(1 + 2 lam shat).  P(Q > x) is [c > 0] - (1/2 pi i) int e^{sx} M(s)
+    ds/s along any upward path crossing the real axis once, at c in (-1/2,
+    0) or (0, inf): Gil-Pelaez's inversion, which Imhof (1961) takes along the
+    imaginary axis.  There the integrand decays like |s|^(-1-m/2) for m
+    weights, too slowly for m <= 2, so the path here is the parabola
+    s = c + i t - t^2/(2d), d = c + 1/2, through c = shat.  It puts every
+    branch point at |Im t| = d, its integrand falls like a Gaussian in t for
+    one weight or thousands, and the trapezoid rule in t converges
+    geometrically.  c moves off the pole at 0 when shat lies within
+    w/sqrt(2) of it, w = K''(shat)^(-1/2) the width of the peak, and the
+    step is a fifth of the nearest of w, d and the pole.
+    """
+    u = lam / (1.0 + 2.0 * lam * shat[group])
+    x = np.add.reduceat(u, starts)
+    curvature = 2.0 * np.add.reduceat(u * u, starts)  # K''(shat) = -dx/dshat
+    width = 1.0 / np.sqrt(curvature)
+    c = np.where(np.abs(shat) < width / np.sqrt(2.0), width / np.sqrt(2.0), shat)
+    d = c + 0.5
+    pole = np.abs(d - np.sqrt(np.maximum(d * d - 2.0 * d * c, 0.0)))  # |Im t| of s = 0
+    step = np.minimum(width, np.minimum(d, pole)) / 5.0
+    t = _CONTOUR_NODES[:, np.newaxis] * step
+    s = c + 1j * t - t * t / (2.0 * d)
+    # log M from the real and imaginary parts of 1 + 2 lam s: about 4x
+    # faster than complex logs
+    re = 1.0 + 2.0 * lam * s.real[:, group]
+    im = 2.0 * lam * s.imag[:, group]
+    log_m = -0.25 * np.add.reduceat(np.log(re * re + im * im), starts, axis=1)
+    log_m = log_m - 0.5j * np.add.reduceat(np.arctan2(im, re), starts, axis=1)
+    # the trapezoid sum over t > 0; the t < 0 half is its conjugate
+    terms = np.exp(s * x + log_m) * (1j - t / d) * (step / np.pi)
+    inner = np.sum((terms / s).imag, axis=0)
+    tail = np.where(c > 0.0, 1.0 - inner, -inner)
+    return x, tail, curvature * np.sum(terms.imag, axis=0)
+
+
+def weighted_chi2_isf(weights: Sequence[np.ndarray], alpha: float) -> np.ndarray:
+    """The (1-alpha)-quantile of Q = sum_i lam_i chi2_1 (independent) for each
+    vector lam >= 0 in `weights`, by numerical inversion with no sampling
+    error; 0 for a vector of zeros, whose Q is 0.
+
+    Each vector is scaled to largest weight 1 (zeros dropped) and solved in
+    the saddle point shat of `_saddle_tail`, whose x is explicit: safeguarded
+    Newton on log P(Q > x)/alpha (on log P(Q <= x)/(1 - alpha) when
+    alpha > 1/2) in r = log(shat + 1/2), bisecting when a step leaves the
+    bracket, until the log ratio is within 1e-12.  Every vector is solved
+    at once.  Raises ParameterError unless 0 < alpha < 1.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must be in (0,1), got {alpha}")
+    lams = [np.asarray(w, dtype=float) for w in weights]
+    top = np.array([w.max(initial=0.0) for w in lams])
+    quantiles = np.zeros(len(lams))
+    live = np.flatnonzero(top > 0.0)
+    if not live.size:
+        return quantiles
+    scaled = [lams[i][lams[i] > 0.0] / top[i] for i in live]
+    sizes = np.array([w.size for w in scaled])
+    lam = np.concatenate(scaled)
+    group = np.repeat(np.arange(live.size), sizes)
+    starts = np.cumsum(sizes) - sizes
+    upper = alpha <= 0.5
+    r = np.full(live.size, np.log(0.5))  # shat = 0: x is the mean of Q
+    lo = np.full(live.size, -np.inf)
+    hi = np.full(live.size, np.inf)
+    for _ in range(100):
+        x, sf, slope = _saddle_tail(lam, group, starts, np.exp(r) - 0.5)
+        tail = np.maximum(sf if upper else 1.0 - sf, np.finfo(float).tiny)
+        # increasing in r: the tail above x grows as shat does and x falls
+        res = np.log(tail / alpha) if upper else np.log((1.0 - alpha) / tail)
+        done = (np.abs(res) <= 1e-12) | (hi - lo <= 1e-14 * (1.0 + np.abs(r)))
+        if done.all():
+            break
+        lo = np.where(res < 0.0, r, lo)
+        hi = np.where(res > 0.0, r, hi)
+        gain = slope * np.exp(r) / tail  # d res / dr
+        newton = r - np.divide(res, gain, out=np.full_like(r, np.inf), where=gain > 0.0)
+        middle = np.where(np.isinf(lo), hi - 2.0, np.where(np.isinf(hi), lo + 2.0, (lo + hi) / 2))
+        r = np.where(done, r, np.where((lo < newton) & (newton < hi), newton, middle))
+    quantiles[live] = x * top[live]
+    return quantiles
+
+
+def _singleton_thresholds(
+    score: _Scorer,
+    models: Sequence[ToeplitzGaussian],
+    detectors: Sequence[MixtureWeights],
+    alpha: float,
+) -> np.ndarray:
+    """Thresholds of the scorer's statistics, row j d + i for the j-th end
+    and detector i: NaN for a mixture, and for a singleton detector of model
+    k the exact (1-alpha)-quantile of g under the white null at n,
+    (c_k(n) + q/2)/n, with c_k(n) the scorer's offset and q that of
+    `weighted_chi2_isf` for the model's `null_weights(n)`.  One eigvalsh per
+    (singleton, n), one at a time."""
+    offsets = score.offsets.reshape(len(score.ends), -1)
+    cells, weights = [], []
+    for i, ((columns, _), q) in enumerate(zip(score.picks, detectors)):
+        if columns.size == 1:
+            model = models[int(np.flatnonzero(q.w)[0])]
+            for j, n in enumerate(score.ends):
+                cells.append((j * len(detectors) + i, offsets[j, columns[0]], n))
+                weights.append(model.null_weights(n))
+    thresholds = np.full(len(score.ends) * len(detectors), np.nan)
+    for (row, offset, n), q in zip(cells, weighted_chi2_isf(weights, alpha)):
+        thresholds[row] = (offset + 0.5 * q) / n
+    return thresholds
+
+
 def calibrate_threshold(
     weights: MixtureWeights,
     models: Sequence[ToeplitzGaussian],
@@ -352,7 +480,8 @@ def _error_counts(
     seed: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """False-alarm counts per scorer statistic and miss counts per
-    (statistic, truth).
+    (statistic, truth), against one threshold per statistic (row j d + i
+    for the j-th end and detector i, as the scorer's rows).
 
     Null draws use substream (seed, "h0").  Signal draws use (seed, "h1"):
     each tile of white normals is drawn once and mapped through every
@@ -432,7 +561,8 @@ def _ladder(
     miss_hat = miss_count / trials
     censored = miss_count < MIN_MISS_EVENTS
     with np.errstate(divide="ignore"):
-        miss_log = np.where(censored, np.nan, -np.log(miss_hat) / n_values)
+        # + 0.0 turns -log(1) = -0.0, every signal draw missed, into 0.0
+        miss_log = np.where(censored, np.nan, -np.log(miss_hat) / n_values + 0.0)
     slope = ci = None
     uncensored = np.flatnonzero(~censored)
     if uncensored.size:
@@ -461,17 +591,21 @@ def operating_characteristics(
     alpha: float,
     seed: int,
 ) -> List[List[ExponentEstimate]]:
-    """Calibrated miss-exponent ladders of every detector against every truth.
+    """Miss-exponent ladders at false-alarm level alpha of every detector
+    against every truth.
 
     models_by_n holds the K models of each n, n strictly increasing, each set
     the first n coordinates of the largest (same sigma2, autocov its first n
-    lags).  Three streams are drawn once, at the largest n: the calibration
-    null ("cal"), one threshold per (detector, n), then the false-alarm null
-    and the signal ("h0", "h1" under "mc"), whose white draws every truth
-    shares.  One `_scorer` scores every n from prefixes y[:, :n], so the n are
+    lags).  One `_scorer` scores every n from prefixes y[:, :n], so the n are
     coupled, and a prefix inherits the largest model's jitter rung (<= 1e-8,
-    roundoff only).  Returns estimates[detector][truth]; a ladder censored at
-    every n has no slope."""
+    roundoff only).  Each (detector, n) has one threshold, shared by every
+    truth.  A singleton detector's is exact (`_singleton_thresholds`), so its
+    false-alarm count is Binomial(trials, alpha).  Only when some detector is
+    a mixture is the calibration null ("cal") drawn, and a mixture's
+    threshold is its order statistic there.  The false-alarm null and the
+    signal ("h0", "h1" under "mc") are drawn once, at the largest n, and
+    every truth shares the signal's white draws.  Returns
+    estimates[detector][truth]; a ladder censored at every n has no slope."""
     if not models_by_n:
         raise ParameterError("n_values must be nonempty")
     n_values = np.array([models[0].n for models in models_by_n], dtype=int)
@@ -487,10 +621,13 @@ def operating_characteristics(
     order = threshold_order_index(alpha, trials)
     sigma2 = largest[0].sigma2
     score = _scorer(largest, detectors, sigma2, n_values)
-    g = _null_statistics(score, sigma2, trials, derive_seed(seed, "cal"))
-    g.partition(order, axis=1)
-    thresholds = g[:, order].copy()
-    del g  # the error counts read only the thresholds
+    thresholds = _singleton_thresholds(score, largest, detectors, alpha)
+    mixture = np.isnan(thresholds)
+    if mixture.any():
+        g = _null_statistics(score, sigma2, trials, derive_seed(seed, "cal"))[mixture]
+        g.partition(order, axis=1)
+        thresholds[mixture] = g[:, order]
+        del g  # the error counts read only the thresholds
     fa, miss = _error_counts(
         score, largest, thresholds, truths, sigma2, trials, derive_seed(seed, "mc")
     )
@@ -513,8 +650,9 @@ def empirical_exponent(
 ) -> ExponentEstimate:
     """Estimate -(1/n) log(miss probability) across a ladder of dimensions.
 
-    The one-detector, one-truth view of operating_characteristics: each
-    dimension calibrates its own threshold from the same master seed.
+    The one-detector, one-truth view of operating_characteristics: every
+    dimension is scored from the prefixes of one draw at the largest n, each
+    against its own threshold at level alpha.
     Raises EstimationInfeasibleError when every entry is censored.
     """
     models_by_n = build_model_sets(psd_set.members, sigma2, [int(n) for n in n_values])

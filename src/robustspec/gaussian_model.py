@@ -16,6 +16,9 @@ runs the same pass without a model.
   two generators the same way, and folds them into two half-size blocks.
 - Sampling maps white draws through the dense Cholesky `factor` L, built on
   first read so that unsampled models never form it.
+- `ToeplitzGaussian.null_weights` takes one dense eigvalsh of a leading block
+  of the covariance: the weights of the white-null law of a prefix
+  log-ratio, which `detection` thresholds exactly.
 - Draws are seeded per block of SAMPLE_BLOCK rows and streamed in tiles of at
   most TILE_ROWS rows from the block's one generator, so a stream holds one
   tile at a time and the tiling never changes a draw.
@@ -112,12 +115,26 @@ class ToeplitzGaussian:
         factor.setflags(write=False)
         return factor
 
-    def covariance(self) -> np.ndarray:
-        """Dense covariance sigma2*I + Sigma_N."""
-        lags = np.arange(self.n)
+    def covariance(self, n: Optional[int] = None) -> np.ndarray:
+        """Dense covariance sigma2*I + Sigma_N, or its leading n x n block."""
+        lags = np.arange(self.n if n is None else n)
         cov = self.autocov[np.abs(lags[:, None] - lags)]
-        cov[np.diag_indices(self.n)] += self.sigma2
+        cov[np.diag_indices(lags.size)] += self.sigma2
         return cov
+
+    def null_weights(self, n: Optional[int] = None) -> np.ndarray:
+        """Ascending eigenvalues lam of I - sigma2 C_n^{-1}, for C_n the leading
+        n x n block (default: all) of the covariance plus the model's jitter.
+
+        Under N(0, sigma2 I) the prefix log-ratio log p/p_0 (y_{<n}) is
+        c(n) + (1/2) sum_i lam_i chi2_1, every lam in [0, 1): the law that
+        `detection` thresholds exactly.  Eigenvalues of C_n that round below
+        sigma2 would give lam of about -1e-15, so lam is clipped at 0.  One
+        dense eigvalsh, O(n^3), on a new n x n array.
+        """
+        cov = self.covariance(n)
+        cov[np.diag_indices(cov.shape[0])] += JITTER_LADDER[self.jitter]
+        return np.maximum(1.0 - self.sigma2 / np.linalg.eigvalsh(cov), 0.0)
 
     def inverse(self) -> np.ndarray:
         """C^{-1} of the covariance plus the model's jitter, summed from its

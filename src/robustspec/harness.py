@@ -101,7 +101,9 @@ class ExperimentConfig:
         normalise("trials", _as_int(self.trials, "trials"))
         floor = MIN_MC_TRIALS if self.mode in ("simulate", "minimax", "full") else 1
         at = ""
-        if self.mode in ("simulate", "full"):  # both calibrate a threshold at alpha
+        # simulate and full estimate false-alarm rates at alpha: with exact
+        # thresholds that still needs about 100 expected exceedances
+        if self.mode in ("simulate", "full"):
             floor, at = max(floor, min_calibration_trials(self.alpha)), f" at alpha={self.alpha}"
         if self.trials < floor:
             raise ConfigError(

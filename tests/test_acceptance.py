@@ -217,8 +217,8 @@ def test_criterion_08_desk_scale_minimax_ordering():
     assert np.all(np.diff(uncensored) > 0.0), uncensored
     assert 0.5 * gamma <= uncensored[-1] <= 1.3 * gamma, uncensored[-1]
 
-    # Both detectors against every truth, scored on one draw of the cal:64,
-    # h0 and h1 streams.
+    # Both detectors against every truth, scored on one draw of the h0 and h1
+    # streams at n = 64; singleton thresholds are exact, so no cal stream.
     ladders = operating_characteristics(
         build_model_sets(psds, 1.0, [64]),
         [MixtureWeights.singleton(det, 3) for det in (0, 2)],

@@ -1,13 +1,18 @@
 import hashlib
+import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.integrate import quad
 from scipy.special import logsumexp
 
 import prop_suites
 import robustspec.detection
-from conftest import MASTER_SEED, MODULE_CASES, SCORED_PSDS, flat_set
+import robustspec.gaussian_model
+from conftest import MASTER_SEED, MODULE_CASES, SCORED_PSDS, flat_set, patch_everywhere
 from robustspec.detection import (
     DEFAULT_TILT_GRID,
     DetectorSpec,
@@ -15,6 +20,7 @@ from robustspec.detection import (
     _log_sum_exp,
     _mixture_log_ratios,
     _scorer,
+    _singleton_thresholds,
     calibrate_threshold,
     chernoff_exponent,
     derive_seed,
@@ -28,6 +34,7 @@ from robustspec.detection import (
     ratio_rows,
     sample_mixture_blocks,
     threshold_order_index,
+    weighted_chi2_isf,
 )
 from robustspec.dominance import find_dominated
 from robustspec.errors import EstimationInfeasibleError, ParameterError
@@ -396,6 +403,17 @@ class TestEmpiricalExponent:
         with pytest.raises(ParameterError):
             empirical_exponent(uset, 1.0, E1, 0, [32, 32], 2000, 0.1, 3)
 
+    def test_every_draw_missed_gives_positive_zero(self):
+        # a zero-PSD detector never rejects, so miss_hat = 1 and -log(1)/n
+        # would be -0.0 in the ladder, its slope and the JSON payload
+        zero = make_psd("flat", grid_size=256, level=0.0, label="zero")
+        uset = UncertaintySet(members=(zero,))
+        est = empirical_exponent(uset, 1.0, E1, 0, [4], 2000, 0.1, 3)
+        assert est.miss_count[0] == 2000
+        assert math.copysign(1.0, est.miss_log[0]) == 1.0
+        assert math.copysign(1.0, est.slope) == 1.0
+        assert json.dumps(est.to_rows()[0]["miss_log"]) == "0.0"
+
 
 class TestLadderPrefixes:
     @pytest.mark.parametrize("change", ["sigma2", "members", "autocov"])
@@ -412,6 +430,185 @@ class TestLadderPrefixes:
             operating_characteristics(
                 [small, large], [MixtureWeights.uniform(3)], [0], 2000, 0.1, 1
             )
+
+
+def imhof_sf(lam, x):
+    """P(sum lam chi2_1 > x) by scipy's quad of Imhof's (1961) integrand:
+    rho is taken as exp(-log rho), which cannot overflow at large u."""
+
+    def integrand(u):
+        theta = 0.5 * np.sum(np.arctan(lam * u)) - 0.5 * x * u
+        return np.sin(theta) * np.exp(-0.25 * np.sum(np.log1p((lam * u) ** 2))) / u
+
+    value, error = quad(integrand, 0.0, np.inf, limit=1000, epsabs=1e-13, epsrel=1e-13)
+    assert error < 1e-11
+    return 0.5 + value / np.pi
+
+
+class TestExactThresholds:
+    # The singleton thresholds are quantiles of sum lam chi2_1 with lam the
+    # model's null_weights; every test runs under the error::RuntimeWarning
+    # filter, so an overflow or a division by zero fails it.
+    ALPHAS = (1e-3, 0.05, 0.9)
+
+    @pytest.mark.parametrize("sigma2", [1.0, 0.7])
+    def test_flat_members_match_chi2(self, sigma2):
+        # a flat member's weights all equal level/(sigma2 + level): a scaled
+        # chi2_n, checked against scipy with every (level, n) in one call
+        cases = [(level, n) for level in (0.5, 3.0) for n in (1, 16, 64)]
+        weights = [build_model(flat_set([lv])[0], sigma2, n).null_weights() for lv, n in cases]
+        for (level, n), lam in zip(cases, weights):
+            assert lam.shape == (n,)
+            assert np.allclose(lam, level / (sigma2 + level), rtol=1e-12, atol=0.0)
+        for a in self.ALPHAS:
+            for (level, n), lam, q in zip(cases, weights, weighted_chi2_isf(weights, a)):
+                assert abs(stats.chi2.sf(q / lam[0], n) - a) <= 1e-10, (level, n, a)
+
+    @pytest.mark.parametrize("name", ["ar1", "raised_cosine"])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_scored_members_match_imhof(self, name, n):
+        lam = build_model(SCORED_PSDS[name], 1.0, n).null_weights()
+        assert np.ptp(lam) > 0.1  # distinct weights: no chi2 shortcut
+        for a in self.ALPHAS:
+            q = weighted_chi2_isf([lam], a)[0]
+            assert abs(imhof_sf(lam, q) - a) <= 1e-10, a
+
+    def test_two_weights_match_a_convolution(self):
+        # at n = 2 Imhof's integrand decays like u^-2, where the contour must
+        # still hold: P(a X + b Y > q) = E_Y P(X > (q - b Y)/a), Y = v^2
+        lam = build_model(SCORED_PSDS["ar1"], 1.0, 2).null_weights()
+        a, b = lam
+        for alpha in self.ALPHAS:
+            q = weighted_chi2_isf([lam], alpha)[0]
+            inner = quad(
+                lambda v: stats.chi2.sf((q - b * v * v) / a, 1) * 2.0 * stats.norm.pdf(v),
+                0.0, np.sqrt(q / b), epsabs=1e-14, epsrel=1e-13, limit=200,
+            )[0]
+            assert abs(inner + stats.chi2.sf(q / b, 1) - alpha) <= 1e-10, alpha
+
+    def test_roundoff_weights_are_clipped(self):
+        # this bump is zero on most of the band: 13 eigenvalues of C_64 round
+        # below sigma2, to lam of about -2e-15 before the clip
+        psd = make_psd("raised_cosine", grid_size=4096, peak=2.0, center=0.8, width=0.5)
+        model = build_model(psd, 1.0, 64)
+        raw = 1.0 - 1.0 / np.linalg.eigvalsh(model.covariance())
+        assert raw.min() < -1e-15
+        lam = model.null_weights()
+        assert lam.min() == 0.0 and np.array_equal(lam[raw > 0.0], raw[raw > 0.0])
+        for a in self.ALPHAS:
+            q = weighted_chi2_isf([lam], a)[0]
+            assert abs(imhof_sf(lam, q) - a) <= 1e-10, a
+
+    def test_prefix_weights_are_the_leading_block(self):
+        largest = build_model(SCORED_PSDS["ar1"], 1.0, 64)
+        for n in (1, 16, 63):
+            own = build_model(SCORED_PSDS["ar1"], 1.0, n).null_weights()
+            assert np.allclose(largest.null_weights(n), own, rtol=0.0, atol=1e-14)
+
+    def test_zero_psd_member_threshold_is_its_offset(self):
+        # every lam is 0: g is c/n on every draw, the threshold is c/n bit
+        # for bit, and no draw exceeds it
+        psds = (make_psd("flat", grid_size=256, level=0.0, label="zero"),) + flat_set([1.0])
+        models_by_n = build_model_sets(psds, 1.0, [4, 8])
+        assert not np.any(models_by_n[-1][0].null_weights())
+        assert weighted_chi2_isf([np.zeros(8), np.zeros(1)], 0.05).tolist() == [0.0, 0.0]
+        detectors = [MixtureWeights.singleton(0, 2), MixtureWeights.singleton(1, 2)]
+        score = _scorer(models_by_n[-1], detectors, 1.0, [4, 8])
+        thresholds = _singleton_thresholds(score, models_by_n[-1], detectors, 0.05)
+        offsets = score.offsets.reshape(2, 2)
+        assert thresholds[0] == offsets[0, 0] / 4 and thresholds[2] == offsets[1, 0] / 8
+        ladders = operating_characteristics(models_by_n, detectors, [0, 1], 2000, 0.05, 3)
+        assert not np.any(ladders[0][0].fa_hat)
+        assert np.all(ladders[0][0].miss_hat == 1.0)
+
+    def test_alpha_validated(self):
+        for alpha in (0.0, 1.0, -0.1):
+            with pytest.raises(ParameterError, match="alpha"):
+                weighted_chi2_isf([np.ones(3)], alpha)
+
+
+def seeded_streams(monkeypatch):
+    """List that gains the seed of every block generator the engine makes."""
+    original = robustspec.gaussian_model.block_generator
+    seeds = []
+
+    def recording(seed, block_index):
+        seeds.append(seed)
+        return original(seed, block_index)
+
+    patch_everywhere(monkeypatch, original, recording)
+    return seeds
+
+
+class TestCalibrationStream:
+    # Singleton thresholds are exact, so only a mixture detector draws the
+    # "cal" stream, and a singleton's ladder does not depend on whether one
+    # is present.
+    def setup_method(self):
+        self.models_by_n = build_model_sets(
+            (flat_set([1.0])[0], SCORED_PSDS["ar1"], SCORED_PSDS["raised_cosine"]), 1.0, [8, 16]
+        )
+        self.singletons = [MixtureWeights.singleton(k, 3) for k in range(3)]
+
+    def test_singletons_draw_no_calibration_stream(self, monkeypatch):
+        seeds = seeded_streams(monkeypatch)
+        operating_characteristics(self.models_by_n, self.singletons, [0, 1], 2000, 0.1, 7)
+        mc = derive_seed(7, "mc")
+        assert derive_seed(7, "cal") not in seeds
+        assert set(seeds) == {derive_seed(mc, "h0"), derive_seed(mc, "h1")}
+
+    def test_mixture_draws_the_calibration_stream(self, monkeypatch):
+        alone = operating_characteristics(self.models_by_n, self.singletons, [0, 1], 2000, 0.1, 7)
+        seeds = seeded_streams(monkeypatch)
+        detectors = self.singletons + [MixtureWeights.uniform(3)]
+        ladders = operating_characteristics(self.models_by_n, detectors, [0, 1], 2000, 0.1, 7)
+        assert seeds.count(derive_seed(7, "cal")) == 1
+        for row, expected in zip(ladders, alone):
+            for est, other in zip(row, expected):
+                assert np.array_equal(est.fa_hat, other.fa_hat)
+                assert np.array_equal(est.miss_count, other.miss_count)
+        # the mixture's order-statistic threshold leaves ceil(alpha N) - 1
+        # exceedances of its own stream; on the h0 stream it is near alpha
+        assert abs(ladders[3][0].fa_hat[-1] - 0.1) < 0.03
+
+
+class TestFalseAlarmLaw:
+    # With exact thresholds each false-alarm count is Binomial(N, alpha):
+    # across seeds the counts of each detector pool to N alpha per seed, and
+    # their spread is the binomial one.  A threshold at level alpha + 0.005
+    # shifts every count by 20 (1.45 sd) and fails the same check.
+    SEEDS, N, ALPHA = 20, 4000, 0.05
+
+    def counts(self):
+        psds = (flat_set([1.0], grid_size=4096)[0], SCORED_PSDS["ar1"], SCORED_PSDS["raised_cosine"])
+        models_by_n = build_model_sets(psds, 1.0, [16])
+        detectors = [MixtureWeights.singleton(k, 3) for k in range(3)]
+        return np.array([
+            [
+                round(row[0].fa_hat[0] * self.N)
+                for row in operating_characteristics(
+                    models_by_n, detectors, [0], self.N, self.ALPHA, MASTER_SEED + s
+                )
+            ]
+            for s in range(self.SEEDS)
+        ])
+
+    def binomial(self, counts) -> bool:
+        mean, var = self.N * self.ALPHA, self.N * self.ALPHA * (1.0 - self.ALPHA)
+        pooled = np.abs(counts.sum(axis=0) - self.SEEDS * mean) <= 4.0 * np.sqrt(self.SEEDS * var)
+        spread = ((counts - mean) ** 2).sum(axis=0) / var
+        low, high = stats.chi2.ppf(1e-4, self.SEEDS), stats.chi2.isf(1e-4, self.SEEDS)
+        return bool(np.all(pooled) and np.all((low <= spread) & (spread <= high)))
+
+    def test_counts_follow_the_binomial_law(self):
+        assert self.binomial(self.counts())
+
+    def test_check_fails_a_threshold_off_by_half_a_percent(self, monkeypatch):
+        original = robustspec.detection.weighted_chi2_isf
+        monkeypatch.setattr(
+            robustspec.detection, "weighted_chi2_isf", lambda w, a: original(w, a + 0.005)
+        )
+        assert not self.binomial(self.counts())
 
 
 class TestWorstCaseOrdering:

@@ -378,10 +378,11 @@ class TestModes:
         patch_everywhere(monkeypatch, original, recording)
         doc = dict(FLAT_TRIO, mode="full", trials=5000, n_values=[8, 16], seed=11)
         run_experiment(parse_config(config_text(doc)))
-        # calibration, false-alarm and signal streams of 2 blocks each at the
-        # largest n, plus the frozen null of the optimizer at the first n
+        # false-alarm and signal streams of 2 blocks each at the largest n
+        # (singleton detectors draw no calibration stream), plus the frozen
+        # null of the optimizer at the first n
         assert all(len(widths[key]) == 1 for key in keys)
-        assert sorted(n for key in keys for n in widths[key]) == [8] * 2 + [16] * 3 * 2
+        assert sorted(n for key in keys for n in widths[key]) == [8] * 2 + [16] * 2 * 2
         assert len(set(keys)) == len(keys)
 
     def test_full_mode_logs_aliasing(self, caplog):
