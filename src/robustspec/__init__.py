@@ -5,7 +5,7 @@ simulates likelihood-ratio and mixture detectors at finite dimension, and
 certifies the saddle-point structure of the underlying robustness game.
 """
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 from .spectral import (  # noqa: F401
     PsdGrid,

@@ -17,7 +17,9 @@ its prediction errors:
 
 with c_k(n) = -(sum_{i<n} log eps_{k,i} - n log sigma2)/2.  So one `_Scorer`
 of the largest models scores every n of a ladder from the prefixes of one
-draw.  A white null is scored as its samples sqrt(sigma2) z.
+draw.  A white null is scored as its samples sqrt(sigma2) z, and the Monte
+Carlo error counts draw one white stream: each tile z is every truth's
+signal z L^T and, scaled in place, the null.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import EstimationInfeasibleError, ParameterError, require_positive
 from .gaussian_model import TILE_ROWS, ToeplitzGaussian, build_model_sets, normal_blocks
-from .gaussian_model import sample_blocks, seeded_tiles, white_blocks
+from .gaussian_model import seeded_tiles, white_blocks
 from .spectral import UncertaintySet
 
 #: Default normalized tilt grid for Chernoff-type bounds: 41 points on [-2, 0].
@@ -160,7 +162,11 @@ class _Scorer:
     [V_1 | ... | V_m], V_k the e x (e-s) transpose of rows s..e-1 of
     I/sigma - W_k for the model's `whitener` W_k; `offsets` holds c_k(n) by
     (end, model), `scale` 1/sigma, `picks` each detector's (columns, weights),
-    and `product` room for one chunk's product with the widest block."""
+    and `product` room for one chunk's product with the widest block.
+
+    `product` is a scorer's only mutable state, so one scorer must not be
+    shared across threads: two threads scoring through one scorer write
+    into the same buffer, and their counts differ from a sequential run."""
 
     ends: Tuple[int, ...]
     blocks: Tuple[np.ndarray, ...]
@@ -204,13 +210,18 @@ class _Scorer:
     def __call__(self, y: np.ndarray) -> np.ndarray:
         """(ends x detectors, row) g values of each row's prefixes, row j d + i
         for the j-th end and detector i; a singleton detector reads its column."""
-        ratios = self.log_ratios(y).reshape(len(y), len(self.ends), -1)
+        return self.statistics(self.log_ratios(y))
+
+    def statistics(self, ratios: np.ndarray) -> np.ndarray:
+        """The g values of `__call__` from the rows of `log_ratios`."""
+        rows = len(ratios)
+        ratios = ratios.reshape(rows, len(self.ends), -1)
         stats = [
             ratios[..., c[0]] if c.size == 1 else _mixture_log_ratios(ratios[..., c], w)
             for c, w in self.picks
         ]
         ends = np.array(self.ends)[:, np.newaxis, np.newaxis]
-        return (np.stack(stats).transpose(2, 0, 1) / ends).reshape(-1, len(y))
+        return (np.stack(stats).transpose(2, 0, 1) / ends).reshape(-1, rows)
 
 
 def _scorer(
@@ -478,14 +489,19 @@ def _error_counts(
     null_sigma2: float,
     trials: int,
     seed: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """False-alarm counts per scorer statistic and miss counts per
-    (statistic, truth), against one threshold per statistic (row j d + i
-    for the j-th end and detector i, as the scorer's rows).
+    first_rows: bool = False,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """(fa, miss, null): false-alarm counts per scorer statistic and miss
+    counts per (statistic, truth), against one threshold per statistic (row
+    j d + i for the j-th end and detector i, as the scorer's rows).
 
-    Null draws use substream (seed, "h0").  Signal draws use (seed, "h1"):
-    each tile of white normals is drawn once and mapped through every
-    truth's factor, so all detectors and truths score coupled sample sets.
+    One stream of white normals, substream (seed, "h0"), feeds every count.
+    Each tile z is first mapped through each truth's factor, z L_j^T, for
+    the miss counts, then scaled in place to the null sample sqrt(sigma2) z
+    for the false alarms.  So every detector, truth and the null score
+    coupled sample sets.  With `first_rows`, `null` is the (trials, m) null
+    log-ratios of the m scored models at the scorer's first end (None
+    otherwise).
     """
     if trials < MIN_MC_TRIALS:
         raise ParameterError(f"trials must be >= {MIN_MC_TRIALS}, got {trials}")
@@ -493,13 +509,21 @@ def _error_counts(
         raise ParameterError(f"truth indices {list(truths)} empty or out of range")
     tau = np.asarray(thresholds, dtype=float)[:, np.newaxis]
     fa = np.zeros(tau.shape[0], dtype=int)
-    for y in white_blocks(null_sigma2, score.ends[-1], trials, derive_seed(seed, "h0")):
-        fa += np.sum(score(y) > tau, axis=1)
     miss = np.zeros((tau.shape[0], len(truths)), dtype=int)
-    signals = sample_blocks([models[t] for t in truths], trials, derive_seed(seed, "h1"))
-    for i, y in enumerate(signals):
-        miss[:, i % len(truths)] += np.sum(score(y) <= tau, axis=1)
-    return fa, miss
+    m = score.offsets.size // len(score.ends)
+    null = np.empty((trials, m)) if first_rows else None
+    factors = [models[t].factor.T for t in truths]
+    scale, start = np.sqrt(null_sigma2), 0
+    for z in normal_blocks(score.ends[-1], trials, derive_seed(seed, "h0")):
+        for i, factor in enumerate(factors):
+            miss[:, i] += np.sum(score(z @ factor) <= tau, axis=1)
+        z *= scale
+        ratios = score.log_ratios(z)
+        fa += np.sum(score.statistics(ratios) > tau, axis=1)
+        if first_rows:
+            null[start : start + len(z)] = ratios[:, :m]
+        start += len(z)
+    return fa, miss, null
 
 
 def estimate_error_probs(
@@ -507,12 +531,11 @@ def estimate_error_probs(
 ) -> Tuple[float, float, int]:
     """Monte Carlo false-alarm and miss rates of a calibrated detector.
 
-    Null draws use substream (seed, "h0"); signal draws use (seed, "h1") with
-    white-noise draws shared across truth models, so detectors and truths
-    under comparison score coupled sample sets.
+    One white stream, substream (seed, "h0"), gives the null draws and,
+    through the truth's factor, the signal draws (see `_error_counts`).
     """
     score = _scorer(spec.models, [spec.weights], spec.null_sigma2)
-    fa, miss = _error_counts(
+    fa, miss, _ = _error_counts(
         score, spec.models, [spec.threshold], [true_psd_index], spec.null_sigma2,
         trials, seed,
     )
@@ -602,10 +625,28 @@ def operating_characteristics(
     truth.  A singleton detector's is exact (`_singleton_thresholds`), so its
     false-alarm count is Binomial(trials, alpha).  Only when some detector is
     a mixture is the calibration null ("cal") drawn, and a mixture's
-    threshold is its order statistic there.  The false-alarm null and the
-    signal ("h0", "h1" under "mc") are drawn once, at the largest n, and
-    every truth shares the signal's white draws.  Returns
-    estimates[detector][truth]; a ladder censored at every n has no slope."""
+    threshold is its order statistic there.  The error counts read one white
+    stream ("h0" under "mc"), drawn once at the largest n: it is the
+    false-alarm null, and mapped through each truth's factor it is every
+    truth's signal (`_error_counts`).  Returns estimates[detector][truth]; a
+    ladder censored at every n has no slope."""
+    return _operating_characteristics(models_by_n, detectors, truths, trials, alpha, seed)[0]
+
+
+def _operating_characteristics(
+    models_by_n: Sequence[Sequence[ToeplitzGaussian]],
+    detectors: Sequence[MixtureWeights],
+    truths: Sequence[int],
+    trials: int,
+    alpha: float,
+    seed: int,
+    first_rows: bool = False,
+) -> Tuple[List[List[ExponentEstimate]], Optional[np.ndarray]]:
+    """(ladders, null) of `operating_characteristics`.  With `first_rows`,
+    null is the (trials, K) log-ratio matrix of its false-alarm null at the
+    first n, column k for model k, which needs every model weighted by some
+    detector; None otherwise.  Its rows are the first n coordinates of white
+    rows, so they have the law of a null drawn at that n."""
     if not models_by_n:
         raise ParameterError("n_values must be nonempty")
     n_values = np.array([models[0].n for models in models_by_n], dtype=int)
@@ -621,6 +662,8 @@ def operating_characteristics(
     order = threshold_order_index(alpha, trials)
     sigma2 = largest[0].sigma2
     score = _scorer(largest, detectors, sigma2, n_values)
+    if first_rows and score.offsets.size != n_values.size * len(largest):
+        raise ParameterError("null log-ratio rows need every model weighted by a detector")
     thresholds = _singleton_thresholds(score, largest, detectors, alpha)
     mixture = np.isnan(thresholds)
     if mixture.any():
@@ -628,14 +671,15 @@ def operating_characteristics(
         g.partition(order, axis=1)
         thresholds[mixture] = g[:, order]
         del g  # the error counts read only the thresholds
-    fa, miss = _error_counts(
-        score, largest, thresholds, truths, sigma2, trials, derive_seed(seed, "mc")
+    fa, miss, null = _error_counts(
+        score, largest, thresholds, truths, sigma2, trials, derive_seed(seed, "mc"), first_rows
     )
     fa, miss = fa.reshape(n_values.size, -1), miss.reshape(n_values.size, len(detectors), -1)
-    return [
+    ladders = [
         [_ladder(n_values, fa[:, d], miss[:, d, t], trials) for t in range(len(truths))]
         for d in range(len(detectors))
     ]
+    return ladders, null
 
 
 def empirical_exponent(

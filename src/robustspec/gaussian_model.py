@@ -215,17 +215,23 @@ def levinson_durbin(
     a = np.zeros(n)
     a[0] = 1.0
     errors = np.empty(n)
-    errors[0] = r[0]
+    error = float(r[0])
+    # each step writes reflection * a[k-1::-1] into one scratch and adds it
+    # in place, allocating nothing; the dot keeps its reversed view, since a
+    # contiguous copy goes through BLAS ddot and changes the bits
+    scratch = np.empty(n)
     for k in range(n):
         if k:
-            reflection = -(a[:k] @ r[k:0:-1]) / errors[k - 1]
-            a[1 : k + 1] += reflection * a[k - 1 :: -1]
-            errors[k] = errors[k - 1] * (1.0 - reflection * reflection)
-        if not 0.0 < errors[k] < np.inf:
+            reflection = -float(a[:k] @ r[k:0:-1]) / error
+            step = np.multiply(a[k - 1 :: -1], reflection, out=scratch[:k])
+            np.add(a[1 : k + 1], step, out=a[1 : k + 1])
+            error *= 1.0 - reflection * reflection
+        if not 0.0 < error < np.inf:
             raise NotPositiveDefiniteError(
                 f"covariance for PSD {label!r} is not positive definite "
-                f"(Levinson-Durbin prediction error {errors[k]:g} at order {k})"
+                f"(Levinson-Durbin prediction error {error:g} at order {k})"
             )
+        errors[k] = error
         if rows is not None:
             rows[k, : k + 1] = a[k::-1]
     return a, errors

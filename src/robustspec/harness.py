@@ -13,9 +13,11 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from . import __version__
-from .detection import MIN_MC_TRIALS, MixtureWeights, derive_seed
-from .detection import min_calibration_trials, operating_characteristics, ratio_rows
+from .detection import MIN_MC_TRIALS, MixtureWeights, _operating_characteristics, derive_seed
+from .detection import min_calibration_trials, ratio_rows
 from .dominance import find_dominated
 from .errors import ConfigError, ParameterError, RobustSpecError
 from .errors import EstimationInfeasibleError
@@ -273,32 +275,36 @@ def _ladders(
     model_sets: ModelSets,
     detectors: Sequence[int],
     stage: str,
+    first_rows: bool = False,
 ):
-    """Ladders of each singleton detector against every member, seeded by stage.
+    """(ladders, null): ladders of each singleton detector against every
+    member, seeded by stage, and with `first_rows` the engine's null
+    log-ratio rows at the first n (see `_operating_characteristics`).
 
     A ladder censored at every n has no slope; a detector with no slope
     against any truth raises EstimationInfeasibleError.
     """
     k = len(model_sets[0])
-    ladders = operating_characteristics(
+    ladders, null = _operating_characteristics(
         model_sets,
         [MixtureWeights.singleton(det, k) for det in detectors],
         range(k),
         config.trials,
         config.alpha,
         derive_seed(config.seed, stage),
+        first_rows,
     )
     if any(all(est.slope is None for est in row) for row in ladders):
         raise EstimationInfeasibleError(
             "all miss estimates censored against every truth; use smaller n or more trials"
         )
-    return ladders
+    return ladders, null
 
 
 def _run_simulate(config: ExperimentConfig, uset: UncertaintySet) -> dict:
     cand = uset.candidate_index or 0
     model_sets = build_model_sets(uset.members, config.sigma2, config.n_values)
-    (ladders,) = _ladders(config, model_sets, [cand], "simulate")
+    (ladders,), _ = _ladders(config, model_sets, [cand], "simulate")
     estimates = [
         {
             "truth_label": uset.members[truth].label,
@@ -313,22 +319,27 @@ def _run_simulate(config: ExperimentConfig, uset: UncertaintySet) -> dict:
 
 def _run_minimax(config: ExperimentConfig, uset: UncertaintySet) -> dict:
     model_sets = build_model_sets(uset.members, config.sigma2, config.n_values)
-    return _minimax(config, uset.candidate_index or 0, model_sets)
+    # The frozen null is its own stage at the first n.  It enters the
+    # optimizer only through its log-ratio rows, so it is streamed tile by
+    # tile into a trials x K matrix.
+    seed = derive_seed(config.seed, "frozen-h0")
+    null = white_blocks(config.sigma2, config.n_values[0], config.trials, seed)
+    ratios = ratio_rows(null, model_sets[0], config.sigma2)
+    return _minimax(config, uset.candidate_index or 0, model_sets, ratios)
 
 
-def _minimax(config: ExperimentConfig, cand: int, model_sets: ModelSets) -> dict:
+def _minimax(
+    config: ExperimentConfig, cand: int, model_sets: ModelSets, ratios: np.ndarray
+) -> dict:
+    """KKT certificates at every n, and the game optimizer over `ratios`,
+    the (trials, K) log-ratio rows of a frozen white null at the first n."""
     certificates = [
         {"n": n, "certificate": kkt_certificate(cand, models, config.sigma2).to_json()}
         for n, models in zip(config.n_values, model_sets)
     ]
-    n_opt, models = config.n_values[0], model_sets[0]
-    # The frozen null enters the optimizer only through its log-ratio rows, so
-    # it is streamed tile by tile into a trials x K matrix.
-    seed = derive_seed(config.seed, "frozen-h0")
-    null = white_blocks(config.sigma2, n_opt, config.trials, seed)
-    ratios = ratio_rows(null, models, config.sigma2)
+    n_opt = config.n_values[0]
     weights, value, trace = minimize_mixture_kl(
-        ratios, n_opt, MixtureWeights.uniform(len(models))
+        ratios, n_opt, MixtureWeights.uniform(len(model_sets[0]))
     )
     return {
         "kkt": certificates,
@@ -354,10 +365,12 @@ def _run_full(config: ExperimentConfig, uset: UncertaintySet) -> dict:
         }
     cand = dominance["candidate_index"]
     model_sets = build_model_sets(uset.members, config.sigma2, config.n_values)
-    minimax = _minimax(config, cand, model_sets)
-
     k = len(uset)
-    ladders = _ladders(config, model_sets, range(k), "full")
+    # every member has a singleton detector, so the engine's null rows at the
+    # first n hold all K log-ratios: the optimizer's frozen null
+    ladders, null = _ladders(config, model_sets, range(k), "full", first_rows=True)
+    minimax = _minimax(config, cand, model_sets, null)
+
     detectors = {}
     for det, row in enumerate(ladders):
         resolved = [t for t in range(k) if row[t].slope is not None]

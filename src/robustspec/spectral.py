@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -76,6 +77,17 @@ class PsdGrid:
     @property
     def omegas(self) -> np.ndarray:
         return half_grid(self.grid_size)
+
+    @cached_property
+    def lag_base(self) -> np.ndarray:
+        """The trapezoid autocovariance at lags 0..grid_size-1: the DCT-I of
+        `values`, one real FFT of their even extension, made on first read
+        and read-only.  `autocovariance` indexes it for every lag."""
+        values = self.values
+        period = 2 * (self.grid_size - 1)
+        base = np.fft.rfft(np.concatenate((values, values[-2:0:-1]))).real / period
+        base.setflags(write=False)
+        return base
 
 
 @dataclass(frozen=True)
@@ -187,7 +199,8 @@ def autocovariance(psd: PsdGrid, max_lag: int) -> np.ndarray:
     """Autocovariance c[m] = (1/2pi) * int phi(w) cos(m w) dw for m = 0..max_lag.
 
     The trapezoid sum over the M half-grid nodes w_j = j*pi/(M-1) is a DCT-I,
-    evaluated for every lag at once by one real FFT of the even extension.
+    evaluated for every lag at once by one real FFT of the even extension,
+    once per PSD (`PsdGrid.lag_base`).
     On this grid cos(m w_j) has period 2(M-1) in m and is even about
     m = M-1, so lags above M-1 alias: c[m] = c[m'] with
     m' = min(m mod 2(M-1), 2(M-1) - m mod 2(M-1)).  A Toeplitz matrix of
@@ -202,8 +215,6 @@ def autocovariance(psd: PsdGrid, max_lag: int) -> np.ndarray:
             "lags (a Toeplitz dimension n > grid_size aliases)",
             psd.label, psd.grid_size, max_lag, psd.grid_size,
         )
-    values = psd.values
     period = 2 * (psd.grid_size - 1)
-    base = np.fft.rfft(np.concatenate((values, values[-2:0:-1]))).real / period
     lags = np.arange(max_lag + 1) % period
-    return base[np.minimum(lags, period - lags)]
+    return psd.lag_base[np.minimum(lags, period - lags)]

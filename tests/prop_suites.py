@@ -232,10 +232,12 @@ def check_ratio_self_unity(seed, cases):
         assert ratio_expectation(sigma2, model, model) == 1.0
 
 
-def check_logdet_consistency(seed, cases):
+def check_logdet_consistency(seed, cases, sizes=(2, PROP_GRID)):
+    # n is drawn in sizes (inclusive): the default stays within the grid, so
+    # each case tests the PSD it names; n > PROP_GRID aliases
     rng = np.random.default_rng(seed)
     for _ in range(cases):
-        n = int(rng.integers(2, 513))
+        n = int(rng.integers(sizes[0], sizes[1] + 1))
         model = build_model(random_psd(rng), rng.uniform(0.5, 2.0), n)
         dense = float(np.sum(np.log(np.linalg.eigvalsh(model.covariance()))))
         assert abs(model.logdet - dense) <= 1e-8 * n, (n, model.logdet, dense)

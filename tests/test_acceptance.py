@@ -16,7 +16,6 @@ from robustspec.detection import (
     calibrate_threshold,
     derive_seed,
     empirical_exponent,
-    estimate_error_probs,
     h0_statistics,
     operating_characteristics,
     threshold_order_index,

@@ -19,6 +19,7 @@ from robustspec.detection import (
     MixtureWeights,
     _log_sum_exp,
     _mixture_log_ratios,
+    _operating_characteristics,
     _scorer,
     _singleton_thresholds,
     calibrate_threshold,
@@ -43,6 +44,7 @@ from robustspec.gaussian_model import (
     SAMPLE_BLOCK,
     build_model,
     build_model_sets,
+    normal_blocks,
     sample_gaussian,
     standard_normal_block,
     white_blocks,
@@ -555,7 +557,7 @@ class TestCalibrationStream:
         operating_characteristics(self.models_by_n, self.singletons, [0, 1], 2000, 0.1, 7)
         mc = derive_seed(7, "mc")
         assert derive_seed(7, "cal") not in seeds
-        assert set(seeds) == {derive_seed(mc, "h0"), derive_seed(mc, "h1")}
+        assert set(seeds) == {derive_seed(mc, "h0")}
 
     def test_mixture_draws_the_calibration_stream(self, monkeypatch):
         alone = operating_characteristics(self.models_by_n, self.singletons, [0, 1], 2000, 0.1, 7)
@@ -570,6 +572,68 @@ class TestCalibrationStream:
         # the mixture's order-statistic threshold leaves ceil(alpha N) - 1
         # exceedances of its own stream; on the h0 stream it is near alpha
         assert abs(ladders[3][0].fa_hat[-1] - 0.1) < 0.03
+
+
+class TestOneWhiteStream:
+    # The engine draws one white stream: each tile z is every truth's signal
+    # z L_j^T and, scaled, the false-alarm null; its null log-ratios at the
+    # first n are those of the first n coordinates of the null rows.
+    SIGMA2, TRIALS, SEED = 0.7, 5000, 7
+
+    def setup_method(self):
+        psds = (flat_set([1.0])[0], SCORED_PSDS["ar1"], SCORED_PSDS["raised_cosine"])
+        self.models_by_n = build_model_sets(psds, self.SIGMA2, [8, 16])
+        self.singletons = [MixtureWeights.singleton(k, 3) for k in range(3)]
+
+    def white_tiles(self):
+        seed = derive_seed(derive_seed(self.SEED, "mc"), "h0")
+        return list(normal_blocks(16, self.TRIALS, seed))
+
+    def test_signal_tiles_are_the_null_tiles_mapped(self, monkeypatch):
+        scored = []
+        original = robustspec.detection._Scorer.log_ratios
+
+        def recording(score, y):
+            scored.append(y.copy())
+            return original(score, y)
+
+        monkeypatch.setattr(robustspec.detection._Scorer, "log_ratios", recording)
+        truths = [2, 0, 1]
+        operating_characteristics(
+            self.models_by_n, self.singletons, truths, self.TRIALS, 0.1, self.SEED
+        )
+        tiles = self.white_tiles()
+        assert len(scored) == len(tiles) * (len(truths) + 1)
+        largest = self.models_by_n[-1]
+        for i, z in enumerate(tiles):
+            *signals, null = scored[i * (len(truths) + 1) : (i + 1) * (len(truths) + 1)]
+            for truth, y in zip(truths, signals):
+                assert np.array_equal(y, z @ largest[truth].factor.T)
+            assert np.array_equal(null, z * np.sqrt(self.SIGMA2))
+
+    def test_first_rows_are_the_null_log_ratios_at_the_first_n(self):
+        ladders, null = _operating_characteristics(
+            self.models_by_n, self.singletons, [0, 1], self.TRIALS, 0.1, self.SEED,
+            first_rows=True,
+        )
+        white = np.concatenate(self.white_tiles())[:, :8] * np.sqrt(self.SIGMA2)
+        expected = log_likelihood_ratios(white, self.models_by_n[0], self.SIGMA2)
+        assert null.shape == (self.TRIALS, 3)
+        assert np.allclose(null, expected, rtol=0.0, atol=1e-11)
+        alone = operating_characteristics(
+            self.models_by_n, self.singletons, [0, 1], self.TRIALS, 0.1, self.SEED
+        )
+        for row, expected_row in zip(ladders, alone):
+            for est, other in zip(row, expected_row):
+                assert np.array_equal(est.fa_hat, other.fa_hat)
+                assert np.array_equal(est.miss_count, other.miss_count)
+
+    def test_first_rows_need_every_model_scored(self):
+        with pytest.raises(ParameterError, match="every model"):
+            _operating_characteristics(
+                self.models_by_n, self.singletons[:2], [0], self.TRIALS, 0.1, self.SEED,
+                first_rows=True,
+            )
 
 
 class TestFalseAlarmLaw:

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy.linalg import cholesky, toeplitz
 
 import prop_suites
@@ -154,6 +156,103 @@ class TestLevinsonDurbin:
     def test_first_error_checked(self, r0):
         with pytest.raises(NotPositiveDefiniteError):
             levinson_durbin(np.array([r0, 0.0, 0.0]))
+
+
+def reference_durbin(r, label="", rows=None):
+    """The Durbin loop as it stood before its step was made allocation-free,
+    kept to pin `levinson_durbin` bit for bit."""
+    n = r.size
+    a = np.zeros(n)
+    a[0] = 1.0
+    errors = np.empty(n)
+    errors[0] = r[0]
+    for k in range(n):
+        if k:
+            reflection = -(a[:k] @ r[k:0:-1]) / errors[k - 1]
+            a[1 : k + 1] += reflection * a[k - 1 :: -1]
+            errors[k] = errors[k - 1] * (1.0 - reflection * reflection)
+        if not 0.0 < errors[k] < np.inf:
+            raise NotPositiveDefiniteError(
+                f"covariance for PSD {label!r} is not positive definite "
+                f"(Levinson-Durbin prediction error {errors[k]:g} at order {k})"
+            )
+        if rows is not None:
+            rows[k, : k + 1] = a[k::-1]
+    return a, errors
+
+
+def pinned_psds(grid_size=512):
+    """AR(1), raised-cosine and coarse tabulated PSDs on a grid past n = 300."""
+    omegas = np.linspace(0.0, np.pi, grid_size)
+    ar1 = st.builds(
+        lambda v, a: make_psd("rational_ar1", grid_size=grid_size, variance=v, pole=a),
+        st.floats(0.05, 3.0), st.floats(-0.95, 0.95),
+    )
+    bump = st.builds(
+        lambda p, c, w: make_psd(
+            "raised_cosine", grid_size=grid_size, peak=p, center=c, width=w
+        ),
+        st.floats(0.0, 3.0), st.floats(0.0, np.pi), st.floats(0.05, 3.0),
+    )
+    tabulated = st.lists(st.floats(0.0, 3.0), min_size=8, max_size=8).map(
+        lambda knots: make_psd(
+            "tabulated", grid_size=grid_size,
+            values=np.interp(omegas, np.linspace(0.0, np.pi, 8), knots),
+        )
+    )
+    return st.one_of(ar1, bump, tabulated)
+
+
+def assert_same_durbin(r, label=""):
+    n = r.size
+    expected_rows, rows = np.zeros((n, n)), np.zeros((n, n))
+    for got, expected in (
+        (levinson_durbin(r, label), reference_durbin(r, label)),
+        (levinson_durbin(r, label, rows), reference_durbin(r, label, expected_rows)),
+    ):
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+    assert rows.tobytes() == expected_rows.tobytes()
+
+
+class TestDurbinPinned:
+    # the allocation-free step changes no bit of the predictor, the errors
+    # or the rows, nor the message of a failed order
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 300])
+    @settings(max_examples=40, deadline=None)
+    @seed(MASTER_SEED)
+    @given(psd=pinned_psds(), sigma2=st.floats(0.01, 2.0))
+    def test_matches_the_reference_loop(self, n, psd, sigma2):
+        r = build_model(psd, sigma2, n).covariance()[:, 0]
+        assert_same_durbin(r)
+
+    def test_jitter_rung_one(self):
+        # an AR(1) covariance shifted until its smallest eigenvalue is
+        # -5e-13: rung 0 fails at the same order, and rung 1 (1e-12) passes
+        autocov = build_model(SCORED_PSDS["ar1"], 1.0, 17).autocov.copy()
+        r = autocov.copy()
+        r[0] += 1.0
+        autocov[0] -= np.linalg.eigvalsh(toeplitz(r))[0] + 5e-13
+        model = ToeplitzGaussian(n=17, sigma2=1.0, autocov=autocov)
+        assert model.jitter == 1
+        r[0] = autocov[0] + 1.0
+        with pytest.raises(NotPositiveDefiniteError) as expected:
+            reference_durbin(r)
+        with pytest.raises(NotPositiveDefiniteError) as got:
+            levinson_durbin(r)
+        assert str(got.value) == str(expected.value)
+        r[0] = autocov[0] + 1.0 + 1e-12
+        assert_same_durbin(r)
+
+    def test_not_positive_definite_names_the_order(self):
+        # order 1 leaves error 0.19, and the order-2 reflection is 3.2
+        r = np.array([1.0, 0.9, 0.2])
+        with pytest.raises(NotPositiveDefiniteError, match="at order 2") as got:
+            levinson_durbin(r, "bad")
+        with pytest.raises(NotPositiveDefiniteError) as expected:
+            reference_durbin(r, "bad")
+        assert str(got.value) == str(expected.value)
 
 
 class TestGaussianKl:

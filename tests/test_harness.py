@@ -19,7 +19,9 @@ import robustspec.detection
 import robustspec.gaussian_model
 from conftest import MASTER_SEED, count_form_builds, patch_everywhere
 from robustspec.cli import main as cli_main
+from robustspec.detection import MixtureWeights, _operating_characteristics, derive_seed
 from robustspec.errors import ConfigError
+from robustspec.gaussian_model import build_model_sets
 from robustspec.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -29,6 +31,7 @@ from robustspec.harness import (
     run_experiment,
     write_report,
 )
+from robustspec.minimax import minimize_mixture_kl
 
 MINIMAL = {
     "mode": "exponent",
@@ -378,12 +381,41 @@ class TestModes:
         patch_everywhere(monkeypatch, original, recording)
         doc = dict(FLAT_TRIO, mode="full", trials=5000, n_values=[8, 16], seed=11)
         run_experiment(parse_config(config_text(doc)))
-        # false-alarm and signal streams of 2 blocks each at the largest n
-        # (singleton detectors draw no calibration stream), plus the frozen
-        # null of the optimizer at the first n
+        # one white stream of 2 blocks at the largest n: the false-alarm null,
+        # every truth's signal and the optimizer's frozen null (singleton
+        # detectors draw no calibration stream)
         assert all(len(widths[key]) == 1 for key in keys)
-        assert sorted(n for key in keys for n in widths[key]) == [8] * 2 + [16] * 2 * 2
+        assert sorted(n for key in keys for n in widths[key]) == [16] * 2
         assert len(set(keys)) == len(keys)
+
+    def test_full_mode_seeds_no_frozen_null(self, monkeypatch):
+        original = robustspec.gaussian_model.block_generator
+        seeds = []
+
+        def recording(seed, block_index):
+            seeds.append(seed)
+            return original(seed, block_index)
+
+        patch_everywhere(monkeypatch, original, recording)
+        doc = dict(FLAT_TRIO, mode="full", trials=5000, n_values=[8, 16], seed=11)
+        run_experiment(parse_config(config_text(doc)))
+        mc = derive_seed(derive_seed(11, "full"), "mc")
+        assert derive_seed(11, "frozen-h0") not in seeds
+        assert set(seeds) == {derive_seed(mc, "h0")}
+
+    def test_full_optimizer_reads_the_engine_null(self):
+        doc = dict(FLAT_TRIO, mode="full", trials=5000, n_values=[8, 16], seed=11)
+        config = parse_config(config_text(doc))
+        payload = run_experiment(config).payload
+        model_sets = build_model_sets(config.build_psds().members, config.sigma2, [8, 16])
+        _, null = _operating_characteristics(
+            model_sets, [MixtureWeights.singleton(k, 3) for k in range(3)], range(3),
+            config.trials, config.alpha, derive_seed(11, "full"), first_rows=True,
+        )
+        weights, value, trace = minimize_mixture_kl(null, 8, MixtureWeights.uniform(3))
+        assert payload["optimizer"] == {
+            "n": 8, "weights": [float(w) for w in weights.w], "value": value, "trace": trace,
+        }
 
     def test_full_mode_logs_aliasing(self, caplog):
         # n = 100 > grid_size = 64 repeats reflected lags: every member's
@@ -398,11 +430,11 @@ class TestModes:
     def test_full_mode_builds_each_precision_once(self, monkeypatch):
         # each scored model's whitener is built once per scorer, never per
         # block: once per model at the largest n for the engine's one ladder
-        # scorer, and once per model for the optimizer's frozen null
+        # scorer, whose null rows the optimizer reads
         builds = count_form_builds(monkeypatch)
         doc = dict(FLAT_TRIO, mode="full", trials=5000, n_values=[8, 16], seed=11)
         run_experiment(parse_config(config_text(doc)))
-        assert sorted(builds) == [8] * 3 + [16] * 3
+        assert sorted(builds) == [16] * 3
 
     def test_full_mode_leaves_no_inverse_on_the_models(self, monkeypatch):
         # the forms live in the scorers only: a model keeps no n x n matrix

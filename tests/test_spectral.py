@@ -190,6 +190,26 @@ class TestAutocovariance:
         assert record.name.startswith("robustspec") and record.levelno == logging.WARNING
         assert "'f'" in record.getMessage() and "grid_size 64" in record.getMessage()
 
+    def test_aliased_models_keep_a_consistent_logdet(self, caplog):
+        # n past the grid repeats reflected lags, the autocovariance of the
+        # grid's own discrete spectrum: still nonnegative, so the Durbin
+        # log-determinant matches a dense one, and every case says it aliased
+        grid = prop_suites.PROP_GRID
+        with caplog.at_level(logging.WARNING, logger="robustspec"):
+            prop_suites.check_logdet_consistency(MASTER_SEED, 20, sizes=(grid + 1, 2 * grid))
+        aliased = [r for r in caplog.records if f"grid_size {grid}" in r.getMessage()]
+        assert len(aliased) == 20
+
+    def test_lag_base_is_cached_and_warns_every_call(self, caplog):
+        psd = make_psd("rational_ar1", grid_size=64, variance=1.0, pole=0.5, label="f")
+        base = psd.lag_base
+        assert psd.lag_base is base and not base.flags.writeable
+        assert np.array_equal(autocovariance(psd, 63), base)
+        with caplog.at_level(logging.WARNING, logger="robustspec"):
+            autocovariance(psd, 99)
+            autocovariance(psd, 99)
+        assert len(caplog.records) == 2
+
     def test_negative_lag_rejected(self):
         with pytest.raises(ParameterError):
             autocovariance(make_psd("flat", grid_size=8, level=1.0), -1)
