@@ -67,8 +67,8 @@ print("=" * 70)
 e1 = MixtureWeights.singleton(0, 3)
 uniform = MixtureWeights.uniform(3)
 for q, r, tag in ((e1, e1, "saddle"), (uniform, e1, "mismatched q"), (e1, uniform, "nature deviates")):
-    val = utility(q, r, models, SIGMA2, frozen, SEED + 1, DEFAULT_TILT_GRID)
-    print(f"  U({tag:15s}) = {val:.6f}")
+    val, se = utility(q, r, models, SIGMA2, frozen, SEED + 1, DEFAULT_TILT_GRID)
+    print(f"  U({tag:15s}) = {val:.6f} (se {se:.6f})")
 print(f"  sample-average KL at the singleton: {sample_average_kl(e1, models, SIGMA2, frozen):.6f}")
 
 print()

@@ -5,7 +5,7 @@ simulates likelihood-ratio and mixture detectors at finite dimension, and
 certifies the saddle-point structure of the underlying robustness game.
 """
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 from .spectral import (  # noqa: F401
     PsdGrid,
@@ -36,14 +36,11 @@ from .gaussian_model import (  # noqa: F401
 )
 from .exponent import error_exponent, genie_bound, kl_rate  # noqa: F401
 from .detection import (  # noqa: F401
-    DetectorSpec,
     ExponentEstimate,
     MixtureWeights,
     calibrate_threshold,
-    chernoff_exponent,
     empirical_exponent,
     estimate_error_probs,
-    mixture_statistic,
     mixture_statistics,
 )
 from .minimax import (  # noqa: F401

@@ -8,12 +8,11 @@ minimax, full.  Exit codes: 0 success, 2 config error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
 from .errors import ConfigError, RobustSpecError
-from .harness import MODES, parse_config, run_experiment, write_report
+from .harness import MODES, parse_config, report_text, run_experiment, write_report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,8 +59,10 @@ def main(argv=None) -> int:
         if out_path:
             write_report(record, out_path, args.format)
         else:
-            json.dump(record.to_json(), sys.stdout, indent=2, allow_nan=False)
-            print()
+            sys.stdout.write(report_text(record))
+    except RobustSpecError as exc:  # serialised before any byte is written
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"io failure: {exc}", file=sys.stderr)
         return 4

@@ -84,32 +84,6 @@ class MixtureWeights:
         return MixtureWeights(np.full(size, 1.0 / size))
 
 
-@dataclass
-class DetectorSpec:
-    """A calibrated mixture detector; `n` and `null_sigma2` are read from its models."""
-
-    weights: MixtureWeights
-    models: List[ToeplitzGaussian]
-    threshold: float
-
-    def __post_init__(self):
-        if self.threshold != self.threshold:  # +-inf allowed for degenerate rules
-            raise ParameterError("threshold must not be NaN")
-        if len(self.models) != len(self.weights):
-            raise ParameterError("weights and models must have equal length")
-        for m in self.models:
-            if m.n != self.n or m.sigma2 != self.null_sigma2:
-                raise ParameterError("models must share n and sigma2")
-
-    @property
-    def n(self) -> int:
-        return self.models[0].n
-
-    @property
-    def null_sigma2(self) -> float:
-        return self.models[0].sigma2
-
-
 def log_likelihood_ratios(
     samples: np.ndarray, models: Sequence[ToeplitzGaussian], null_sigma2: float
 ) -> np.ndarray:
@@ -294,16 +268,6 @@ def mixture_statistics(
     """Vector of g(y; q) over the sample rows (log-sum-exp combination)."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     return _scorer(models, [weights], null_sigma2)(samples)[0]
-
-
-def mixture_statistic(
-    y: np.ndarray,
-    weights: MixtureWeights,
-    models: Sequence[ToeplitzGaussian],
-    null_sigma2: float,
-) -> float:
-    """g(y; q) for a single observation vector."""
-    return float(mixture_statistics(np.atleast_2d(y), weights, models, null_sigma2)[0])
 
 
 def h0_statistics(
@@ -527,17 +491,25 @@ def _error_counts(
 
 
 def estimate_error_probs(
-    spec: DetectorSpec, true_psd_index: int, trials: int, seed: int
+    weights: MixtureWeights,
+    models: Sequence[ToeplitzGaussian],
+    null_sigma2: float,
+    threshold: float,
+    true_psd_index: int,
+    trials: int,
+    seed: int,
 ) -> Tuple[float, float, int]:
-    """Monte Carlo false-alarm and miss rates of a calibrated detector.
+    """Monte Carlo false-alarm and miss rates of the detector `weights` at
+    `threshold` (+-inf gives a degenerate rule; NaN raises ParameterError).
 
     One white stream, substream (seed, "h0"), gives the null draws and,
     through the truth's factor, the signal draws (see `_error_counts`).
     """
-    score = _scorer(spec.models, [spec.weights], spec.null_sigma2)
+    if threshold != threshold:
+        raise ParameterError("threshold must not be NaN")
+    score = _scorer(models, [weights], null_sigma2)
     fa, miss, _ = _error_counts(
-        score, spec.models, [spec.threshold], [true_psd_index], spec.null_sigma2,
-        trials, seed,
+        score, models, [threshold], [true_psd_index], null_sigma2, trials, seed
     )
     return int(fa[0]) / trials, int(miss[0, 0]) / trials, int(miss[0, 0])
 
@@ -752,23 +724,3 @@ def _chernoff_bound(tau: float, g: np.ndarray, n: int, tilt_grid: Sequence[float
         if bracket > best:
             best, best_t = float(bracket), float(t)
     return best, best_t
-
-
-def chernoff_exponent(
-    spec: DetectorSpec,
-    true_model_weights: MixtureWeights,
-    tilt_grid: Sequence[float],
-    trials: int,
-    seed: int,
-) -> float:
-    """Monte Carlo Chernoff lower bound on the miss exponent of the detector.
-
-    Maximizes t*tau - (1/n) log E_{mixture}[exp(t*n*g)] over normalized
-    tilts t <= 0, with the expectation under the mixture of the true models.
-    """
-    score = _scorer(spec.models, [spec.weights], spec.null_sigma2)
-    g_chunks = [
-        score(block)[0]
-        for block in sample_mixture_blocks(spec.models, true_model_weights, trials, seed)
-    ]
-    return _chernoff_bound(spec.threshold, np.concatenate(g_chunks), spec.n, tilt_grid)[0]

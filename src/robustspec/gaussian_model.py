@@ -105,7 +105,6 @@ class ToeplitzGaussian:
     def factor(self) -> np.ndarray:
         """Lower Cholesky factor of the covariance plus the model's jitter."""
         cov = self.covariance()
-        cov[np.diag_indices(self.n)] += JITTER_LADDER[self.jitter]
         try:
             factor = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
@@ -116,10 +115,13 @@ class ToeplitzGaussian:
         return factor
 
     def covariance(self, n: Optional[int] = None) -> np.ndarray:
-        """Dense covariance sigma2*I + Sigma_N, or its leading n x n block."""
+        """Dense covariance sigma2*I + Sigma_N plus the model's jitter, the
+        matrix `logdet`, `inverse` and `whitener` describe, or its leading
+        n x n block."""
         lags = np.arange(self.n if n is None else n)
         cov = self.autocov[np.abs(lags[:, None] - lags)]
         cov[np.diag_indices(lags.size)] += self.sigma2
+        cov[np.diag_indices(lags.size)] += JITTER_LADDER[self.jitter]
         return cov
 
     def null_weights(self, n: Optional[int] = None) -> np.ndarray:
@@ -133,7 +135,6 @@ class ToeplitzGaussian:
         dense eigvalsh, O(n^3), on a new n x n array.
         """
         cov = self.covariance(n)
-        cov[np.diag_indices(cov.shape[0])] += JITTER_LADDER[self.jitter]
         return np.maximum(1.0 - self.sigma2 / np.linalg.eigvalsh(cov), 0.0)
 
     def inverse(self) -> np.ndarray:

@@ -7,6 +7,7 @@ seed) pair reproduces an entire run byte-for-byte (wall time aside).
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import time
@@ -49,9 +50,13 @@ _PSD_BLOCK_KEYS = {"label", "family", "params"}
 #: model caches one).  A Monte Carlo stream holds one tile of TILE_ROWS rows
 #: at a time, 32 MiB at MAX_N, however many trials it draws.  The KKT
 #: temporaries are ceil(n/2)-row: at n = 1024 a three-member
-#: `kkt_certificate` peaks at 16.0 MiB under tracemalloc.
+#: `kkt_certificate` peaks at 16.0 MiB under tracemalloc.  What grows with
+#: `trials` is the trials x K frozen null's log-ratio rows of `minimax` and
+#: `full`: at MAX_TRIALS one of its columns is 512 MiB, the budget of one
+#: n x n matrix at MAX_N.
 MAX_GRID_SIZE = 2**22
 MAX_N = 8192
+MAX_TRIALS = 2**26
 
 #: A run's models, one list of K per n: built once per run, read by every stage.
 ModelSets = List[List[ToeplitzGaussian]]
@@ -111,6 +116,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"trials must be >= {floor} for mode {self.mode!r}{at}, got {self.trials}"
             )
+        if self.trials > MAX_TRIALS:
+            raise ConfigError(f"trials must be <= {MAX_TRIALS}, got {self.trials}")
 
         if not isinstance(self.n_values, list):
             raise ConfigError(f"n_values must be a list of integers, got {self.n_values!r}")
@@ -360,6 +367,7 @@ def _run_full(config: ExperimentConfig, uset: UncertaintySet) -> dict:
             "dominance": dominance,
             "exponents": exponents,
             "kkt": None,
+            "optimizer": None,
             "simulation": None,
             "ordering_consistent": None,
         }
@@ -450,28 +458,41 @@ def payload_rows(mode: str, payload: dict) -> List[dict]:
     return rows
 
 
-def write_report(record: ReportRecord, path: str, format: str = "json") -> None:
-    """Serialize a report record to JSON (full record) or CSV (flat series)."""
+def report_text(record: ReportRecord, format: str = "json") -> str:
+    """The text of a report: the full record as strict JSON, or the CSV
+    series.  Raises RobustSpecError at a non-finite number, which neither
+    format writes, so a caller that serialises first writes nothing."""
     if format not in ("json", "csv"):
         raise ConfigError(f"format must be 'json' or 'csv', got {format!r}")
-    try:
-        if format == "json":
-            with open(path, "w") as fh:
-                json.dump(record.to_json(), fh, indent=2, allow_nan=False)
-                fh.write("\n")
-        else:
-            import csv as _csv
+    if format == "json":
+        try:
+            return json.dumps(record.to_json(), indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise RobustSpecError(f"report holds a non-finite number: {exc}") from None
+    import csv as _csv
 
-            with open(path, "w", newline="") as fh:
-                writer = _csv.DictWriter(fh, fieldnames=list(CSV_COLUMNS))
-                writer.writeheader()
-                for r in payload_rows(record.mode, record.payload):
-                    writer.writerow(
-                        {
-                            k: (f"{v:.17g}" if isinstance(v, float) else v)
-                            for k, v in r.items()
-                        }
-                    )
+    def cell(value):
+        if not isinstance(value, float):
+            return value
+        if not math.isfinite(value):
+            raise RobustSpecError(f"report holds a non-finite number: {value}")
+        return f"{value:.17g}"
+
+    text = io.StringIO()
+    writer = _csv.DictWriter(text, fieldnames=list(CSV_COLUMNS))
+    writer.writeheader()
+    for r in payload_rows(record.mode, record.payload):
+        writer.writerow({k: cell(v) for k, v in r.items()})
+    return text.getvalue()
+
+
+def write_report(record: ReportRecord, path: str, format: str = "json") -> None:
+    """Serialize a report record to JSON (full record) or CSV (flat series);
+    the file is opened only once `report_text` has succeeded."""
+    text = report_text(record, format)
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"failed writing report to {path}: {exc}") from exc
 

@@ -264,22 +264,20 @@ def utility(
     h1_sample_seed: int,
     tilt_grid: Sequence[float] = DEFAULT_TILT_GRID,
     h1_trials: Optional[int] = None,
-    with_se: bool = False,
-):
+) -> Tuple[float, float]:
     """Game utility sup_{t<=0} [t E_null[g(.;q)] - (1/n) log E_mix(r)[e^{t n g(.;q)}]].
 
-    The null expectation uses the frozen samples; the mixture expectation is
-    Monte Carlo with component choices and white draws derived from
-    h1_sample_seed only (operating points are coupled).  With with_se=True
-    also returns a delta-method standard error at the maximizing tilt.
+    Returns (value, se).  The null expectation uses the frozen samples; the
+    mixture expectation is Monte Carlo with component choices and white draws
+    derived from h1_sample_seed only (operating points are coupled).  se is
+    the delta-method standard error at the maximizing tilt.
     """
     trials = h1_trials if h1_trials is not None else h0_samples.shape[0]
     scorer = _ratio_scorer(models, null_sigma2)
     ratios0 = scorer.log_ratios(h0_samples)
     mixture = sample_mixture_blocks(models, r, trials, h1_sample_seed)
     ratios1 = np.concatenate([scorer.log_ratios(y) for y in mixture])
-    value, se = _utility(q, ratios0, ratios1, models[0].n, tilt_grid)
-    return (value, se) if with_se else value
+    return _utility(q, ratios0, ratios1, models[0].n, tilt_grid)
 
 
 def regularity_probe(

@@ -14,8 +14,6 @@ import robustspec.detection
 import robustspec.gaussian_model
 from conftest import MASTER_SEED, MODULE_CASES, SCORED_PSDS, flat_set, patch_everywhere
 from robustspec.detection import (
-    DEFAULT_TILT_GRID,
-    DetectorSpec,
     MixtureWeights,
     _log_sum_exp,
     _mixture_log_ratios,
@@ -23,13 +21,11 @@ from robustspec.detection import (
     _scorer,
     _singleton_thresholds,
     calibrate_threshold,
-    chernoff_exponent,
     derive_seed,
     empirical_exponent,
     estimate_error_probs,
     h0_statistics,
     log_likelihood_ratios,
-    mixture_statistic,
     mixture_statistics,
     operating_characteristics,
     ratio_rows,
@@ -39,7 +35,7 @@ from robustspec.detection import (
 )
 from robustspec.dominance import find_dominated
 from robustspec.errors import EstimationInfeasibleError, ParameterError
-from robustspec.exponent import error_exponent, kl_rate
+from robustspec.exponent import error_exponent
 from robustspec.gaussian_model import (
     SAMPLE_BLOCK,
     build_model,
@@ -76,7 +72,7 @@ class TestMixtureStatistic:
     def test_zero_observation_closed_form(self):
         rho = 2.0
         model = build_model(make_psd("flat", grid_size=4096, level=rho), 1.0, 8)
-        g = mixture_statistic(np.zeros(8), E1, [model], 1.0)
+        (g,) = mixture_statistics(np.zeros((1, 8)), E1, [model], 1.0)
         assert g == pytest.approx(-0.5 * np.log(1.0 + rho), abs=1e-9)
 
     def test_singleton_equals_scaled_llr(self, rng):
@@ -98,7 +94,7 @@ class TestMixtureStatistic:
     def test_dimension_mismatch(self):
         model = build_model(make_psd("flat", grid_size=64, level=1.0), 1.0, 8)
         with pytest.raises(ParameterError):
-            mixture_statistic(np.zeros(9), E1, [model], 1.0)
+            mixture_statistics(np.zeros((1, 9)), E1, [model], 1.0)
 
 
 class TestRatioForms:
@@ -321,46 +317,39 @@ class TestCalibration:
 
 
 class TestErrorProbs:
-    def make_spec(self, threshold, n=8):
-        model = build_model(make_psd("flat", grid_size=64, level=1.0), 1.0, n)
-        return DetectorSpec(weights=E1, models=[model], threshold=threshold)
+    def flat_model(self, n=8):
+        return build_model(make_psd("flat", grid_size=64, level=1.0), 1.0, n)
 
     def test_degenerate_thresholds(self):
-        fa, miss, count = estimate_error_probs(self.make_spec(np.inf), 0, 1000, 0)
+        models = [self.flat_model()]
+        fa, miss, count = estimate_error_probs(E1, models, 1.0, np.inf, 0, 1000, 0)
         assert (fa, miss, count) == (0.0, 1.0, 1000)
-        fa, miss, count = estimate_error_probs(self.make_spec(-np.inf), 0, 1000, 0)
+        fa, miss, count = estimate_error_probs(E1, models, 1.0, -np.inf, 0, 1000, 0)
         assert (fa, miss, count) == (1.0, 0.0, 0)
 
-    def test_n_and_noise_floor_read_from_models(self):
-        spec = self.make_spec(0.0)
-        assert (spec.n, spec.null_sigma2) == (8, 1.0)
-        for n, sigma2 in ((8, 2.0), (9, 1.0)):
-            other = build_model(make_psd("flat", grid_size=64, level=1.0), sigma2, n)
-            with pytest.raises(ParameterError):
-                DetectorSpec(
-                    weights=MixtureWeights.uniform(2), models=[spec.models[0], other],
-                    threshold=0.0,
-                )
+    def test_models_must_share_n(self):
+        models = [self.flat_model(8), self.flat_model(9)]
+        with pytest.raises(ParameterError, match="share n"):
+            estimate_error_probs(MixtureWeights.uniform(2), models, 1.0, 0.0, 0, 1000, 0)
 
     def test_truths_must_index_the_models(self):
-        spec = self.make_spec(0.0)
+        models = [self.flat_model()]
         with pytest.raises(ParameterError, match="truth"):
-            estimate_error_probs(spec, 1, 1000, 0)
+            estimate_error_probs(E1, models, 1.0, 0.0, 1, 1000, 0)
         with pytest.raises(ParameterError, match="truth"):
-            operating_characteristics([spec.models], [E1], [], 1000, 0.1, 0)
+            operating_characteristics([models], [E1], [], 1000, 0.1, 0)
 
     def test_nan_threshold_rejected(self):
-        with pytest.raises(ParameterError):
-            self.make_spec(np.nan)
+        with pytest.raises(ParameterError, match="NaN"):
+            estimate_error_probs(E1, [self.flat_model()], 1.0, np.nan, 0, 1000, 0)
 
     def test_matched_flat_detector_self_consistency(self):
         # false alarms near alpha; misses within 3-sigma of a 10x oracle run
         model = build_model(make_psd("flat", grid_size=256, level=3.0), 1.0, 32)
         tau = calibrate_threshold(E1, [model], 1.0, 0.1, 100000, derive_seed(5, "cal"))
-        spec = DetectorSpec(weights=E1, models=[model], threshold=tau)
-        fa, miss, _ = estimate_error_probs(spec, 0, 100000, 5)
+        fa, miss, _ = estimate_error_probs(E1, [model], 1.0, tau, 0, 100000, 5)
         assert abs(fa - 0.1) <= 3.0 * np.sqrt(0.1 * 0.9 / 100000)
-        _, miss_oracle, _ = estimate_error_probs(spec, 0, 1000000, 6)
+        _, miss_oracle, _ = estimate_error_probs(E1, [model], 1.0, tau, 0, 1000000, 6)
         band = 3.0 * np.sqrt(miss_oracle * (1.0 - miss_oracle) / 100000)
         assert abs(miss - miss_oracle) <= band
 
@@ -756,41 +745,6 @@ class TestMixtureSampling:
         assert hashlib.sha256(np.round(draws, 10).tobytes()).hexdigest() == (
             "eebc5d3d19e737c169cc87e9f4b1c4a15b5db1ad6cce617a9942d13c7398df19"
         )
-
-
-class TestChernoffExponent:
-    def make_spec(self, n=16):
-        flat1 = make_psd("flat", grid_size=256, level=1.0, label="f1")
-        model = build_model(flat1, 1.0, n)
-        return DetectorSpec(weights=E1, models=[model], threshold=-kl_rate(flat1, 1.0, n))
-
-    def test_zero_tilt_only(self):
-        spec = self.make_spec()
-        assert chernoff_exponent(spec, E1, [0.0], 2000, 1) == 0.0
-
-    def test_change_of_measure_identity(self):
-        # at tilt -1 with the matched detector the bound recovers the KL rate
-        spec = self.make_spec()
-        val = chernoff_exponent(spec, E1, DEFAULT_TILT_GRID, 20000, 1)
-        assert val == pytest.approx(-spec.threshold, abs=0.005)
-
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_operating_point_must_weight_each_model(self, k):
-        with pytest.raises(ParameterError):
-            chernoff_exponent(self.make_spec(), MixtureWeights.uniform(k), [0.0], 2000, 1)
-
-    def test_grid_enlargement_monotone(self):
-        spec = self.make_spec()
-        small = chernoff_exponent(spec, E1, [-1.0, 0.0], 5000, 2)
-        large = chernoff_exponent(spec, E1, [-1.5, -1.0, -0.5, 0.0], 5000, 2)
-        assert large >= small
-
-    def test_grid_validation(self):
-        spec = self.make_spec()
-        with pytest.raises(ParameterError):
-            chernoff_exponent(spec, E1, [], 2000, 1)
-        with pytest.raises(ParameterError):
-            chernoff_exponent(spec, E1, [0.5], 2000, 1)
 
 
 class TestSeedDerivation:

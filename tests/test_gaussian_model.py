@@ -256,6 +256,21 @@ class TestDurbinPinned:
 
 
 class TestGaussianKl:
+    def test_jittered_model_against_itself(self):
+        # rung 1: an AR(1) covariance shifted to smallest eigenvalue -5e-13;
+        # rung 2: a signal that cancels the noise floor down to -1e-11 I
+        autocov = build_model(SCORED_PSDS["ar1"], 1.0, 17).autocov.copy()
+        r = autocov.copy()
+        r[0] += 1.0
+        autocov[0] -= np.linalg.eigvalsh(toeplitz(r))[0] + 5e-13
+        models = [
+            ToeplitzGaussian(n=17, sigma2=1.0, autocov=autocov),
+            ToeplitzGaussian(n=3, sigma2=1.0, autocov=np.array([-1.0 - 1e-11, 0.0, 0.0])),
+        ]
+        assert [model.jitter for model in models] == [1, 2]
+        for model in models:
+            assert abs(gaussian_kl(model, model)) <= 1e-3
+
     def test_identical_models(self):
         m = build_model(make_psd("flat", grid_size=64, level=1.0), 1.0, 8)
         assert gaussian_kl(m, m) == pytest.approx(0.0, abs=1e-12)

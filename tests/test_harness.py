@@ -24,6 +24,7 @@ from robustspec.errors import ConfigError
 from robustspec.gaussian_model import build_model_sets
 from robustspec.harness import (
     CSV_COLUMNS,
+    MAX_TRIALS,
     ExperimentConfig,
     parse_config,
     payload_rows,
@@ -222,6 +223,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="trials"):
             dataclasses.replace(config, mode="simulate", trials=5)
 
+    def test_trials_bounded_above(self):
+        config = ExperimentConfig(**MINIMAL, trials=MAX_TRIALS)
+        assert config.trials == MAX_TRIALS
+        with pytest.raises(ConfigError, match="trials"):
+            dataclasses.replace(config, trials=MAX_TRIALS + 1)
+
     def test_fields_cannot_be_assigned(self):
         config = ExperimentConfig(**MINIMAL)
         assert config == parse_config(config_text(MINIMAL))
@@ -320,6 +327,21 @@ class TestModes:
         assert a.payload["dominance"]["candidate_label"] == "weak"
         assert a.payload["ordering_consistent"] is True
         assert set(a.payload["simulation"]) == {"weak", "mid", "strong"}
+
+    def test_full_payload_keys_match_with_and_without_a_dominated_member(self):
+        ar1 = [
+            {"label": f"ar{i}", "family": "rational_ar1",
+             "params": {"variance": 1.0, "pole": pole}}
+            for i, pole in enumerate((0.6, -0.6))
+        ]
+        common = dict(FLAT_TRIO, mode="full", trials=2000, n_values=[8])
+        dominated = run_experiment(parse_config(config_text(common))).payload
+        free = run_experiment(parse_config(config_text(dict(common, psds=ar1)))).payload
+        assert (dominated["dominance"]["dominated"], free["dominance"]["dominated"]) == (
+            True, False,
+        )
+        assert list(free) == list(dominated)
+        assert free["optimizer"] is None
 
     def test_full_mode_certifies_the_dominated_member(self):
         psds = FLAT_TRIO["psds"]
@@ -599,6 +621,27 @@ class TestCli:
         assert done.stdout.strip() == "[]"
         assert json.loads(out.read_text())["mode"] == "full"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_non_finite_report_writes_nothing(self, tmp_path, fmt, to_file):
+        # sigma2 = 1e-320 overflows values / sigma2, so the exponent is NaN.
+        # A fresh interpreter, since pytest turns the RuntimeWarning of the
+        # overflow into an error before the report is written.
+        doc = dict(MINIMAL, sigma2=1e-320, grid_size=64)
+        cfg = self.write_config(tmp_path, doc)
+        out = tmp_path / "report.out"
+        args = ["exponent", "--config", cfg, "--format", fmt]
+        args += ["--out", str(out)] if to_file else []
+        src = str(Path(robustspec.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "robustspec.cli", *args],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert done.returncode == 3, done.stderr
+        assert "numerical failure" in done.stderr and "non-finite" in done.stderr
+        assert done.stdout == ""
+        assert not out.exists()
+
     def test_stdout_when_no_out(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, MINIMAL)
         assert cli_main(["exponent", "--config", cfg]) == 0
@@ -645,6 +688,7 @@ class TestCli:
             ("exponent", {"grid_size": 10**12}, "grid_size"),
             ("exponent", {"grid_size": 2**22 + 1}, "grid_size"),
             ("exponent", {"n_values": [8, 10**9]}, "n_values"),
+            ("full", {"trials": 10**10}, "trials"),
         ],
         ids=[
             "negative-param", "string-param", "psd-param-bool", "unknown-family",
@@ -653,6 +697,7 @@ class TestCli:
             "trials-below-calibration-floor-upper-alpha", "label-not-string",
             "n-values-not-list",
             "output-path-not-string", "grid-huge", "grid-above-cap", "n-huge",
+            "trials-huge",
         ],
     )
     def test_bad_config_exits_two_naming_the_field(

@@ -315,13 +315,13 @@ class TestKktCertificate:
 class TestUtility:
     def test_zero_tilt_grid(self, flat_setup):
         _, models, frozen, _ = flat_setup
-        assert utility(E1, E1, models, 1.0, frozen, 1, [0.0]) == 0.0
+        assert utility(E1, E1, models, 1.0, frozen, 1, [0.0])[0] == 0.0
 
     def test_singleton_matches_kl(self, flat_setup):
         psds, models, frozen, n = flat_setup
         val, se = utility(
             E1, E1, models, 1.0, frozen, derive_seed(MASTER_SEED, "h1"),
-            DEFAULT_TILT_GRID, with_se=True,
+            DEFAULT_TILT_GRID,
         )
         assert abs(val - kl_rate(psds[0], 1.0, n)) <= max(3.0 * se, 0.003)
 
@@ -345,14 +345,19 @@ class TestUtility:
 
     def test_grid_enlargement_monotone(self, flat_setup):
         _, models, frozen, _ = flat_setup
-        small = utility(E1, E1, models, 1.0, frozen, 2, [-1.0, 0.0])
-        large = utility(E1, E1, models, 1.0, frozen, 2, [-2.0, -1.0, -0.5, 0.0])
+        small, _ = utility(E1, E1, models, 1.0, frozen, 2, [-1.0, 0.0])
+        large, _ = utility(E1, E1, models, 1.0, frozen, 2, [-2.0, -1.0, -0.5, 0.0])
         assert large >= small
 
     def test_positive_tilt_rejected(self, flat_setup):
         _, models, frozen, _ = flat_setup
         with pytest.raises(ParameterError):
             utility(E1, E1, models, 1.0, frozen, 1, [0.5])
+
+    def test_empty_tilt_grid_rejected(self, flat_setup):
+        _, models, frozen, _ = flat_setup
+        with pytest.raises(ParameterError, match="nonempty"):
+            utility(E1, E1, models, 1.0, frozen, 1, [])
 
 
 class TestRegularityProbe:
@@ -389,10 +394,10 @@ class TestRegularityProbe:
         for beta in betas:
             blend = MixtureWeights((1.0 - beta) * r_star.w + beta * r_dir.w)
             best, se_a = utility(
-                blend, blend, models, 1.0, frozen[:6000], 5, grid, 5000, with_se=True
+                blend, blend, models, 1.0, frozen[:6000], 5, grid, 5000
             )
             cand, se_b = utility(
-                r_star, blend, models, 1.0, frozen[:6000], 5, grid, 5000, with_se=True
+                r_star, blend, models, 1.0, frozen[:6000], 5, grid, 5000
             )
             expected.append(
                 {"beta": beta, "gap": best - cand, "se": float(np.hypot(se_a, se_b))}
@@ -417,7 +422,7 @@ class TestSaddleSandwich:
         sa = sample_average_kl(E1, models, 1.0, frozen)
         val, se = utility(
             E1, E1, models, 1.0, frozen, derive_seed(MASTER_SEED, "sandwich"),
-            DEFAULT_TILT_GRID, with_se=True,
+            DEFAULT_TILT_GRID,
         )
         assert val <= sa + 3.0 * se
         _, fw_value, _ = minimize_mixture_weights(

@@ -7,6 +7,7 @@ from conftest import flat_set
 from robustspec.detection import (
     MixtureWeights,
     calibrate_threshold,
+    estimate_error_probs,
     h0_statistics,
     log_likelihood_ratios,
     mixture_statistics,
@@ -51,6 +52,7 @@ CALLS = {
     "mixture_statistics": lambda s: mixture_statistics(ROWS, UNIFORM, MODELS, s),
     "h0_statistics": lambda s: h0_statistics(UNIFORM, MODELS, s, 1000, 1),
     "calibrate_threshold": lambda s: calibrate_threshold(UNIFORM, MODELS, s, 0.1, 1000, 1),
+    "estimate_error_probs": lambda s: estimate_error_probs(UNIFORM, MODELS, s, 0.0, 0, 1000, 1),
     "sample_average_kl": lambda s: sample_average_kl(UNIFORM, MODELS, s, ROWS),
     "minimize_mixture_weights": lambda s: minimize_mixture_weights(MODELS, s, ROWS, UNIFORM),
     "utility": lambda s: utility(UNIFORM, UNIFORM, MODELS, s, ROWS, 1),
