@@ -24,7 +24,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=None, help="report output path")
     parser.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="report format"
+        "--format",
+        choices=("json", "csv"),
+        default="json",
+        help="report format, on stdout and in --out alike",
     )
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--grid", type=int, default=None, help="override grid size")
@@ -59,7 +62,7 @@ def main(argv=None) -> int:
         if out_path:
             write_report(record, out_path, args.format)
         else:
-            sys.stdout.write(report_text(record))
+            sys.stdout.write(report_text(record, args.format))
     except RobustSpecError as exc:  # serialised before any byte is written
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

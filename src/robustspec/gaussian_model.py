@@ -89,11 +89,6 @@ class ToeplitzGaussian:
             raise ParameterError("autocov must be finite")
         autocov.setflags(write=False)
         a, errors, rung = _durbin_with_jitter(autocov, self.sigma2, self.label)
-        if rung:
-            warn_fallback(
-                "covariance for PSD %r at n=%d needed diagonal jitter %g to pass "
-                "Levinson-Durbin", self.label, self.n, JITTER_LADDER[rung],
-            )
         a.setflags(write=False)
         object.__setattr__(self, "autocov", autocov)
         object.__setattr__(self, "jitter", rung)
@@ -146,8 +141,10 @@ class ToeplitzGaussian:
         """(W, errors), W = diag(errors)^{-1/2} U with W C W^T = I (C plus jitter)
         from a second Durbin pass that fills U, lower triangular, so that its
         leading blocks whiten every prefix of y.  A new array, cached nowhere."""
+        r = np.array(self.autocov)
+        r[0] = self.autocov[0] + self.sigma2 + JITTER_LADDER[self.jitter]
         rows = np.zeros((self.n, self.n))
-        _, errors, _ = _durbin_with_jitter(self.autocov, self.sigma2, self.label, rows)
+        _, errors = levinson_durbin(r, self.label, rows)
         rows /= np.sqrt(errors)[:, np.newaxis]
         return rows, errors
 
@@ -157,17 +154,24 @@ class ToeplitzGaussian:
 
 
 def _durbin_with_jitter(
-    autocov: np.ndarray, sigma2: float, label: str, rows: Optional[np.ndarray] = None
+    autocov: np.ndarray, sigma2: float, label: str
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """(predictor, errors, rung) of the first JITTER_LADDER rung whose r[0] =
-    autocov[0] + sigma2 + jitter passes `levinson_durbin`, the one PD test."""
+    autocov[0] + sigma2 + jitter passes `levinson_durbin`, the one PD test.
+    A rung above 0 is logged as a fallback."""
     r = np.array(autocov, dtype=float)
     for rung, jitter in enumerate(JITTER_LADDER):
         r[0] = autocov[0] + sigma2 + jitter
         try:
-            return (*levinson_durbin(r, label, rows), rung)
+            a, errors = levinson_durbin(r, label)
         except NotPositiveDefiniteError:
             continue
+        if rung:
+            warn_fallback(
+                "covariance for PSD %r at n=%d needed diagonal jitter %g to pass "
+                "Levinson-Durbin", label, r.size, jitter,
+            )
+        return a, errors, rung
     raise NotPositiveDefiniteError(
         f"covariance for PSD {label!r} is not positive definite "
         f"(jitter up to {JITTER_LADDER[-1]:g} exhausted)"

@@ -17,7 +17,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .detection import MIN_MC_TRIALS, MixtureWeights, _operating_characteristics, derive_seed
+from .detection import MIN_MC_TRIALS, ExponentEstimate, MixtureWeights, derive_seed
+from .detection import _operating_characteristics
 from .detection import min_calibration_trials, ratio_rows
 from .dominance import find_dominated
 from .errors import ConfigError, ParameterError, RobustSpecError
@@ -68,8 +69,10 @@ class ExperimentConfig:
     asdict(config), in field order, is the config a report records.
 
     Construction checks and normalises every field, raising ConfigError
-    naming it, so a config built from JSON, changed by `dataclasses.replace`
-    or built by a library caller is valid once it exists.
+    naming it, however the config is built: from JSON, by
+    `dataclasses.replace` or by a library caller.  A PSD block's family and
+    parameter values are checked only by `build_psds`, when the run needs
+    them at the final grid size.
     """
 
     mode: str
@@ -194,10 +197,6 @@ class ReportRecord:
     def to_json(self) -> dict:
         return asdict(self)
 
-    @staticmethod
-    def from_json(doc: dict) -> "ReportRecord":
-        return ReportRecord(**doc)
-
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a JSON experiment document; ExperimentConfig checks its fields
@@ -281,12 +280,12 @@ def _ladders(
     config: ExperimentConfig,
     model_sets: ModelSets,
     detectors: Sequence[int],
-    stage: str,
     first_rows: bool = False,
 ):
     """(ladders, null): ladders of each singleton detector against every
-    member, seeded by stage, and with `first_rows` the engine's null
-    log-ratio rows at the first n (see `_operating_characteristics`).
+    member, seeded by the stage `config.mode`, and with `first_rows` the
+    engine's null log-ratio rows at the first n (see
+    `_operating_characteristics`).
 
     A ladder censored at every n has no slope; a detector with no slope
     against any truth raises EstimationInfeasibleError.
@@ -298,7 +297,7 @@ def _ladders(
         range(k),
         config.trials,
         config.alpha,
-        derive_seed(config.seed, stage),
+        derive_seed(config.seed, config.mode),
         first_rows,
     )
     if any(all(est.slope is None for est in row) for row in ladders):
@@ -311,17 +310,20 @@ def _ladders(
 def _run_simulate(config: ExperimentConfig, uset: UncertaintySet) -> dict:
     cand = uset.candidate_index or 0
     model_sets = build_model_sets(uset.members, config.sigma2, config.n_values)
-    (ladders,), _ = _ladders(config, model_sets, [cand], "simulate")
-    estimates = [
-        {
-            "truth_label": uset.members[truth].label,
-            "rows": est.to_rows(),
-            "slope": est.slope,
-            "ci_half_width": est.ci_half_width,
-        }
-        for truth, est in enumerate(ladders)
-    ]
+    (ladders,), _ = _ladders(config, model_sets, [cand])
+    estimates = [_ladder_json(uset, truth, est) for truth, est in enumerate(ladders)]
     return {"detector_label": uset.members[cand].label, "estimates": estimates}
+
+
+def _ladder_json(uset: UncertaintySet, truth: int, est: ExponentEstimate) -> dict:
+    """One detector's ladder against `uset.members[truth]`, as `simulate` and
+    `full` report it."""
+    return {
+        "truth_label": uset.members[truth].label,
+        "rows": est.to_rows(),
+        "slope": est.slope,
+        "ci_half_width": est.ci_half_width,
+    }
 
 
 def _run_minimax(config: ExperimentConfig, uset: UncertaintySet) -> dict:
@@ -376,36 +378,23 @@ def _run_full(config: ExperimentConfig, uset: UncertaintySet) -> dict:
     k = len(uset)
     # every member has a singleton detector, so the engine's null rows at the
     # first n hold all K log-ratios: the optimizer's frozen null
-    ladders, null = _ladders(config, model_sets, range(k), "full", first_rows=True)
+    ladders, null = _ladders(config, model_sets, range(k), first_rows=True)
     minimax = _minimax(config, cand, model_sets, null)
 
-    detectors = {}
+    worst = {}
     for det, row in enumerate(ladders):
         resolved = [t for t in range(k) if row[t].slope is not None]
         truth = min(resolved, key=lambda t: row[t].slope)
-        worst = row[truth]
-        detectors[uset.members[det].label] = {
-            "worst_case_slope": worst.slope,
-            "worst_case": {
-                "truth_label": uset.members[truth].label,
-                "slope": worst.slope,
-                "ci_half_width": worst.ci_half_width,
-                "rows": worst.to_rows(),
-            },
-        }
-    robust = detectors[uset.members[cand].label]
-    ordering = all(
-        robust["worst_case_slope"]
-        >= entry["worst_case_slope"] - 2.0 * entry["worst_case"]["ci_half_width"]
-        for entry in detectors.values()
-    )
+        worst[uset.members[det].label] = _ladder_json(uset, truth, row[truth])
+    robust = worst[uset.members[cand].label]["slope"]
+    ordering = all(robust >= w["slope"] - 2.0 * w["ci_half_width"] for w in worst.values())
     return {
         "dominance": dominance,
         "exponents": exponents,
         "kkt": minimax["kkt"],
         "optimizer": minimax["optimizer"],
-        "simulation": detectors,
-        "ordering_consistent": bool(ordering),
+        "simulation": {label: {"worst_case": w} for label, w in worst.items()},
+        "ordering_consistent": ordering,
     }
 
 
@@ -495,8 +484,3 @@ def write_report(record: ReportRecord, path: str, format: str = "json") -> None:
             fh.write(text)
     except OSError as exc:
         raise OSError(f"failed writing report to {path}: {exc}") from exc
-
-
-def read_report(path: str) -> ReportRecord:
-    with open(path) as fh:
-        return ReportRecord.from_json(json.load(fh))

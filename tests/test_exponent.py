@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -75,6 +77,23 @@ class TestKlRate:
     def test_n_validated(self):
         with pytest.raises(ParameterError):
             kl_rate(make_psd("flat", grid_size=8, level=1.0), 1.0, 0)
+
+    def test_jitter_rung_is_logged_as_a_model_logs_it(self, caplog):
+        # at sigma2 = 1e-12 this covariance fails Levinson-Durbin at rung 0
+        # and passes at rung 1; grid 64 < n also logs aliasing, at every call
+        psd = make_psd("raised_cosine", grid_size=64, peak=1.0, center=1.0, width=0.3)
+        runs = (lambda: kl_rate(psd, 1e-12, 128), lambda: build_model(psd, 1e-12, 128).whitener())
+        logged = []
+        with caplog.at_level(logging.WARNING, logger="robustspec"):
+            for run in runs:
+                caplog.clear()
+                run()
+                messages = [record.getMessage() for record in caplog.records]
+                logged.append([m for m in messages if "jitter" in m])
+        (line,), model_lines = logged
+        assert "n=128" in line and "jitter 1e-12" in line
+        # a model logs its rung once, at construction, and its whitener not again
+        assert model_lines == [line]
 
 
 KL_REFERENCE_PSDS = (

@@ -25,10 +25,10 @@ from robustspec.gaussian_model import build_model_sets
 from robustspec.harness import (
     CSV_COLUMNS,
     MAX_TRIALS,
+    MODES,
     ExperimentConfig,
     parse_config,
     payload_rows,
-    read_report,
     run_experiment,
     write_report,
 )
@@ -234,6 +234,24 @@ class TestExperimentConfig:
         assert config == parse_config(config_text(MINIMAL))
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.mode = "full"
+
+    def test_psd_families_and_params_are_checked_by_the_run(self, tmp_path):
+        # construction checks a PSD block's keys and types; its family and
+        # parameter values are checked when the run builds the PSDs
+        config = ExperimentConfig(
+            mode="exponent", psds=[{"label": "a", "family": "nope", "params": {}}]
+        )
+        with pytest.raises(ConfigError, match=r"psds\[0\]"):
+            run_experiment(config)
+        # so a --grid override can make a tabulated block fit its grid
+        doc = {
+            "mode": "exponent",
+            "grid_size": 4096,
+            "psds": [{"label": "t", "family": "tabulated", "params": {"values": [1.0] * 64}}],
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["exponent", "--config", str(path), "--grid", "64"]) == 0
 
 
 class TestConfigFuzz:
@@ -509,6 +527,17 @@ class TestModes:
         assert sum(rows) == 10000
         assert max(rows) <= robustspec.gaussian_model.TILE_ROWS
 
+    def test_simulate_and_full_report_one_ladder_shape(self):
+        doc = dict(FLAT_TRIO, trials=2000, n_values=[8, 16], seed=11)
+        simulate = run_experiment(parse_config(config_text(dict(doc, mode="simulate"))))
+        full = run_experiment(parse_config(config_text(dict(doc, mode="full"))))
+        entries = list(full.payload["simulation"].values())
+        assert all(list(entry) == ["worst_case"] for entry in entries)
+        ladders = simulate.payload["estimates"] + [entry["worst_case"] for entry in entries]
+        assert {tuple(ladder) for ladder in ladders} == {
+            ("truth_label", "rows", "slope", "ci_half_width")
+        }
+
     def test_config_echo_completeness(self):
         record = run_experiment(parse_config(config_text(MINIMAL)))
         echo = record.config
@@ -525,10 +554,10 @@ class TestReports:
         record = run_experiment(parse_config(config_text(MINIMAL)))
         path = tmp_path / "report.json"
         write_report(record, str(path), "json")
-        back = read_report(str(path))
-        assert back.payload == record.payload
-        assert back.config == record.config
-        assert back.toolkit_version == record.toolkit_version
+        back = json.loads(path.read_text())
+        assert back["payload"] == record.payload
+        assert back["config"] == record.config
+        assert back["toolkit_version"] == record.toolkit_version
 
     def test_csv_header_and_cardinality(self, tmp_path):
         doc = dict(
@@ -755,7 +784,7 @@ class TestCli:
         payload = json.loads(out.read_text())["payload"]
         for entry in payload["simulation"].values():
             assert entry["worst_case"]["truth_label"] == "f1"
-            assert entry["worst_case_slope"] > 0.0
+            assert entry["worst_case"]["slope"] > 0.0
         assert payload["ordering_consistent"] is True
 
     def test_simulate_writes_null_slope_for_truth_censored_at_every_n(self, tmp_path):
@@ -790,6 +819,23 @@ class TestCli:
         cfg = self.write_config(tmp_path, MINIMAL)
         bad_out = str(tmp_path / "no" / "such" / "dir" / "x.json")
         assert cli_main(["exponent", "--config", cfg, "--out", bad_out]) == 4
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_stdout_prints_the_report_text_of_out(self, tmp_path, capsys, mode):
+        cfg = self.write_config(tmp_path, dict(FLAT_TRIO, trials=2000, n_values=[8, 16]))
+        texts = {}
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"report.{fmt}"
+            assert cli_main([mode, "--config", cfg, "--format", fmt]) == 0
+            printed = capsys.readouterr().out.encode()
+            assert cli_main([mode, "--config", cfg, "--format", fmt, "--out", str(out)]) == 0
+            texts[fmt] = printed, out.read_bytes()
+        printed, written = texts["csv"]
+        assert printed.startswith(",".join(CSV_COLUMNS).encode()) and printed == written
+        # the JSON records differ only in their wall time
+        printed, written = (json.loads(text) for text in texts["json"])
+        assert printed.pop("wall_time_ms") >= 0.0 and written.pop("wall_time_ms") >= 0.0
+        assert printed == written
 
     def test_csv_format_flag(self, tmp_path):
         cfg = self.write_config(tmp_path, MINIMAL)
