@@ -1,8 +1,8 @@
 """Walkthrough: calibrated mixture detectors at finite dimension.
 
 We calibrate a mixture detector's Neyman-Pearson threshold by Monte Carlo,
-measure its false-alarm and miss rates from its weights, models, noise floor
-and threshold, and track the empirical miss exponent of the matched
+measure its false-alarm and miss rates from its weights, models (which
+carry the noise floor) and threshold, and track the empirical miss exponent of the matched
 detector, whose thresholds are exact, across a ladder of dimensions.  The
 game utility, a Chernoff-type bound on the exponent, is in demo 04.  Seeds
 are explicit everywhere: rerunning this script reproduces every number bit
@@ -38,14 +38,12 @@ print("=" * 70)
 n = 64
 models = [build_model(p, SIGMA2, n) for p in flats]
 weights = MixtureWeights.uniform(3)
-tau = calibrate_threshold(weights, models, SIGMA2, ALPHA, TRIALS, SEED)
+tau = calibrate_threshold(weights, models, ALPHA, TRIALS, SEED)
 print(f"  threshold tau = {tau:.6f} at false-alarm level {ALPHA}")
 print(f"  (compare -exponent(flat-1) = {-error_exponent(flats[0], SIGMA2):.6f})")
 
 for truth in range(3):
-    fa, miss, count = estimate_error_probs(
-        weights, models, SIGMA2, tau, truth, TRIALS, SEED + 1
-    )
+    fa, miss, count = estimate_error_probs(weights, models, tau, truth, TRIALS, SEED + 1)
     print(f"  truth={flats[truth].label:8s} fa={fa:.4f} miss={miss:.2e} ({count} events)")
 
 print()

@@ -30,7 +30,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EstimationInfeasibleError, ParameterError, require_positive
+from .errors import EstimationInfeasibleError, ParameterError
 from .gaussian_model import TILE_ROWS, ToeplitzGaussian, build_model_sets, normal_blocks
 from .gaussian_model import seeded_tiles, white_blocks
 from .spectral import UncertaintySet
@@ -84,19 +84,16 @@ class MixtureWeights:
         return MixtureWeights(np.full(size, 1.0 / size))
 
 
-def log_likelihood_ratios(
-    samples: np.ndarray, models: Sequence[ToeplitzGaussian], null_sigma2: float
-) -> np.ndarray:
-    """Per-model log density ratios log(p_k(y)/p_0(y)) for each sample row."""
-    return ratio_rows([np.atleast_2d(samples)], models, null_sigma2)
+def log_likelihood_ratios(samples: np.ndarray, models: Sequence[ToeplitzGaussian]) -> np.ndarray:
+    """Per-model log density ratios log(p_k(y)/p_0(y)) for each sample row,
+    p_0 the white null at the models' sigma2."""
+    return ratio_rows([np.atleast_2d(samples)], models)
 
 
-def ratio_rows(
-    blocks: Iterable[np.ndarray], models: Sequence[ToeplitzGaussian], null_sigma2: float
-) -> np.ndarray:
+def ratio_rows(blocks: Iterable[np.ndarray], models: Sequence[ToeplitzGaussian]) -> np.ndarray:
     """log_likelihood_ratios of a stream of sample blocks, stacked in one
     matrix; one scorer weighting every model scores the whole stream."""
-    scorer = _ratio_scorer(models, null_sigma2)
+    scorer = _ratio_scorer(models)
     return np.concatenate([scorer.log_ratios(np.asarray(y, dtype=float)) for y in blocks])
 
 
@@ -135,8 +132,9 @@ class _Scorer:
     `ends`, from the prefixes y[:, :n].  Per segment [s, e), `blocks` holds
     [V_1 | ... | V_m], V_k the e x (e-s) transpose of rows s..e-1 of
     I/sigma - W_k for the model's `whitener` W_k; `offsets` holds c_k(n) by
-    (end, model), `scale` 1/sigma, `picks` each detector's (columns, weights),
-    and `product` room for one chunk's product with the widest block.
+    (end, model), `sigma2` the models' noise floor, `picks` each detector's
+    (columns, weights), and `product` room for one chunk's product with the
+    widest block.
 
     `product` is a scorer's only mutable state, so one scorer must not be
     shared across threads: two threads scoring through one scorer write
@@ -145,7 +143,7 @@ class _Scorer:
     ends: Tuple[int, ...]
     blocks: Tuple[np.ndarray, ...]
     offsets: np.ndarray
-    scale: float
+    sigma2: float
     picks: Tuple[Tuple[np.ndarray, np.ndarray], ...]
     product: np.ndarray
 
@@ -165,7 +163,7 @@ class _Scorer:
         if n != self.ends[-1]:
             raise ParameterError(f"models have n={self.ends[-1]}, samples have n={n}")
         quad = np.empty((rows, len(self.ends), m))
-        step, product = TILE_ROWS, self.product
+        step, product, scale = TILE_ROWS, self.product, 1.0 / np.sqrt(self.sigma2)
         for start in range(0, rows, step):
             chunk = y[start : start + step]
             total = np.zeros((len(chunk), m))
@@ -175,7 +173,7 @@ class _Scorer:
                 d = product[: len(chunk) * width].reshape(len(chunk), width)
                 np.matmul(chunk[:, :e], block, out=d)
                 d = d.reshape(len(chunk), m, e - s)
-                total += (2.0 * self.scale) * np.einsum("ikj,ij->ik", d, chunk[:, s:e])
+                total += (2.0 * scale) * np.einsum("ikj,ij->ik", d, chunk[:, s:e])
                 total -= np.einsum("ikj,ikj->ik", d, d)
                 if e in self.ends:
                     quad[start : start + step, self.ends.index(e)] = total
@@ -201,27 +199,28 @@ class _Scorer:
 def _scorer(
     models: Sequence[ToeplitzGaussian],
     detectors: Sequence[MixtureWeights],
-    null_sigma2: float,
     ends: Optional[Sequence[int]] = None,
 ) -> _Scorer:
     """The _Scorer of the detectors over the models that some detector
     weights positively, at the increasing `ends` (default and last: the
-    models' n).  Every Monte Carlo statistic passes here, so this is where a
-    bad noise floor is refused."""
-    require_positive("null_sigma2", null_sigma2)
+    models' n), against the white null at the models' sigma2.  Every Monte
+    Carlo statistic passes here.  A bad noise floor is refused when a model
+    is built; a set of models that differ in n or in sigma2 is refused here."""
     if any(len(q) != len(models) for q in detectors):
         raise ParameterError("detector weights must match the number of models")
     active = [q.w > 0.0 for q in detectors]
     scored = np.flatnonzero(np.any(active, axis=0))
     if not scored.size:
         raise ParameterError("no models to score")
-    n = models[0].n
+    n, sigma2 = models[0].n, models[0].sigma2
     if any(model.n != n for model in models):
         raise ParameterError("models must share n")
+    if any(model.sigma2 != sigma2 for model in models):
+        raise ParameterError("models must share sigma2, the white null's noise floor")
     ends = np.array([n] if ends is None else ends, dtype=int)
     # a segment [s, e) reads only the first e coordinates: 64 keeps it near triangular
     cuts = np.union1d(ends, np.arange(0, n, 64))
-    scale = 1.0 / np.sqrt(null_sigma2)
+    scale = 1.0 / np.sqrt(sigma2)
     blocks = [np.empty((e, scored.size * (e - s))) for s, e in zip(cuts, cuts[1:])]
     offsets = np.empty((ends.size, scored.size))
     for k, index in enumerate(scored):
@@ -231,29 +230,29 @@ def _scorer(
         for block, s, e in zip(blocks, cuts, cuts[1:]):
             block[:, k * (e - s) : (k + 1) * (e - s)] = w[s:e, :e].T
         logdets = np.cumsum(np.log(errors))[ends - 1]
-        offsets[:, k] = -0.5 * (logdets - ends * np.log(null_sigma2))
+        offsets[:, k] = -0.5 * (logdets - ends * np.log(sigma2))
     picks = tuple(
         (np.searchsorted(scored, np.flatnonzero(a)), q.w[a])
         for q, a in zip(detectors, active)
     )
     # a segment is at most 64 wide, so the buffer is at most TILE_ROWS x 64 m
     product = np.empty(TILE_ROWS * max(block.shape[1] for block in blocks))
-    return _Scorer(tuple(ends.tolist()), tuple(blocks), offsets.ravel(), scale, picks, product)
+    return _Scorer(tuple(ends.tolist()), tuple(blocks), offsets.ravel(), sigma2, picks, product)
 
 
-def _ratio_scorer(models: Sequence[ToeplitzGaussian], null_sigma2: float) -> _Scorer:
+def _ratio_scorer(models: Sequence[ToeplitzGaussian]) -> _Scorer:
     """The _Scorer of one detector that weights every model, so that its
     `log_ratios` has one column per model."""
     if not models:
         raise ParameterError("no models to score")
-    return _scorer(models, [MixtureWeights.uniform(len(models))], null_sigma2)
+    return _scorer(models, [MixtureWeights.uniform(len(models))])
 
 
-def _null_statistics(score: _Scorer, sigma2: float, trials: int, seed: int) -> np.ndarray:
+def _null_statistics(score: _Scorer, trials: int, seed: int) -> np.ndarray:
     """(statistic, trial) g values of a scorer on the white null substream `seed`."""
     g = np.empty((len(score.ends) * len(score.picks), trials))
     start = 0
-    for y in white_blocks(sigma2, score.ends[-1], trials, seed):
+    for y in white_blocks(score.sigma2, score.ends[-1], trials, seed):
         g[:, start : start + len(y)] = score(y)
         start += len(y)
     return g
@@ -263,23 +262,17 @@ def mixture_statistics(
     samples: np.ndarray,
     weights: MixtureWeights,
     models: Sequence[ToeplitzGaussian],
-    null_sigma2: float,
 ) -> np.ndarray:
     """Vector of g(y; q) over the sample rows (log-sum-exp combination)."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    return _scorer(models, [weights], null_sigma2)(samples)[0]
+    return _scorer(models, [weights])(samples)[0]
 
 
 def h0_statistics(
-    weights: MixtureWeights,
-    models: Sequence[ToeplitzGaussian],
-    null_sigma2: float,
-    trials: int,
-    seed: int,
+    weights: MixtureWeights, models: Sequence[ToeplitzGaussian], trials: int, seed: int
 ) -> np.ndarray:
     """g values on `trials` fresh null draws (block-streamed, reproducible)."""
-    score = _scorer(models, [weights], null_sigma2)
-    return _null_statistics(score, null_sigma2, trials, seed)[0]
+    return _null_statistics(_scorer(models, [weights]), trials, seed)[0]
 
 
 def min_calibration_trials(alpha: float) -> int:
@@ -430,7 +423,6 @@ def _singleton_thresholds(
 def calibrate_threshold(
     weights: MixtureWeights,
     models: Sequence[ToeplitzGaussian],
-    null_sigma2: float,
     alpha: float,
     trials: int,
     seed: int,
@@ -441,7 +433,7 @@ def calibrate_threshold(
     ceil(alpha*trials) - 1 strict exceedances (continuous statistics).
     """
     order = threshold_order_index(alpha, trials)
-    g = h0_statistics(weights, models, null_sigma2, trials, seed)
+    g = h0_statistics(weights, models, trials, seed)
     return float(np.partition(g, order)[order])
 
 
@@ -450,7 +442,6 @@ def _error_counts(
     models: Sequence[ToeplitzGaussian],
     thresholds: Sequence[float],
     truths: Sequence[int],
-    null_sigma2: float,
     trials: int,
     seed: int,
     first_rows: bool = False,
@@ -477,7 +468,7 @@ def _error_counts(
     m = score.offsets.size // len(score.ends)
     null = np.empty((trials, m)) if first_rows else None
     factors = [models[t].factor.T for t in truths]
-    scale, start = np.sqrt(null_sigma2), 0
+    scale, start = np.sqrt(score.sigma2), 0
     for z in normal_blocks(score.ends[-1], trials, derive_seed(seed, "h0")):
         for i, factor in enumerate(factors):
             miss[:, i] += np.sum(score(z @ factor) <= tau, axis=1)
@@ -493,7 +484,6 @@ def _error_counts(
 def estimate_error_probs(
     weights: MixtureWeights,
     models: Sequence[ToeplitzGaussian],
-    null_sigma2: float,
     threshold: float,
     true_psd_index: int,
     trials: int,
@@ -507,10 +497,8 @@ def estimate_error_probs(
     """
     if threshold != threshold:
         raise ParameterError("threshold must not be NaN")
-    score = _scorer(models, [weights], null_sigma2)
-    fa, miss, _ = _error_counts(
-        score, models, [threshold], [true_psd_index], null_sigma2, trials, seed
-    )
+    score = _scorer(models, [weights])
+    fa, miss, _ = _error_counts(score, models, [threshold], [true_psd_index], trials, seed)
     return int(fa[0]) / trials, int(miss[0, 0]) / trials, int(miss[0, 0])
 
 
@@ -632,19 +620,18 @@ def _operating_characteristics(
         ]:
             raise ParameterError(f"the models at n={n} are not the first n of the largest")
     order = threshold_order_index(alpha, trials)
-    sigma2 = largest[0].sigma2
-    score = _scorer(largest, detectors, sigma2, n_values)
+    score = _scorer(largest, detectors, n_values)
     if first_rows and score.offsets.size != n_values.size * len(largest):
         raise ParameterError("null log-ratio rows need every model weighted by a detector")
     thresholds = _singleton_thresholds(score, largest, detectors, alpha)
     mixture = np.isnan(thresholds)
     if mixture.any():
-        g = _null_statistics(score, sigma2, trials, derive_seed(seed, "cal"))[mixture]
+        g = _null_statistics(score, trials, derive_seed(seed, "cal"))[mixture]
         g.partition(order, axis=1)
         thresholds[mixture] = g[:, order]
         del g  # the error counts read only the thresholds
     fa, miss, null = _error_counts(
-        score, largest, thresholds, truths, sigma2, trials, derive_seed(seed, "mc"), first_rows
+        score, largest, thresholds, truths, trials, derive_seed(seed, "mc"), first_rows
     )
     fa, miss = fa.reshape(n_values.size, -1), miss.reshape(n_values.size, len(detectors), -1)
     ladders = [

@@ -112,8 +112,13 @@ class ToeplitzGaussian:
     def covariance(self, n: Optional[int] = None) -> np.ndarray:
         """Dense covariance sigma2*I + Sigma_N plus the model's jitter, the
         matrix `logdet`, `inverse` and `whitener` describe, or its leading
-        n x n block."""
-        lags = np.arange(self.n if n is None else n)
+        n x n block.  Raises ParameterError naming `n` unless it is an
+        integer in [1, self.n]."""
+        if n is None:
+            n = self.n
+        elif isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= self.n:
+            raise ParameterError(f"n must be an integer in [1, {self.n}], got {n!r}")
+        lags = np.arange(n)
         cov = self.autocov[np.abs(lags[:, None] - lags)]
         cov[np.diag_indices(lags.size)] += self.sigma2
         cov[np.diag_indices(lags.size)] += JITTER_LADDER[self.jitter]
@@ -127,7 +132,8 @@ class ToeplitzGaussian:
         c(n) + (1/2) sum_i lam_i chi2_1, every lam in [0, 1): the law that
         `detection` thresholds exactly.  Eigenvalues of C_n that round below
         sigma2 would give lam of about -1e-15, so lam is clipped at 0.  One
-        dense eigvalsh, O(n^3), on a new n x n array.
+        dense eigvalsh, O(n^3), on a new n x n array; n is checked as in
+        `covariance`.
         """
         cov = self.covariance(n)
         return np.maximum(1.0 - self.sigma2 / np.linalg.eigvalsh(cov), 0.0)
@@ -392,12 +398,12 @@ def white_blocks(sigma2: float, n: int, trials: int, seed: int) -> Iterator[np.n
 
     Equal bit for bit to sample_gaussian(white_model(sigma2, n), trials, seed)
     split into tiles: the white factor is the diagonal sqrt(sigma2)*I.  Each
-    tile is scaled in place, so no second copy of it is held.
+    tile is scaled in place, so no second copy of it is held.  Raises
+    ParameterError naming `sigma2` at the call unless it is finite and > 0.
     """
+    require_positive("sigma2", sigma2)
     scale = np.sqrt(sigma2)
-    for z in normal_blocks(n, trials, seed):
-        z *= scale
-        yield z
+    return (np.multiply(z, scale, out=z) for z in normal_blocks(n, trials, seed))
 
 
 def standard_normal_block(

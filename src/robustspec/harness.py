@@ -333,7 +333,7 @@ def _run_minimax(config: ExperimentConfig, uset: UncertaintySet) -> dict:
     # tile into a trials x K matrix.
     seed = derive_seed(config.seed, "frozen-h0")
     null = white_blocks(config.sigma2, config.n_values[0], config.trials, seed)
-    ratios = ratio_rows(null, model_sets[0], config.sigma2)
+    ratios = ratio_rows(null, model_sets[0])
     return _minimax(config, uset.candidate_index or 0, model_sets, ratios)
 
 

@@ -58,24 +58,22 @@ class KktCertificate:
 def sample_average_kl(
     r: MixtureWeights,
     models: Sequence[ToeplitzGaussian],
-    null_sigma2: float,
     h0_samples: np.ndarray,
 ) -> float:
     """Sample-average (1/n) D(null || mixture r) on a frozen null sample set."""
-    ratios = log_likelihood_ratios(h0_samples, models, null_sigma2)
+    ratios = log_likelihood_ratios(h0_samples, models)
     return float(-np.mean(_mixture_log_ratios(ratios, r.w))) / models[0].n
 
 
 def minimize_mixture_weights(
     models: Sequence[ToeplitzGaussian],
-    null_sigma2: float,
     h0_samples: np.ndarray,
     init: MixtureWeights,
     max_iters: int = 200,
     tol: float = 1e-8,
 ) -> Tuple[MixtureWeights, float, dict]:
     """minimize_mixture_kl over the log-ratio rows of frozen null samples."""
-    ratios = log_likelihood_ratios(h0_samples, models, null_sigma2)
+    ratios = log_likelihood_ratios(h0_samples, models)
     return minimize_mixture_kl(ratios, models[0].n, init, max_iters, tol)
 
 
@@ -259,7 +257,6 @@ def utility(
     q: MixtureWeights,
     r: MixtureWeights,
     models: Sequence[ToeplitzGaussian],
-    null_sigma2: float,
     h0_samples: np.ndarray,
     h1_sample_seed: int,
     tilt_grid: Sequence[float] = DEFAULT_TILT_GRID,
@@ -273,7 +270,7 @@ def utility(
     the delta-method standard error at the maximizing tilt.
     """
     trials = h1_trials if h1_trials is not None else h0_samples.shape[0]
-    scorer = _ratio_scorer(models, null_sigma2)
+    scorer = _ratio_scorer(models)
     ratios0 = scorer.log_ratios(h0_samples)
     mixture = sample_mixture_blocks(models, r, trials, h1_sample_seed)
     ratios1 = np.concatenate([scorer.log_ratios(y) for y in mixture])
@@ -285,7 +282,6 @@ def regularity_probe(
     r_dir: MixtureWeights,
     beta_ladder: Sequence[float],
     models: Sequence[ToeplitzGaussian],
-    null_sigma2: float,
     h0_samples: np.ndarray,
     h1_sample_seed: int,
     tilt_grid: Sequence[float] = DEFAULT_TILT_GRID,
@@ -304,7 +300,7 @@ def regularity_probe(
         raise ParameterError("beta values must be >= 0")
     tilt_grid = tuple(tilt_grid)  # read twice per beta
     n = models[0].n
-    scorer = _ratio_scorer(models, null_sigma2)
+    scorer = _ratio_scorer(models)
     ratios0 = scorer.log_ratios(h0_samples)
     trials = h1_trials if h1_trials is not None else h0_samples.shape[0]
     records = []

@@ -324,8 +324,8 @@ def check_calibration_exceedances(seed, cases):
         ]
         q = MixtureWeights(random_pmf(rng, k))
         cal_seed = int(rng.integers(0, 2**32))
-        tau = calibrate_threshold(q, models, 1.0, alpha, trials, cal_seed)
-        g = h0_statistics(q, models, 1.0, trials, cal_seed)
+        tau = calibrate_threshold(q, models, alpha, trials, cal_seed)
+        g = h0_statistics(q, models, trials, cal_seed)
         exceed = int(np.sum(g > tau))
         target = int(np.ceil(alpha * trials))
         assert exceed in (target - 1, target), (exceed, target, alpha, trials)
@@ -345,8 +345,8 @@ def check_statistic_lower_bound(seed, cases):
             w /= w.sum()
         q = MixtureWeights(w)
         samples = sample_gaussian(white_model(sigma2, n), 32, int(rng.integers(0, 2**32)))
-        g = mixture_statistics(samples, q, models, sigma2)
-        ell = log_likelihood_ratios(samples, models, sigma2)
+        g = mixture_statistics(samples, q, models)
+        ell = log_likelihood_ratios(samples, models)
         for j in range(k):
             if q.w[j] > 0.0:
                 bound = (ell[:, j] + np.log(q.w[j])) / n
@@ -375,7 +375,7 @@ def check_frank_wolfe_monotone(seed, cases):
         frozen = sample_gaussian(white_model(1.0, n), 2048, int(rng.integers(0, 2**32)))
         init = MixtureWeights((rng.dirichlet(np.ones(k)) + 0.5) / (1.0 + 0.5 * k))
         _, _, trace = minimize_mixture_weights(
-            models, 1.0, frozen, init, max_iters=60
+            models, frozen, init, max_iters=60
         )
         objectives = np.asarray(trace["objectives"])
         assert np.all(np.diff(objectives) <= 1e-12)
@@ -390,11 +390,11 @@ def check_objective_convexity(seed, cases):
         ra, rb = random_pmf(rng, k), random_pmf(rng, k)
         theta = float(rng.choice([0.25, 0.5, 0.75]))
         mid = sample_average_kl(
-            MixtureWeights(theta * ra + (1.0 - theta) * rb), models, 1.0, frozen
+            MixtureWeights(theta * ra + (1.0 - theta) * rb), models, frozen
         )
-        ends = theta * sample_average_kl(MixtureWeights(ra), models, 1.0, frozen) + (
+        ends = theta * sample_average_kl(MixtureWeights(ra), models, frozen) + (
             1.0 - theta
-        ) * sample_average_kl(MixtureWeights(rb), models, 1.0, frozen)
+        ) * sample_average_kl(MixtureWeights(rb), models, frozen)
         assert mid <= ends + 1e-12
 
 

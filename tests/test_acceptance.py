@@ -135,7 +135,7 @@ def test_criterion_05_kkt_singleton_and_optimizer():
         white_model(1.0, n), 100000, derive_seed(MASTER_SEED, "crit5")
     )
     weights, _, trace = minimize_mixture_weights(
-        models, 1.0, frozen, MixtureWeights.uniform(3)
+        models, frozen, MixtureWeights.uniform(3)
     )
     assert weights.w[0] >= 0.99, weights.w
     assert np.all(np.diff(trace["objectives"]) <= 1e-12)
@@ -151,13 +151,13 @@ def test_criterion_06_neyman_pearson_calibration():
     q = MixtureWeights.uniform(3)
     for alpha in (0.1, 0.5):
         cal_seed = derive_seed(MASTER_SEED, f"crit6:{alpha}")
-        tau = calibrate_threshold(q, models, 1.0, alpha, trials, cal_seed)
-        g = h0_statistics(q, models, 1.0, trials, cal_seed)
+        tau = calibrate_threshold(q, models, alpha, trials, cal_seed)
+        g = h0_statistics(q, models, trials, cal_seed)
         exceed = int(np.sum(g > tau))
         target = int(np.ceil(alpha * trials))
         assert exceed in (target - 1, target), (alpha, exceed, target)
         fresh = h0_statistics(
-            q, models, 1.0, trials, derive_seed(MASTER_SEED, f"crit6-fresh:{alpha}")
+            q, models, trials, derive_seed(MASTER_SEED, f"crit6-fresh:{alpha}")
         )
         fa_hat = float(np.mean(fresh > tau))
         assert abs(fa_hat - alpha) <= 3.0 * np.sqrt(alpha * (1 - alpha) / trials)
@@ -179,7 +179,7 @@ def test_criterion_07_threshold_and_mean_trends():
         for n in (32, 128, 512):
             models = [build_model(p, 1.0, n) for p in psds]
             g = h0_statistics(
-                q, models, 1.0, trials, derive_seed(MASTER_SEED, f"crit7:{n}")
+                q, models, trials, derive_seed(MASTER_SEED, f"crit7:{n}")
             )
             mean_err.append(abs(float(np.mean(g)) + psi))
             gs = np.sort(g)
@@ -250,7 +250,7 @@ def test_criterion_09_regularity_gap_trend():
     )
     records = regularity_probe(
         MixtureWeights(np.array([1.0, 0.0])), MixtureWeights.uniform(2),
-        [0.2, 0.1, 0.05, 0.025], models, 1.0, frozen,
+        [0.2, 0.1, 0.05, 0.025], models, frozen,
         derive_seed(MASTER_SEED, "h1"), DEFAULT_TILT_GRID, 100000,
     )
     ratios = [rec["gap"] / rec["beta"] for rec in records]

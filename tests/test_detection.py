@@ -72,7 +72,7 @@ class TestMixtureStatistic:
     def test_zero_observation_closed_form(self):
         rho = 2.0
         model = build_model(make_psd("flat", grid_size=4096, level=rho), 1.0, 8)
-        (g,) = mixture_statistics(np.zeros((1, 8)), E1, [model], 1.0)
+        (g,) = mixture_statistics(np.zeros((1, 8)), E1, [model])
         assert g == pytest.approx(-0.5 * np.log(1.0 + rho), abs=1e-9)
 
     def test_singleton_equals_scaled_llr(self, rng):
@@ -80,21 +80,21 @@ class TestMixtureStatistic:
             build_model(prop_suites.random_psd(rng, 64), 1.0, 8) for _ in range(3)
         ]
         y = sample_gaussian(white_model(1.0, 8), 16, 3)
-        g = mixture_statistics(y, MixtureWeights.singleton(1, 3), models, 1.0)
-        ell = log_likelihood_ratios(y, models, 1.0)
+        g = mixture_statistics(y, MixtureWeights.singleton(1, 3), models)
+        ell = log_likelihood_ratios(y, models)
         assert np.allclose(g, ell[:, 1] / 8, atol=1e-12)
 
     def test_duplicate_components_collapse(self, rng):
         model = build_model(prop_suites.random_psd(rng, 64), 1.0, 8)
         y = sample_gaussian(white_model(1.0, 8), 16, 4)
-        pair = mixture_statistics(y, MixtureWeights.uniform(2), [model, model], 1.0)
-        single = mixture_statistics(y, E1, [model], 1.0)
+        pair = mixture_statistics(y, MixtureWeights.uniform(2), [model, model])
+        single = mixture_statistics(y, E1, [model])
         assert np.allclose(pair, single, atol=1e-12)
 
     def test_dimension_mismatch(self):
         model = build_model(make_psd("flat", grid_size=64, level=1.0), 1.0, 8)
         with pytest.raises(ParameterError):
-            mixture_statistics(np.zeros((1, 9)), E1, [model], 1.0)
+            mixture_statistics(np.zeros((1, 9)), E1, [model])
 
 
 class TestRatioForms:
@@ -106,12 +106,12 @@ class TestRatioForms:
         models = [build_model(psd, sigma2, n) for psd in SCORED_PSDS.values()]
         assert all(model.jitter == 0 for model in models)
         z = standard_normal_block(3, 0, 200, n)
-        scorer = _scorer(models, [MixtureWeights.uniform(3)], sigma2)
+        scorer = _scorer(models, [MixtureWeights.uniform(3)])
         cases = [(z @ m.factor.T, scorer.log_ratios(z @ m.factor.T)) for m in models]
         null = np.sqrt(sigma2) * z
         cases.append((null, scorer.log_ratios(null)))
         y = z @ models[1].factor.T
-        cases.append((y, log_likelihood_ratios(y, models, sigma2)))
+        cases.append((y, log_likelihood_ratios(y, models)))
         for y, got in cases:
             yy = np.einsum("ij,ij->i", y, y) / sigma2
             for k, model in enumerate(models):
@@ -127,8 +127,8 @@ class TestRatioForms:
         models = [build_model(psd, 1.0, 17) for psd in SCORED_PSDS.values()]
         detectors = [MixtureWeights.singleton(1, 3), MixtureWeights.uniform(3)]
         z = standard_normal_block(5, 0, 300, 17)
-        ratios = _scorer(models, [MixtureWeights.uniform(3)], 1.0).log_ratios(z)
-        g = _scorer(models, detectors, 1.0)(z)
+        ratios = _scorer(models, [MixtureWeights.uniform(3)]).log_ratios(z)
+        g = _scorer(models, detectors)(z)
         assert np.array_equal(g[0], ratios[:, 1] / 17)
         assert np.array_equal(g[1], _mixture_log_ratios(ratios, detectors[1].w) / 17)
 
@@ -141,7 +141,7 @@ class TestRatioForms:
         models = [build_model(psd, sigma2, ends[-1]) for psd in SCORED_PSDS.values()]
         assert all(model.jitter == 0 for model in models)
         y = standard_normal_block(4, 0, 100, ends[-1]) @ models[0].factor.T
-        scorer = _scorer(models, [MixtureWeights.uniform(3)], sigma2, ends)
+        scorer = _scorer(models, [MixtureWeights.uniform(3)], ends)
         ratios = scorer.log_ratios(y)
         assert ratios.shape == (100, len(ends) * 3)
         for j, n in enumerate(ends):
@@ -159,29 +159,29 @@ class TestRatioForms:
     def test_singleton_detectors_skip_the_log_sum_exp(self, monkeypatch):
         models = [build_model(psd, 1.0, 17) for psd in SCORED_PSDS.values()]
         z = standard_normal_block(6, 0, 300, 17)
-        ratios = _scorer(models, [MixtureWeights.uniform(3)], 1.0, [5, 17]).log_ratios(z)
+        ratios = _scorer(models, [MixtureWeights.uniform(3)], [5, 17]).log_ratios(z)
 
         def refuse(x):
             raise AssertionError("a singleton detector called the log-sum-exp")
 
         monkeypatch.setattr(robustspec.detection, "_log_sum_exp", refuse)
         detectors = [MixtureWeights.singleton(k, 3) for k in (2, 0, 1)]
-        g = _scorer(models, detectors, 1.0, [5, 17])(z)
+        g = _scorer(models, detectors, [5, 17])(z)
         for j, n in enumerate([5, 17]):
             for d, k in enumerate((2, 0, 1)):
                 assert np.array_equal(g[3 * j + d], ratios[:, 3 * j + k] / n)
 
     def test_no_models_to_score(self):
         with pytest.raises(ParameterError, match="no models to score"):
-            log_likelihood_ratios(np.zeros((2, 8)), [], 1.0)
+            log_likelihood_ratios(np.zeros((2, 8)), [])
 
     def test_forms_built_once_per_n(self, monkeypatch):
         original = robustspec.detection._scorer
         models_by_n = build_model_sets(flat_set([1.0, 2.0, 3.0]), 1.0, [8, 16])
         builds = []
 
-        def counting(models, detectors, null_sigma2, ends=None):
-            scorer = original(models, detectors, null_sigma2, ends)
+        def counting(models, detectors, ends=None):
+            scorer = original(models, detectors, ends)
             builds.append((scorer.ends, [block.shape for block in scorer.blocks]))
             return scorer
 
@@ -237,7 +237,7 @@ class TestStreamingMemory:
         # models, streamed into a trials x K matrix of log-ratios
         n = 256
         models = [build_model(psd, 1.0, n) for psd in self.PSDS]
-        peak = traced_peak(lambda: ratio_rows(white_blocks(1.0, n, 20000, 5), models, 1.0))
+        peak = traced_peak(lambda: ratio_rows(white_blocks(1.0, n, 20000, 5), models))
         assert peak < 8 * SAMPLE_BLOCK * n, peak
 
     def test_engine_peak_at_n_1024(self):
@@ -280,22 +280,22 @@ class TestCalibration:
 
     def test_median_at_alpha_half(self):
         trials = 2000
-        tau = calibrate_threshold(E1, self.models, 1.0, 0.5, trials, 17)
-        g = np.sort(h0_statistics(E1, self.models, 1.0, trials, 17))
+        tau = calibrate_threshold(E1, self.models, 0.5, trials, 17)
+        g = np.sort(h0_statistics(E1, self.models, trials, 17))
         assert tau == g[trials // 2]
 
     def test_deterministic(self):
-        a = calibrate_threshold(E1, self.models, 1.0, 0.1, 2000, 21)
-        b = calibrate_threshold(E1, self.models, 1.0, 0.1, 2000, 21)
+        a = calibrate_threshold(E1, self.models, 0.1, 2000, 21)
+        b = calibrate_threshold(E1, self.models, 0.1, 2000, 21)
         assert a == b
 
     def test_insufficient_trials(self):
         with pytest.raises(ParameterError):
-            calibrate_threshold(E1, self.models, 1.0, 0.01, 500, 1)
+            calibrate_threshold(E1, self.models, 0.01, 500, 1)
 
     def test_negative_seed_names_seed(self):
         with pytest.raises(ParameterError, match="seed"):
-            calibrate_threshold(E1, self.models, 1.0, 0.1, 2000, -1)
+            calibrate_threshold(E1, self.models, 0.1, 2000, -1)
 
     @pytest.mark.parametrize("alpha,trials,expected", [(0.1, 1000, 900), (0.5, 999, 499)])
     def test_order_index(self, alpha, trials, expected):
@@ -309,7 +309,7 @@ class TestCalibration:
         for n in (32, 128):
             models = [build_model(p, 1.0, n) for p in flats]
             tau = calibrate_threshold(
-                MixtureWeights.uniform(3), models, 1.0, 0.1, 20000,
+                MixtureWeights.uniform(3), models, 0.1, 20000,
                 derive_seed(MASTER_SEED, f"trend:{n}"),
             )
             errs.append(abs(tau + psi))
@@ -322,34 +322,34 @@ class TestErrorProbs:
 
     def test_degenerate_thresholds(self):
         models = [self.flat_model()]
-        fa, miss, count = estimate_error_probs(E1, models, 1.0, np.inf, 0, 1000, 0)
+        fa, miss, count = estimate_error_probs(E1, models, np.inf, 0, 1000, 0)
         assert (fa, miss, count) == (0.0, 1.0, 1000)
-        fa, miss, count = estimate_error_probs(E1, models, 1.0, -np.inf, 0, 1000, 0)
+        fa, miss, count = estimate_error_probs(E1, models, -np.inf, 0, 1000, 0)
         assert (fa, miss, count) == (1.0, 0.0, 0)
 
     def test_models_must_share_n(self):
         models = [self.flat_model(8), self.flat_model(9)]
         with pytest.raises(ParameterError, match="share n"):
-            estimate_error_probs(MixtureWeights.uniform(2), models, 1.0, 0.0, 0, 1000, 0)
+            estimate_error_probs(MixtureWeights.uniform(2), models, 0.0, 0, 1000, 0)
 
     def test_truths_must_index_the_models(self):
         models = [self.flat_model()]
         with pytest.raises(ParameterError, match="truth"):
-            estimate_error_probs(E1, models, 1.0, 0.0, 1, 1000, 0)
+            estimate_error_probs(E1, models, 0.0, 1, 1000, 0)
         with pytest.raises(ParameterError, match="truth"):
             operating_characteristics([models], [E1], [], 1000, 0.1, 0)
 
     def test_nan_threshold_rejected(self):
         with pytest.raises(ParameterError, match="NaN"):
-            estimate_error_probs(E1, [self.flat_model()], 1.0, np.nan, 0, 1000, 0)
+            estimate_error_probs(E1, [self.flat_model()], np.nan, 0, 1000, 0)
 
     def test_matched_flat_detector_self_consistency(self):
         # false alarms near alpha; misses within 3-sigma of a 10x oracle run
         model = build_model(make_psd("flat", grid_size=256, level=3.0), 1.0, 32)
-        tau = calibrate_threshold(E1, [model], 1.0, 0.1, 100000, derive_seed(5, "cal"))
-        fa, miss, _ = estimate_error_probs(E1, [model], 1.0, tau, 0, 100000, 5)
+        tau = calibrate_threshold(E1, [model], 0.1, 100000, derive_seed(5, "cal"))
+        fa, miss, _ = estimate_error_probs(E1, [model], tau, 0, 100000, 5)
         assert abs(fa - 0.1) <= 3.0 * np.sqrt(0.1 * 0.9 / 100000)
-        _, miss_oracle, _ = estimate_error_probs(E1, [model], 1.0, tau, 0, 1000000, 6)
+        _, miss_oracle, _ = estimate_error_probs(E1, [model], tau, 0, 1000000, 6)
         band = 3.0 * np.sqrt(miss_oracle * (1.0 - miss_oracle) / 100000)
         assert abs(miss - miss_oracle) <= band
 
@@ -504,7 +504,7 @@ class TestExactThresholds:
         assert not np.any(models_by_n[-1][0].null_weights())
         assert weighted_chi2_isf([np.zeros(8), np.zeros(1)], 0.05).tolist() == [0.0, 0.0]
         detectors = [MixtureWeights.singleton(0, 2), MixtureWeights.singleton(1, 2)]
-        score = _scorer(models_by_n[-1], detectors, 1.0, [4, 8])
+        score = _scorer(models_by_n[-1], detectors, [4, 8])
         thresholds = _singleton_thresholds(score, models_by_n[-1], detectors, 0.05)
         offsets = score.offsets.reshape(2, 2)
         assert thresholds[0] == offsets[0, 0] / 4 and thresholds[2] == offsets[1, 0] / 8
@@ -606,7 +606,7 @@ class TestOneWhiteStream:
             first_rows=True,
         )
         white = np.concatenate(self.white_tiles())[:, :8] * np.sqrt(self.SIGMA2)
-        expected = log_likelihood_ratios(white, self.models_by_n[0], self.SIGMA2)
+        expected = log_likelihood_ratios(white, self.models_by_n[0])
         assert null.shape == (self.TRIALS, 3)
         assert np.allclose(null, expected, rtol=0.0, atol=1e-11)
         alone = operating_characteristics(

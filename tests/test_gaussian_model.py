@@ -99,6 +99,16 @@ class TestBuildModel:
         with pytest.raises(ParameterError, match="must be finite"):
             ToeplitzGaussian(n=2, sigma2=sigma2, autocov=np.array(autocov))
 
+    @pytest.mark.parametrize("method", ["covariance", "null_weights"])
+    def test_leading_block_size_validated(self, method):
+        model = build_model(make_psd("rational_ar1", grid_size=256, variance=1.0, pole=0.5), 1.0, 8)
+        block = getattr(model, method)
+        for n in (0, -1, 9, 4.0, True):
+            with pytest.raises(ParameterError, match=r"n must be an integer in \[1, 8\]"):
+                block(n)
+        assert np.array_equal(model.covariance(np.int64(3)), model.covariance()[:3, :3])
+        assert block(1).shape[0] == 1 and block(8).shape[0] == 8
+
     def test_logdet_at_least_noise_floor(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 40))

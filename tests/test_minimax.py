@@ -88,7 +88,7 @@ def stalled_interior_ratios():
     n = 64
     models = [build_model(psd, 1.0, n) for psd in psds]
     null = white_blocks(1.0, n, 20000, derive_seed(1799343697, "frozen-h0"))
-    return ratio_rows(null, models, 1.0), n
+    return ratio_rows(null, models), n
 
 
 def multiplicative_reference(ratios, n, steps=5000):
@@ -108,7 +108,7 @@ E1 = MixtureWeights(np.array([1.0, 0.0, 0.0]))
 class TestSampleAverageKl:
     def test_singleton_matches_exact_kl(self, flat_setup):
         psds, models, frozen, n = flat_setup
-        value = sample_average_kl(E1, models, 1.0, frozen)
+        value = sample_average_kl(E1, models, frozen)
         exact = kl_rate(psds[0], 1.0, n)
         # crude SE bound for the averaged log-ratio
         assert abs(value - exact) <= 3.0 * 0.5 / np.sqrt(len(frozen))
@@ -117,7 +117,7 @@ class TestSampleAverageKl:
         _, models, frozen, _ = flat_setup
         trio = [models[0]] * 3
         vals = [
-            sample_average_kl(r, trio, 1.0, frozen)
+            sample_average_kl(r, trio, frozen)
             for r in (E1, MixtureWeights.uniform(3), MixtureWeights(np.array([0.2, 0.3, 0.5])))
         ]
         assert max(vals) - min(vals) <= 1e-12
@@ -127,10 +127,10 @@ class TestSampleAverageKl:
         ra = np.array([0.6, 0.3, 0.1])
         rb = np.array([0.1, 0.2, 0.7])
         mid = sample_average_kl(
-            MixtureWeights(0.5 * ra + 0.5 * rb), models, 1.0, frozen
+            MixtureWeights(0.5 * ra + 0.5 * rb), models, frozen
         )
-        ends = 0.5 * sample_average_kl(MixtureWeights(ra), models, 1.0, frozen)
-        ends += 0.5 * sample_average_kl(MixtureWeights(rb), models, 1.0, frozen)
+        ends = 0.5 * sample_average_kl(MixtureWeights(ra), models, frozen)
+        ends += 0.5 * sample_average_kl(MixtureWeights(rb), models, frozen)
         assert mid <= ends + 1e-12
 
     @pytest.mark.parametrize("k_weights", [1, 3])
@@ -138,7 +138,7 @@ class TestSampleAverageKl:
         _, models, frozen, _ = flat_setup
         with pytest.raises(ParameterError, match=f"{k_weights} mixture weights for 2"):
             sample_average_kl(
-                MixtureWeights.uniform(k_weights), models[:2], 1.0, frozen[:2000]
+                MixtureWeights.uniform(k_weights), models[:2], frozen[:2000]
             )
 
 
@@ -146,15 +146,15 @@ class TestMinimizeMixtureWeights:
     def test_single_model(self, flat_setup):
         _, models, frozen, _ = flat_setup
         w, value, trace = minimize_mixture_weights(
-            [models[0]], 1.0, frozen, MixtureWeights(np.array([1.0]))
+            [models[0]], frozen, MixtureWeights(np.array([1.0]))
         )
         assert np.array_equal(w.w, [1.0])
-        assert value == sample_average_kl(MixtureWeights(np.array([1.0])), [models[0]], 1.0, frozen)
+        assert value == sample_average_kl(MixtureWeights(np.array([1.0])), [models[0]], frozen)
 
     def test_dominated_set_concentrates_on_weakest(self, flat_setup):
         _, models, frozen, _ = flat_setup
         w, value, trace = minimize_mixture_weights(
-            models, 1.0, frozen, MixtureWeights.uniform(3)
+            models, frozen, MixtureWeights.uniform(3)
         )
         assert w.w[0] >= 0.99
         assert np.all(np.diff(trace["objectives"]) <= 1e-12)
@@ -163,15 +163,15 @@ class TestMinimizeMixtureWeights:
         _, models, frozen, _ = flat_setup
         pair = [models[0], models[0]]
         _, value, _ = minimize_mixture_weights(
-            pair, 1.0, frozen, MixtureWeights.uniform(2)
+            pair, frozen, MixtureWeights.uniform(2)
         )
-        e1 = sample_average_kl(MixtureWeights(np.array([1.0, 0.0])), pair, 1.0, frozen)
+        e1 = sample_average_kl(MixtureWeights(np.array([1.0, 0.0])), pair, frozen)
         assert abs(value - e1) <= 1e-12
 
     def test_dominated_set_ends_on_the_exact_vertex(self, flat_setup):
         _, models, frozen, _ = flat_setup
         w, _, trace = minimize_mixture_weights(
-            models, 1.0, frozen, MixtureWeights.uniform(3)
+            models, frozen, MixtureWeights.uniform(3)
         )
         assert np.array_equal(w.w, [1.0, 0.0, 0.0])
         assert trace["gaps"][-1] == 0.0
@@ -181,11 +181,11 @@ class TestMinimizeMixtureWeights:
     def test_interior_set_stops_on_the_kkt_condition(self, interior_setup):
         models, frozen, n = interior_setup
         w, value, trace = minimize_mixture_weights(
-            models, 1.0, frozen, MixtureWeights.uniform(4)
+            models, frozen, MixtureWeights.uniform(4)
         )
         assert trace["gaps"][-1] <= 1e-8
         assert trace["iterations"] < 60
-        ratios = log_likelihood_ratios(frozen, models, 1.0)
+        ratios = log_likelihood_ratios(frozen, models)
         ref_w, ref_value = multiplicative_reference(ratios, n)
         assert abs(value - ref_value) <= 1e-9
         assert np.any(ref_w < 1e-12)  # the optimum lies on a face
@@ -202,7 +202,7 @@ class TestMinimizeMixtureWeights:
     def test_repeated_member_makes_a_singular_face(self, interior_setup):
         # the face of {m0, m0, m1} keeps both copies: its Hessian is singular
         models, frozen, n = interior_setup
-        ratios = log_likelihood_ratios(frozen, [models[0], models[0], models[1]], 1.0)
+        ratios = log_likelihood_ratios(frozen, [models[0], models[0], models[1]])
         w, value, trace = minimize_mixture_kl(
             ratios, n, MixtureWeights(np.array([0.5, 0.3, 0.2]))
         )
@@ -219,8 +219,8 @@ class TestMinimizeMixtureWeights:
             raise AssertionError("LAPACK routine other than Cholesky called")
 
         models, frozen, n = interior_setup
-        interior = log_likelihood_ratios(frozen, models, 1.0)
-        singular = log_likelihood_ratios(frozen, [models[0], models[0], models[1]], 1.0)
+        interior = log_likelihood_ratios(frozen, models)
+        singular = log_likelihood_ratios(frozen, [models[0], models[0], models[1]])
         for name in ("lstsq", "solve", "pinv", "eigh", "inv"):
             monkeypatch.setattr(np.linalg, name, refuse)
         assert minimize_mixture_kl(interior, n, MixtureWeights.uniform(4))[2]["converged"]
@@ -231,7 +231,7 @@ class TestMinimizeMixtureWeights:
         _, models, frozen, _ = flat_setup
         with pytest.raises(ParameterError):
             minimize_mixture_weights(
-                models, 1.0, frozen, MixtureWeights(np.array([0.99, 0.01, 0.0]))
+                models, frozen, MixtureWeights(np.array([0.99, 0.01, 0.0]))
             )
 
 
@@ -315,12 +315,12 @@ class TestKktCertificate:
 class TestUtility:
     def test_zero_tilt_grid(self, flat_setup):
         _, models, frozen, _ = flat_setup
-        assert utility(E1, E1, models, 1.0, frozen, 1, [0.0])[0] == 0.0
+        assert utility(E1, E1, models, frozen, 1, [0.0])[0] == 0.0
 
     def test_singleton_matches_kl(self, flat_setup):
         psds, models, frozen, n = flat_setup
         val, se = utility(
-            E1, E1, models, 1.0, frozen, derive_seed(MASTER_SEED, "h1"),
+            E1, E1, models, frozen, derive_seed(MASTER_SEED, "h1"),
             DEFAULT_TILT_GRID,
         )
         assert abs(val - kl_rate(psds[0], 1.0, n)) <= max(3.0 * se, 0.003)
@@ -331,7 +331,7 @@ class TestUtility:
         with pytest.raises(ParameterError):
             utility(
                 MixtureWeights.uniform(k_models), MixtureWeights.uniform(k_weights),
-                models[:k_models], 1.0, frozen, 1, h1_trials=2000,
+                models[:k_models], frozen, 1, h1_trials=2000,
             )
 
     @pytest.mark.parametrize("k_detector", [1, 3])
@@ -340,31 +340,31 @@ class TestUtility:
         with pytest.raises(ParameterError, match=f"{k_detector} mixture weights for 2"):
             utility(
                 MixtureWeights.uniform(k_detector), MixtureWeights.uniform(2),
-                models[:2], 1.0, frozen[:2000], 1,
+                models[:2], frozen[:2000], 1,
             )
 
     def test_grid_enlargement_monotone(self, flat_setup):
         _, models, frozen, _ = flat_setup
-        small, _ = utility(E1, E1, models, 1.0, frozen, 2, [-1.0, 0.0])
-        large, _ = utility(E1, E1, models, 1.0, frozen, 2, [-2.0, -1.0, -0.5, 0.0])
+        small, _ = utility(E1, E1, models, frozen, 2, [-1.0, 0.0])
+        large, _ = utility(E1, E1, models, frozen, 2, [-2.0, -1.0, -0.5, 0.0])
         assert large >= small
 
     def test_positive_tilt_rejected(self, flat_setup):
         _, models, frozen, _ = flat_setup
         with pytest.raises(ParameterError):
-            utility(E1, E1, models, 1.0, frozen, 1, [0.5])
+            utility(E1, E1, models, frozen, 1, [0.5])
 
     def test_empty_tilt_grid_rejected(self, flat_setup):
         _, models, frozen, _ = flat_setup
         with pytest.raises(ParameterError, match="nonempty"):
-            utility(E1, E1, models, 1.0, frozen, 1, [])
+            utility(E1, E1, models, frozen, 1, [])
 
 
 class TestRegularityProbe:
     def test_no_perturbation_gives_zero_gaps(self, flat_setup):
         _, models, frozen, _ = flat_setup
         recs = regularity_probe(
-            E1, E1, [0.2, 0.1, 0.0], models, 1.0, frozen, 3, DEFAULT_TILT_GRID
+            E1, E1, [0.2, 0.1, 0.0], models, frozen, 3, DEFAULT_TILT_GRID
         )
         assert all(r["gap"] == 0.0 for r in recs)
 
@@ -375,7 +375,7 @@ class TestRegularityProbe:
         frozen = sample_gaussian(white_model(1.0, 4), 50000, derive_seed(MASTER_SEED, "frozen"))
         recs = regularity_probe(
             MixtureWeights(np.array([1.0, 0.0])), MixtureWeights.uniform(2),
-            [0.2, 0.025], models, 1.0, frozen,
+            [0.2, 0.025], models, frozen,
             derive_seed(MASTER_SEED, "h1"), DEFAULT_TILT_GRID, 50000,
         )
         ratios = [r["gap"] / r["beta"] for r in recs]
@@ -388,16 +388,16 @@ class TestRegularityProbe:
         betas = [0.3, 0.1, 0.0]
         grid = [-1.0, -0.5, 0.0]
         recs = regularity_probe(
-            r_star, r_dir, betas, models, 1.0, frozen[:6000], 5, grid, 5000
+            r_star, r_dir, betas, models, frozen[:6000], 5, grid, 5000
         )
         expected = []
         for beta in betas:
             blend = MixtureWeights((1.0 - beta) * r_star.w + beta * r_dir.w)
             best, se_a = utility(
-                blend, blend, models, 1.0, frozen[:6000], 5, grid, 5000
+                blend, blend, models, frozen[:6000], 5, grid, 5000
             )
             cand, se_b = utility(
-                r_star, blend, models, 1.0, frozen[:6000], 5, grid, 5000
+                r_star, blend, models, frozen[:6000], 5, grid, 5000
             )
             expected.append(
                 {"beta": beta, "gap": best - cand, "se": float(np.hypot(se_a, se_b))}
@@ -406,27 +406,27 @@ class TestRegularityProbe:
 
     def test_one_shot_tilt_grid(self, flat_setup):
         _, models, frozen, _ = flat_setup
-        args = (E1, MixtureWeights.uniform(3), [0.3, 0.1], models, 1.0, frozen[:6000], 5)
+        args = (E1, MixtureWeights.uniform(3), [0.3, 0.1], models, frozen[:6000], 5)
         recs = regularity_probe(*args, (t for t in [-1.0, 0.0]), 5000)
         assert recs == regularity_probe(*args, [-1.0, 0.0], 5000)
 
     def test_negative_beta_rejected(self, flat_setup):
         _, models, frozen, _ = flat_setup
         with pytest.raises(ParameterError):
-            regularity_probe(E1, E1, [-0.1], models, 1.0, frozen, 1)
+            regularity_probe(E1, E1, [-0.1], models, frozen, 1)
 
 
 class TestSaddleSandwich:
     def test_utility_and_optimizer_bracket_the_kl(self, flat_setup):
         _, models, frozen, _ = flat_setup
-        sa = sample_average_kl(E1, models, 1.0, frozen)
+        sa = sample_average_kl(E1, models, frozen)
         val, se = utility(
-            E1, E1, models, 1.0, frozen, derive_seed(MASTER_SEED, "sandwich"),
+            E1, E1, models, frozen, derive_seed(MASTER_SEED, "sandwich"),
             DEFAULT_TILT_GRID,
         )
         assert val <= sa + 3.0 * se
         _, fw_value, _ = minimize_mixture_weights(
-            models, 1.0, frozen, MixtureWeights.uniform(3)
+            models, frozen, MixtureWeights.uniform(3)
         )
         assert fw_value <= sa + 1e-8
 

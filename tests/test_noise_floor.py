@@ -1,16 +1,24 @@
-"""Every library entry point that takes a noise floor rejects a bad one."""
+"""Every library entry point that takes a noise floor rejects a bad one, and
+every one that is given models reads the noise floor from them."""
+
+import inspect
 
 import numpy as np
 import pytest
 
+import robustspec.detection
+import robustspec.minimax
 from conftest import flat_set
 from robustspec.detection import (
     MixtureWeights,
     calibrate_threshold,
+    empirical_exponent,
     estimate_error_probs,
     h0_statistics,
     log_likelihood_ratios,
     mixture_statistics,
+    operating_characteristics,
+    ratio_rows,
 )
 from robustspec.dominance import find_dominated, flat_psd_criterion, sigma2_dominance_margin
 from robustspec.errors import ParameterError
@@ -20,10 +28,13 @@ from robustspec.gaussian_model import (
     finite_n_dominates,
     ratio_expectation,
     ratio_expectations,
+    white_blocks,
+    white_model,
 )
 from robustspec.minimax import (
     kkt_certificate,
     minimize_mixture_weights,
+    regularity_probe,
     sample_average_kl,
     utility,
 )
@@ -48,14 +59,12 @@ CALLS = {
     "finite_n_dominates": lambda s: finite_n_dominates(s, *MODELS),
     "kkt_certificate": lambda s: kkt_certificate(0, MODELS, s),
     "kkt_certificate_k1": lambda s: kkt_certificate(0, MODELS[:1], s),
-    "log_likelihood_ratios": lambda s: log_likelihood_ratios(ROWS, MODELS, s),
-    "mixture_statistics": lambda s: mixture_statistics(ROWS, UNIFORM, MODELS, s),
-    "h0_statistics": lambda s: h0_statistics(UNIFORM, MODELS, s, 1000, 1),
-    "calibrate_threshold": lambda s: calibrate_threshold(UNIFORM, MODELS, s, 0.1, 1000, 1),
-    "estimate_error_probs": lambda s: estimate_error_probs(UNIFORM, MODELS, s, 0.0, 0, 1000, 1),
-    "sample_average_kl": lambda s: sample_average_kl(UNIFORM, MODELS, s, ROWS),
-    "minimize_mixture_weights": lambda s: minimize_mixture_weights(MODELS, s, ROWS, UNIFORM),
-    "utility": lambda s: utility(UNIFORM, UNIFORM, MODELS, s, ROWS, 1),
+    "build_model": lambda s: build_model(PSDS[0], s, 8),
+    "white_model": lambda s: white_model(s, 8),
+    "white_blocks": lambda s: white_blocks(s, 8, 10, 1),
+    "empirical_exponent": lambda s: empirical_exponent(
+        UncertaintySet(PSDS), s, UNIFORM, 0, [8], 1000, 0.1, 1
+    ),
 }
 
 
@@ -64,3 +73,53 @@ CALLS = {
 def test_bad_noise_floor_raises_parameter_error(call, value):
     with pytest.raises(ParameterError, match="must be finite and > 0"):
         call(value)
+
+
+# flat 1 over two noise floors: each model is valid, the set is not
+MIXED = [build_model(PSDS[0], 1.0, 16), build_model(PSDS[0], 2.0, 16)]
+MIXED_ROWS = np.ones((4, 16))
+
+MIXED_CALLS = {
+    "log_likelihood_ratios": lambda: log_likelihood_ratios(MIXED_ROWS, MIXED),
+    "ratio_rows": lambda: ratio_rows([MIXED_ROWS], MIXED),
+    "mixture_statistics": lambda: mixture_statistics(MIXED_ROWS, UNIFORM, MIXED),
+    "h0_statistics": lambda: h0_statistics(UNIFORM, MIXED, 1000, 1),
+    "calibrate_threshold": lambda: calibrate_threshold(UNIFORM, MIXED, 0.1, 1000, 1),
+    "estimate_error_probs": lambda: estimate_error_probs(UNIFORM, MIXED, 0.0, 0, 1000, 1),
+    "operating_characteristics": lambda: operating_characteristics(
+        [MIXED], [MixtureWeights.singleton(k, 2) for k in range(2)], [0, 1], 20000, 0.05, 3
+    ),
+    "sample_average_kl": lambda: sample_average_kl(UNIFORM, MIXED, MIXED_ROWS),
+    "minimize_mixture_weights": lambda: minimize_mixture_weights(MIXED, MIXED_ROWS, UNIFORM),
+    "utility": lambda: utility(UNIFORM, UNIFORM, MIXED, MIXED_ROWS, 1),
+    "regularity_probe": lambda: regularity_probe(UNIFORM, UNIFORM, [0.1], MIXED, MIXED_ROWS, 1),
+}
+
+
+@pytest.mark.parametrize("call", MIXED_CALLS.values(), ids=MIXED_CALLS.keys())
+def test_models_of_two_noise_floors_are_refused(call):
+    # the white null has one noise floor: scoring against member 0's would
+    # put every other member's detector at the wrong false-alarm rate
+    with pytest.raises(ParameterError, match="sigma2"):
+        call()
+
+
+def test_model_taking_functions_have_no_noise_floor_parameter():
+    # a function given built models reads the noise floor off them; only
+    # kkt_certificate takes the closed-form reference measure's own
+    checked = []
+    for module in (robustspec.detection, robustspec.minimax):
+        for name, fn in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(fn):
+                continue
+            if fn.__module__ != module.__name__ or name == "kkt_certificate":
+                continue
+            params = inspect.signature(fn).parameters
+            if any(p.startswith("models") for p in params):
+                checked.append(name)
+                assert not [p for p in params if "sigma2" in p], name
+    assert {
+        "log_likelihood_ratios", "ratio_rows", "mixture_statistics", "h0_statistics",
+        "calibrate_threshold", "estimate_error_probs", "sample_average_kl",
+        "minimize_mixture_weights", "utility", "regularity_probe",
+    } <= set(checked)
