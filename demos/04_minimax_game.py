@@ -19,8 +19,8 @@ from robustspec import (
     utility,
     white_model,
 )
-from robustspec.detection import DEFAULT_TILT_GRID
-from robustspec.minimax import regularity_probe, sample_average_kl
+from robustspec.detection import log_likelihood_ratios
+from robustspec.minimax import DEFAULT_TILT_GRID, regularity_probe, sample_average_kl
 
 GRID = 1024
 SIGMA2 = 1.0
@@ -32,12 +32,13 @@ flats = tuple(
 )
 models = [build_model(p, SIGMA2, N) for p in flats]
 frozen = sample_gaussian(white_model(SIGMA2, N), 50000, SEED)
+null = log_likelihood_ratios(frozen, models)
 
 print("=" * 70)
 print("1. Newton minimization of the mixture KL on the active face of the simplex")
 print("=" * 70)
 
-weights, value, trace = minimize_mixture_weights(models, frozen, MixtureWeights.uniform(3))
+weights, value, trace = minimize_mixture_weights(null, N, MixtureWeights.uniform(3))
 print(f"  least favorable operating point: {np.round(weights.w, 4)}")
 print(f"  objective value: {value:.6f} after {trace['iterations']} iterations")
 print(f"  objective trace: {np.round(trace['objectives'], 6)}")
@@ -65,9 +66,9 @@ print("=" * 70)
 e1 = MixtureWeights.singleton(0, 3)
 uniform = MixtureWeights.uniform(3)
 for q, r, tag in ((e1, e1, "saddle"), (uniform, e1, "mismatched q"), (e1, uniform, "nature deviates")):
-    val, se = utility(q, r, models, frozen, SEED + 1, DEFAULT_TILT_GRID)
+    val, se = utility(q, r, models, null, SEED + 1, DEFAULT_TILT_GRID)
     print(f"  U({tag:15s}) = {val:.6f} (se {se:.6f})")
-print(f"  sample-average KL at the singleton: {sample_average_kl(e1, models, frozen):.6f}")
+print(f"  sample-average KL at the singleton: {sample_average_kl(e1, null, N):.6f}")
 
 print()
 print("=" * 70)
@@ -75,7 +76,7 @@ print("4. Regularity probe: the perturbation gap vanishes faster than beta")
 print("=" * 70)
 
 records = regularity_probe(
-    e1, uniform, [0.2, 0.1, 0.05], models, frozen, SEED + 2,
+    e1, uniform, [0.2, 0.1, 0.05], models, null, SEED + 2,
     DEFAULT_TILT_GRID, 50000,
 )
 for rec in records:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,9 +34,6 @@ from .errors import EstimationInfeasibleError, ParameterError
 from .gaussian_model import TILE_ROWS, ToeplitzGaussian, build_model_sets, normal_blocks
 from .gaussian_model import seeded_tiles, white_blocks
 from .spectral import UncertaintySet
-
-#: Default normalized tilt grid for Chernoff-type bounds: 41 points on [-2, 0].
-DEFAULT_TILT_GRID = tuple(np.linspace(-2.0, 0.0, 41))
 
 #: Miss estimates backed by fewer recorded miss events than this are censored.
 MIN_MISS_EVENTS = 10
@@ -92,8 +89,11 @@ def log_likelihood_ratios(samples: np.ndarray, models: Sequence[ToeplitzGaussian
 
 def ratio_rows(blocks: Iterable[np.ndarray], models: Sequence[ToeplitzGaussian]) -> np.ndarray:
     """log_likelihood_ratios of a stream of sample blocks, stacked in one
-    matrix; one scorer weighting every model scores the whole stream."""
-    scorer = _ratio_scorer(models)
+    matrix: the scorer of one detector that weights every model scores the
+    whole stream, one column per model."""
+    if not models:
+        raise ParameterError("no models to score")
+    scorer = _scorer(models, [MixtureWeights.uniform(len(models))])
     return np.concatenate([scorer.log_ratios(np.asarray(y, dtype=float)) for y in blocks])
 
 
@@ -196,6 +196,16 @@ class _Scorer:
         return (np.stack(stats).transpose(2, 0, 1) / ends).reshape(-1, rows)
 
 
+def _white_null(models: Sequence[ToeplitzGaussian]) -> Tuple[int, float]:
+    """(n, sigma2) of the models' one white null; ParameterError unless they share both."""
+    n, sigma2 = models[0].n, models[0].sigma2
+    if any(model.n != n for model in models):
+        raise ParameterError("models must share n")
+    if any(model.sigma2 != sigma2 for model in models):
+        raise ParameterError("models must share sigma2, the white null's noise floor")
+    return n, sigma2
+
+
 def _scorer(
     models: Sequence[ToeplitzGaussian],
     detectors: Sequence[MixtureWeights],
@@ -212,11 +222,7 @@ def _scorer(
     scored = np.flatnonzero(np.any(active, axis=0))
     if not scored.size:
         raise ParameterError("no models to score")
-    n, sigma2 = models[0].n, models[0].sigma2
-    if any(model.n != n for model in models):
-        raise ParameterError("models must share n")
-    if any(model.sigma2 != sigma2 for model in models):
-        raise ParameterError("models must share sigma2, the white null's noise floor")
+    n, sigma2 = _white_null(models)
     ends = np.array([n] if ends is None else ends, dtype=int)
     # a segment [s, e) reads only the first e coordinates: 64 keeps it near triangular
     cuts = np.union1d(ends, np.arange(0, n, 64))
@@ -238,14 +244,6 @@ def _scorer(
     # a segment is at most 64 wide, so the buffer is at most TILE_ROWS x 64 m
     product = np.empty(TILE_ROWS * max(block.shape[1] for block in blocks))
     return _Scorer(tuple(ends.tolist()), tuple(blocks), offsets.ravel(), sigma2, picks, product)
-
-
-def _ratio_scorer(models: Sequence[ToeplitzGaussian]) -> _Scorer:
-    """The _Scorer of one detector that weights every model, so that its
-    `log_ratios` has one column per model."""
-    if not models:
-        raise ParameterError("no models to score")
-    return _scorer(models, [MixtureWeights.uniform(len(models))])
 
 
 def _null_statistics(score: _Scorer, trials: int, seed: int) -> np.ndarray:
@@ -674,7 +672,7 @@ def sample_mixture_blocks(
     weights: MixtureWeights,
     trials: int,
     seed: int,
-):
+) -> Iterator[np.ndarray]:
     """Tiles of draws from the Gaussian mixture sum_k w_k p_k, one weight per
     model, tiled as `normal_blocks`.
 
@@ -682,32 +680,27 @@ def sample_mixture_blocks(
     substreams of `seed` that do not depend on `weights`, so runs with
     different operating points are coupled sample-by-sample.  The uniforms
     of a block come from one generator per block, drawn tile by tile.
+    Raises ParameterError at the call unless there is one weight per model
+    and the models share n and sigma2.
     """
     if len(weights) != len(models):
         raise ParameterError(
             f"mixture has {len(weights)} weights for {len(models)} models"
         )
+    n, _ = _white_null(models)
     cdf = np.cumsum(weights.w)
     select = derive_seed(seed, "mixsel")
     uniforms = seeded_tiles(trials, select, lambda rng, rows: rng.random(rows))
-    for z, u in zip(normal_blocks(models[0].n, trials, seed), uniforms):
-        comp = np.minimum(np.searchsorted(cdf, u, side="right"), len(models) - 1)
-        out = np.empty_like(z)
-        for k, model in enumerate(models):
-            rows = comp == k
-            if np.any(rows):
-                out[rows] = z[rows] @ model.factor.T
-        yield out
+    tiles = zip(normal_blocks(n, trials, seed), uniforms)
 
+    def mixture_tiles():
+        for z, u in tiles:
+            comp = np.minimum(np.searchsorted(cdf, u, side="right"), len(models) - 1)
+            out = np.empty_like(z)
+            for k, model in enumerate(models):
+                rows = comp == k
+                if np.any(rows):
+                    out[rows] = z[rows] @ model.factor.T
+            yield out
 
-def _chernoff_bound(tau: float, g: np.ndarray, n: int, tilt_grid: Sequence[float]):
-    """(max, first argmax) over tilts t <= 0 of t*tau - (1/n) log mean(exp(t*n*g))."""
-    tilts = np.asarray(list(tilt_grid), dtype=float)
-    if tilts.size == 0 or np.any(tilts > 0.0):
-        raise ParameterError("tilt grid must be nonempty with all tilts <= 0")
-    best, best_t = -np.inf, 0.0
-    for t in tilts:
-        bracket = t * tau - (float(_log_sum_exp(t * n * g)) - np.log(len(g))) / n
-        if bracket > best:
-            best, best_t = float(bracket), float(t)
-    return best, best_t
+    return mixture_tiles()

@@ -1,5 +1,7 @@
-"""Exception types shared across the toolkit, its one positivity check, and
-the one log of its numerical fallbacks."""
+"""Exception types shared across the toolkit, its positivity and count
+checks, and the one log of its numerical fallbacks."""
+
+import numbers
 
 
 class RobustSpecError(Exception):
@@ -38,6 +40,15 @@ def require_positive(name: str, value: float) -> None:
     """Raise ParameterError naming `name` unless 0 < value < inf (nan fails too)."""
     if not 0.0 < value < float("inf"):
         raise ParameterError(f"{name} must be finite and > 0, got {value}")
+
+
+def require_count(name: str, value, top=None) -> None:
+    """Raise ParameterError naming `name` unless value is an integer (not a
+    bool) >= 1, and <= top when top is given."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integer or value < 1 or (top is not None and value > top):
+        bound = ">= 1" if top is None else f"in [1, {top}]"
+        raise ParameterError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def warn_fallback(message: str, *args) -> None:

@@ -33,7 +33,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, ParameterError, require_positive
+from .errors import NotPositiveDefiniteError, ParameterError, require_count, require_positive
 from .errors import warn_fallback
 from .spectral import PsdGrid, autocovariance
 
@@ -77,8 +77,7 @@ class ToeplitzGaussian:
     prediction_error: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"n must be >= 1, got {self.n}")
+        require_count("n", self.n)
         require_positive("sigma2", self.sigma2)
         autocov = np.array(self.autocov, dtype=float)
         if autocov.shape != (self.n,):
@@ -116,8 +115,7 @@ class ToeplitzGaussian:
         integer in [1, self.n]."""
         if n is None:
             n = self.n
-        elif isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= self.n:
-            raise ParameterError(f"n must be an integer in [1, {self.n}], got {n!r}")
+        require_count("n", n, self.n)
         lags = np.arange(n)
         cov = self.autocov[np.abs(lags[:, None] - lags)]
         cov[np.diag_indices(lags.size)] += self.sigma2
@@ -375,10 +373,9 @@ def seeded_tiles(
     block_generator(seed, b) regardless of `trials`, in tiles of at most
     TILE_ROWS rows one after another.  The generator fills in order, so the
     tiles of a block concatenate to the draws of the whole block, and a
-    short block equals the first rows of a full one.
+    short block equals the first rows of a full one.  Callers check
+    `trials` at the call, as `normal_blocks` does.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
     for b, start in enumerate(range(0, trials, SAMPLE_BLOCK)):
         generator = block_generator(seed, b)
         end = min(start + SAMPLE_BLOCK, trials)
@@ -389,7 +386,10 @@ def seeded_tiles(
 def normal_blocks(n: int, trials: int, seed: int) -> Iterator[np.ndarray]:
     """Tiles of standard normal draws of dimension n, seeded per block as
     `seeded_tiles`, so two runs with the same seed see identical draws
-    sample by sample."""
+    sample by sample.  Raises ParameterError naming `n` or `trials` at the
+    call unless it is an integer >= 1."""
+    require_count("n", n)
+    require_count("trials", trials)
     return seeded_tiles(trials, seed, lambda rng, rows: rng.standard_normal((rows, n)))
 
 

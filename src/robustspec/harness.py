@@ -25,7 +25,7 @@ from .errors import ConfigError, ParameterError, RobustSpecError
 from .errors import EstimationInfeasibleError
 from .exponent import error_exponent, genie_bound
 from .gaussian_model import ToeplitzGaussian, build_model_sets, white_blocks
-from .minimax import kkt_certificate, minimize_mixture_kl
+from .minimax import kkt_certificate, minimize_mixture_weights
 from .spectral import DEFAULT_GRID_SIZE, MIN_GRID_SIZE, UncertaintySet, make_psd
 
 #: Frozen CSV column order; downstream plotting depends on this.
@@ -347,7 +347,7 @@ def _minimax(
         for n, models in zip(config.n_values, model_sets)
     ]
     n_opt = config.n_values[0]
-    weights, value, trace = minimize_mixture_kl(
+    weights, value, trace = minimize_mixture_weights(
         ratios, n_opt, MixtureWeights.uniform(len(model_sets[0]))
     )
     return {

@@ -16,19 +16,20 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .detection import (
-    DEFAULT_TILT_GRID,
     MixtureWeights,
-    _chernoff_bound,
     _json_float,
+    _log_sum_exp,
     _mixture_log_ratios,
-    _ratio_scorer,
-    log_likelihood_ratios,
+    ratio_rows,
     sample_mixture_blocks,
 )
-from .errors import ParameterError, require_positive
+from .errors import ParameterError, require_count, require_positive
 from .gaussian_model import RATIO_TOLERANCE, ToeplitzGaussian, ratio_expectations
 
-#: Halvings of a Newton step before `minimize_mixture_kl` gives up on it.
+#: Default normalized tilt grid for Chernoff-type bounds: 41 points on [-2, 0].
+DEFAULT_TILT_GRID = tuple(np.linspace(-2.0, 0.0, 41))
+
+#: Halvings of a Newton step before `minimize_mixture_weights` gives up on it.
 _BACKTRACKS = 40
 
 
@@ -55,29 +56,14 @@ class KktCertificate:
         }
 
 
-def sample_average_kl(
-    r: MixtureWeights,
-    models: Sequence[ToeplitzGaussian],
-    h0_samples: np.ndarray,
-) -> float:
-    """Sample-average (1/n) D(null || mixture r) on a frozen null sample set."""
-    ratios = log_likelihood_ratios(h0_samples, models)
-    return float(-np.mean(_mixture_log_ratios(ratios, r.w))) / models[0].n
+def sample_average_kl(r: MixtureWeights, ratios: np.ndarray, n: int) -> float:
+    """Sample-average (1/n) D(null || mixture r) from the log-ratio rows of a
+    frozen null at dimension n, as `minimize_mixture_weights` reads them."""
+    require_count("n", n)
+    return float(-np.mean(_mixture_log_ratios(ratios, r.w))) / n
 
 
 def minimize_mixture_weights(
-    models: Sequence[ToeplitzGaussian],
-    h0_samples: np.ndarray,
-    init: MixtureWeights,
-    max_iters: int = 200,
-    tol: float = 1e-8,
-) -> Tuple[MixtureWeights, float, dict]:
-    """minimize_mixture_kl over the log-ratio rows of frozen null samples."""
-    ratios = log_likelihood_ratios(h0_samples, models)
-    return minimize_mixture_kl(ratios, models[0].n, init, max_iters, tol)
-
-
-def minimize_mixture_kl(
     ratios: np.ndarray,
     n: int,
     init: MixtureWeights,
@@ -86,9 +72,9 @@ def minimize_mixture_kl(
 ) -> Tuple[MixtureWeights, float, dict]:
     """Minimize (1/n) mean[-log sum_k r_k p_k/p_0] over r on the simplex.
 
-    `ratios` holds log(p_k/p_0) of the frozen null samples, one row per
-    sample and one column per model.  With m_k = mean(p_k/p_mix) at the
-    current point, gaps records the Frank-Wolfe duality gap, which is
+    `ratios` holds log(p_k/p_0) of the frozen null samples at dimension n,
+    one row per sample and one column per model.  With m_k = mean(p_k/p_mix)
+    at the current point, gaps records the Frank-Wolfe duality gap, which is
     (max_k m_k - 1)/n since sum_k r_k m_k = 1: the sample KKT residual of
     the point divided by n.  The solve stops when it is <= tol.  Otherwise
     it takes a Newton step on the active face (`_face_step`), cut by a ratio
@@ -98,6 +84,7 @@ def minimize_mixture_kl(
     per-iteration objectives and gaps, and `converged`, true iff the last
     gap is <= tol.
     """
+    require_count("n", n)
     k = ratios.shape[1]
     if len(init) != k:
         raise ParameterError("init must match the number of models")
@@ -235,6 +222,19 @@ def kkt_certificate(
     )
 
 
+def _chernoff_bound(tau: float, g: np.ndarray, n: int, tilt_grid: Sequence[float]):
+    """(max, first argmax) over tilts t <= 0 of t*tau - (1/n) log mean(exp(t*n*g))."""
+    tilts = np.asarray(list(tilt_grid), dtype=float)
+    if tilts.size == 0 or np.any(tilts > 0.0):
+        raise ParameterError("tilt grid must be nonempty with all tilts <= 0")
+    best, best_t = -np.inf, 0.0
+    for t in tilts:
+        bracket = t * tau - (float(_log_sum_exp(t * n * g)) - np.log(len(g))) / n
+        if bracket > best:
+            best, best_t = float(bracket), float(t)
+    return best, best_t
+
+
 def _utility(
     q: MixtureWeights,
     ratios0: np.ndarray,
@@ -257,24 +257,22 @@ def utility(
     q: MixtureWeights,
     r: MixtureWeights,
     models: Sequence[ToeplitzGaussian],
-    h0_samples: np.ndarray,
+    null_ratios: np.ndarray,
     h1_sample_seed: int,
     tilt_grid: Sequence[float] = DEFAULT_TILT_GRID,
     h1_trials: Optional[int] = None,
 ) -> Tuple[float, float]:
     """Game utility sup_{t<=0} [t E_null[g(.;q)] - (1/n) log E_mix(r)[e^{t n g(.;q)}]].
 
-    Returns (value, se).  The null expectation uses the frozen samples; the
-    mixture expectation is Monte Carlo with component choices and white draws
-    derived from h1_sample_seed only (operating points are coupled).  se is
-    the delta-method standard error at the maximizing tilt.
+    Returns (value, se).  The null expectation reads the frozen null's
+    log-ratio rows `null_ratios`; the mixture expectation is Monte Carlo over
+    h1_trials draws (default len(null_ratios)), component choices and white
+    draws derived from h1_sample_seed only (operating points are coupled).
+    se is the delta-method standard error at the maximizing tilt.
     """
-    trials = h1_trials if h1_trials is not None else h0_samples.shape[0]
-    scorer = _ratio_scorer(models)
-    ratios0 = scorer.log_ratios(h0_samples)
-    mixture = sample_mixture_blocks(models, r, trials, h1_sample_seed)
-    ratios1 = np.concatenate([scorer.log_ratios(y) for y in mixture])
-    return _utility(q, ratios0, ratios1, models[0].n, tilt_grid)
+    trials = len(null_ratios) if h1_trials is None else h1_trials
+    mixture = ratio_rows(sample_mixture_blocks(models, r, trials, h1_sample_seed), models)
+    return _utility(q, null_ratios, mixture, models[0].n, tilt_grid)
 
 
 def regularity_probe(
@@ -282,7 +280,7 @@ def regularity_probe(
     r_dir: MixtureWeights,
     beta_ladder: Sequence[float],
     models: Sequence[ToeplitzGaussian],
-    h0_samples: np.ndarray,
+    null_ratios: np.ndarray,
     h1_sample_seed: int,
     tilt_grid: Sequence[float] = DEFAULT_TILT_GRID,
     h1_trials: Optional[int] = None,
@@ -291,25 +289,22 @@ def regularity_probe(
 
     For each beta, perturbs the operating point toward r_dir and compares the
     best response (the perturbed log-likelihood ratio detector) against the
-    unperturbed detector, on shared frozen/coupled samples; both detectors
-    score one set of mixture draws per beta.  Returns one record per beta
-    with fields beta, gap, se.
+    unperturbed detector, on the frozen null's rows `null_ratios` and coupled
+    mixture draws as `utility` takes them; both detectors score one set of
+    mixture draws per beta.  Returns one record per beta: beta, gap, se.
     """
     betas = np.asarray(list(beta_ladder), dtype=float)
     if np.any(betas < 0.0):
         raise ParameterError("beta values must be >= 0")
     tilt_grid = tuple(tilt_grid)  # read twice per beta
     n = models[0].n
-    scorer = _ratio_scorer(models)
-    ratios0 = scorer.log_ratios(h0_samples)
-    trials = h1_trials if h1_trials is not None else h0_samples.shape[0]
+    trials = len(null_ratios) if h1_trials is None else h1_trials
     records = []
     for beta in betas:
         blend = MixtureWeights((1.0 - beta) * r_star.w + beta * r_dir.w)
-        mixture = sample_mixture_blocks(models, blend, trials, h1_sample_seed)
-        ratios1 = np.concatenate([scorer.log_ratios(y) for y in mixture])
-        best_response, se_a = _utility(blend, ratios0, ratios1, n, tilt_grid)
-        candidate, se_b = _utility(r_star, ratios0, ratios1, n, tilt_grid)
+        mixture = ratio_rows(sample_mixture_blocks(models, blend, trials, h1_sample_seed), models)
+        best_response, se_a = _utility(blend, null_ratios, mixture, n, tilt_grid)
+        candidate, se_b = _utility(r_star, null_ratios, mixture, n, tilt_grid)
         gap, se = float(best_response - candidate), float(np.hypot(se_a, se_b))
         records.append({"beta": float(beta), "gap": gap, "se": se})
     return records

@@ -375,7 +375,7 @@ def check_frank_wolfe_monotone(seed, cases):
         frozen = sample_gaussian(white_model(1.0, n), 2048, int(rng.integers(0, 2**32)))
         init = MixtureWeights((rng.dirichlet(np.ones(k)) + 0.5) / (1.0 + 0.5 * k))
         _, _, trace = minimize_mixture_weights(
-            models, frozen, init, max_iters=60
+            log_likelihood_ratios(frozen, models), n, init, max_iters=60
         )
         objectives = np.asarray(trace["objectives"])
         assert np.all(np.diff(objectives) <= 1e-12)
@@ -386,15 +386,16 @@ def check_objective_convexity(seed, cases):
     n, k = 8, 3
     models = [build_model(random_psd(rng, 64), 1.0, n) for _ in range(k)]
     frozen = sample_gaussian(white_model(1.0, n), 2048, 11)
+    null = log_likelihood_ratios(frozen, models)
     for _ in range(cases):
         ra, rb = random_pmf(rng, k), random_pmf(rng, k)
         theta = float(rng.choice([0.25, 0.5, 0.75]))
         mid = sample_average_kl(
-            MixtureWeights(theta * ra + (1.0 - theta) * rb), models, frozen
+            MixtureWeights(theta * ra + (1.0 - theta) * rb), null, n
         )
-        ends = theta * sample_average_kl(MixtureWeights(ra), models, frozen) + (
+        ends = theta * sample_average_kl(MixtureWeights(ra), null, n) + (
             1.0 - theta
-        ) * sample_average_kl(MixtureWeights(rb), models, frozen)
+        ) * sample_average_kl(MixtureWeights(rb), null, n)
         assert mid <= ends + 1e-12
 
 

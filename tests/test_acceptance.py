@@ -11,12 +11,12 @@ import pytest
 import prop_suites
 from conftest import MASTER_SEED, flat_set
 from robustspec.detection import (
-    DEFAULT_TILT_GRID,
     MixtureWeights,
     calibrate_threshold,
     derive_seed,
     empirical_exponent,
     h0_statistics,
+    log_likelihood_ratios,
     operating_characteristics,
     threshold_order_index,
 )
@@ -29,7 +29,12 @@ from robustspec.gaussian_model import (
     sample_gaussian,
     white_model,
 )
-from robustspec.minimax import kkt_certificate, minimize_mixture_weights, regularity_probe
+from robustspec.minimax import (
+    DEFAULT_TILT_GRID,
+    kkt_certificate,
+    minimize_mixture_weights,
+    regularity_probe,
+)
 from robustspec.spectral import UncertaintySet, make_psd
 
 
@@ -135,7 +140,7 @@ def test_criterion_05_kkt_singleton_and_optimizer():
         white_model(1.0, n), 100000, derive_seed(MASTER_SEED, "crit5")
     )
     weights, _, trace = minimize_mixture_weights(
-        models, frozen, MixtureWeights.uniform(3)
+        log_likelihood_ratios(frozen, models), n, MixtureWeights.uniform(3)
     )
     assert weights.w[0] >= 0.99, weights.w
     assert np.all(np.diff(trace["objectives"]) <= 1e-12)
@@ -250,7 +255,7 @@ def test_criterion_09_regularity_gap_trend():
     )
     records = regularity_probe(
         MixtureWeights(np.array([1.0, 0.0])), MixtureWeights.uniform(2),
-        [0.2, 0.1, 0.05, 0.025], models, frozen,
+        [0.2, 0.1, 0.05, 0.025], models, log_likelihood_ratios(frozen, models),
         derive_seed(MASTER_SEED, "h1"), DEFAULT_TILT_GRID, 100000,
     )
     ratios = [rec["gap"] / rec["beta"] for rec in records]

@@ -714,6 +714,14 @@ class TestMixtureSampling:
         same = np.all(a == b, axis=1)
         assert np.count_nonzero(same) > 1000
 
+    @pytest.mark.parametrize("n,sigma2", [(9, 1.0), (8, 2.0)], ids=["n", "sigma2"])
+    def test_models_must_share_n_and_sigma2(self, n, sigma2):
+        # refused at the call, not inside the first tile's product
+        psd = make_psd("flat", grid_size=64, level=1.0)
+        models = [build_model(psd, 1.0, 8), build_model(psd, sigma2, n)]
+        with pytest.raises(ParameterError, match="models must share"):
+            sample_mixture_blocks(models, MixtureWeights.uniform(2), 10, 1)
+
     def test_short_run_is_prefix_of_full_block(self):
         # normals and component-selection uniforms of a short final block are
         # the first entries of a full block's draws

@@ -89,6 +89,13 @@ class TestBuildModel:
         with pytest.raises(ParameterError):
             ToeplitzGaussian(n=2, sigma2=1.0, autocov=np.zeros(3))
 
+    @pytest.mark.parametrize("n", [4.0, np.float64(4.0)], ids=["float", "numpy-float"])
+    def test_non_integer_n_named(self, n):
+        # a float n matches the shape of a length-4 autocov, and the model's
+        # arrays cannot be indexed by it
+        with pytest.raises(ParameterError, match="n must be an integer >= 1"):
+            ToeplitzGaussian(n=n, sigma2=1.0, autocov=np.zeros(4))
+
     @pytest.mark.parametrize(
         "sigma2,autocov",
         [(float("nan"), [0.0, 0.0]), (1.0, [float("inf"), 0.0])],
@@ -435,6 +442,14 @@ class TestSampling:
     def test_trials_validated(self):
         with pytest.raises(ParameterError):
             sample_gaussian(white_model(1.0, 2), 0, 1)
+
+    @pytest.mark.parametrize(
+        "n,trials,name", [(8, 0, "trials"), (8, 2.5, "trials"), (-1, 10, "n"), (4.0, 10, "n")]
+    )
+    def test_normal_blocks_validated_at_the_call(self, n, trials, name):
+        # before the first tile is drawn, as white_blocks checks sigma2
+        with pytest.raises(ParameterError, match=f"{name} must be an integer >= 1"):
+            normal_blocks(n, trials, 1)
 
     def test_seed_validated(self):
         for seed in (-1, 1.5, "3", True, None):

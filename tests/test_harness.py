@@ -32,7 +32,7 @@ from robustspec.harness import (
     run_experiment,
     write_report,
 )
-from robustspec.minimax import minimize_mixture_kl
+from robustspec.minimax import minimize_mixture_weights
 
 MINIMAL = {
     "mode": "exponent",
@@ -452,7 +452,7 @@ class TestModes:
             model_sets, [MixtureWeights.singleton(k, 3) for k in range(3)], range(3),
             config.trials, config.alpha, derive_seed(11, "full"), first_rows=True,
         )
-        weights, value, trace = minimize_mixture_kl(null, 8, MixtureWeights.uniform(3))
+        weights, value, trace = minimize_mixture_weights(null, 8, MixtureWeights.uniform(3))
         assert payload["optimizer"] == {
             "n": 8, "weights": [float(w) for w in weights.w], "value": value, "trace": trace,
         }

@@ -6,7 +6,6 @@ import pytest
 import prop_suites
 from conftest import MASTER_SEED, MODULE_CASES, flat_set, patch_everywhere
 from robustspec.detection import (
-    DEFAULT_TILT_GRID,
     MixtureWeights,
     derive_seed,
     log_likelihood_ratios,
@@ -24,8 +23,8 @@ from robustspec.gaussian_model import (
     white_model,
 )
 from robustspec.minimax import (
+    DEFAULT_TILT_GRID,
     kkt_certificate,
-    minimize_mixture_kl,
     minimize_mixture_weights,
     regularity_probe,
     sample_average_kl,
@@ -41,6 +40,13 @@ def flat_setup():
     models = [build_model(p, 1.0, n) for p in psds]
     frozen = sample_gaussian(white_model(1.0, n), 20000, derive_seed(MASTER_SEED, "frozen"))
     return psds, models, frozen, n
+
+
+@pytest.fixture(scope="module")
+def flat_null(flat_setup):
+    """The log-ratio rows of the flat set's frozen null."""
+    _, models, frozen, _ = flat_setup
+    return log_likelihood_ratios(frozen, models)
 
 
 @pytest.fixture(scope="module")
@@ -106,72 +112,80 @@ E1 = MixtureWeights(np.array([1.0, 0.0, 0.0]))
 
 
 class TestSampleAverageKl:
-    def test_singleton_matches_exact_kl(self, flat_setup):
+    def test_singleton_matches_exact_kl(self, flat_setup, flat_null):
         psds, models, frozen, n = flat_setup
-        value = sample_average_kl(E1, models, frozen)
+        value = sample_average_kl(E1, flat_null, n)
         exact = kl_rate(psds[0], 1.0, n)
         # crude SE bound for the averaged log-ratio
         assert abs(value - exact) <= 3.0 * 0.5 / np.sqrt(len(frozen))
 
     def test_identical_models_ignore_weights(self, flat_setup):
-        _, models, frozen, _ = flat_setup
-        trio = [models[0]] * 3
+        _, models, frozen, n = flat_setup
+        trio = log_likelihood_ratios(frozen, [models[0]] * 3)
         vals = [
-            sample_average_kl(r, trio, frozen)
+            sample_average_kl(r, trio, n)
             for r in (E1, MixtureWeights.uniform(3), MixtureWeights(np.array([0.2, 0.3, 0.5])))
         ]
         assert max(vals) - min(vals) <= 1e-12
 
-    def test_convexity_on_frozen_samples(self, flat_setup):
-        _, models, frozen, _ = flat_setup
+    def test_convexity_on_frozen_samples(self, flat_setup, flat_null):
+        n = flat_setup[3]
         ra = np.array([0.6, 0.3, 0.1])
         rb = np.array([0.1, 0.2, 0.7])
         mid = sample_average_kl(
-            MixtureWeights(0.5 * ra + 0.5 * rb), models, frozen
+            MixtureWeights(0.5 * ra + 0.5 * rb), flat_null, n
         )
-        ends = 0.5 * sample_average_kl(MixtureWeights(ra), models, frozen)
-        ends += 0.5 * sample_average_kl(MixtureWeights(rb), models, frozen)
+        ends = 0.5 * sample_average_kl(MixtureWeights(ra), flat_null, n)
+        ends += 0.5 * sample_average_kl(MixtureWeights(rb), flat_null, n)
         assert mid <= ends + 1e-12
 
     @pytest.mark.parametrize("k_weights", [1, 3])
     def test_operating_point_must_weight_each_model(self, flat_setup, k_weights):
-        _, models, frozen, _ = flat_setup
+        _, models, frozen, n = flat_setup
         with pytest.raises(ParameterError, match=f"{k_weights} mixture weights for 2"):
             sample_average_kl(
-                MixtureWeights.uniform(k_weights), models[:2], frozen[:2000]
+                MixtureWeights.uniform(k_weights),
+                log_likelihood_ratios(frozen[:2000], models[:2]), n,
             )
+
+    @pytest.mark.parametrize("n", [0, -16, 16.0, True, None])
+    def test_n_must_be_a_positive_integer(self, flat_null, n):
+        # n is outside input: the rows do not carry it
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            sample_average_kl(E1, flat_null, n)
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            minimize_mixture_weights(flat_null, n, MixtureWeights.uniform(3))
 
 
 class TestMinimizeMixtureWeights:
     def test_single_model(self, flat_setup):
-        _, models, frozen, _ = flat_setup
+        _, models, frozen, n = flat_setup
+        single = log_likelihood_ratios(frozen, [models[0]])
         w, value, trace = minimize_mixture_weights(
-            [models[0]], frozen, MixtureWeights(np.array([1.0]))
+            single, n, MixtureWeights(np.array([1.0]))
         )
         assert np.array_equal(w.w, [1.0])
-        assert value == sample_average_kl(MixtureWeights(np.array([1.0])), [models[0]], frozen)
+        assert value == sample_average_kl(MixtureWeights(np.array([1.0])), single, n)
 
-    def test_dominated_set_concentrates_on_weakest(self, flat_setup):
-        _, models, frozen, _ = flat_setup
+    def test_dominated_set_concentrates_on_weakest(self, flat_setup, flat_null):
         w, value, trace = minimize_mixture_weights(
-            models, frozen, MixtureWeights.uniform(3)
+            flat_null, flat_setup[3], MixtureWeights.uniform(3)
         )
         assert w.w[0] >= 0.99
         assert np.all(np.diff(trace["objectives"]) <= 1e-12)
 
     def test_identical_models_value(self, flat_setup):
-        _, models, frozen, _ = flat_setup
-        pair = [models[0], models[0]]
+        _, models, frozen, n = flat_setup
+        pair = log_likelihood_ratios(frozen, [models[0], models[0]])
         _, value, _ = minimize_mixture_weights(
-            pair, frozen, MixtureWeights.uniform(2)
+            pair, n, MixtureWeights.uniform(2)
         )
-        e1 = sample_average_kl(MixtureWeights(np.array([1.0, 0.0])), pair, frozen)
+        e1 = sample_average_kl(MixtureWeights(np.array([1.0, 0.0])), pair, n)
         assert abs(value - e1) <= 1e-12
 
-    def test_dominated_set_ends_on_the_exact_vertex(self, flat_setup):
-        _, models, frozen, _ = flat_setup
+    def test_dominated_set_ends_on_the_exact_vertex(self, flat_setup, flat_null):
         w, _, trace = minimize_mixture_weights(
-            models, frozen, MixtureWeights.uniform(3)
+            flat_null, flat_setup[3], MixtureWeights.uniform(3)
         )
         assert np.array_equal(w.w, [1.0, 0.0, 0.0])
         assert trace["gaps"][-1] == 0.0
@@ -180,12 +194,12 @@ class TestMinimizeMixtureWeights:
 
     def test_interior_set_stops_on_the_kkt_condition(self, interior_setup):
         models, frozen, n = interior_setup
+        ratios = log_likelihood_ratios(frozen, models)
         w, value, trace = minimize_mixture_weights(
-            models, frozen, MixtureWeights.uniform(4)
+            ratios, n, MixtureWeights.uniform(4)
         )
         assert trace["gaps"][-1] <= 1e-8
         assert trace["iterations"] < 60
-        ratios = log_likelihood_ratios(frozen, models)
         ref_w, ref_value = multiplicative_reference(ratios, n)
         assert abs(value - ref_value) <= 1e-9
         assert np.any(ref_w < 1e-12)  # the optimum lies on a face
@@ -193,7 +207,7 @@ class TestMinimizeMixtureWeights:
 
     def test_stalled_interior_set_converges(self, stalled_interior_ratios):
         ratios, n = stalled_interior_ratios
-        _, value, trace = minimize_mixture_kl(ratios, n, MixtureWeights.uniform(4))
+        _, value, trace = minimize_mixture_weights(ratios, n, MixtureWeights.uniform(4))
         assert trace["converged"]
         assert trace["iterations"] <= 15
         assert trace["gaps"][-1] <= 1e-8
@@ -203,13 +217,13 @@ class TestMinimizeMixtureWeights:
         # the face of {m0, m0, m1} keeps both copies: its Hessian is singular
         models, frozen, n = interior_setup
         ratios = log_likelihood_ratios(frozen, [models[0], models[0], models[1]])
-        w, value, trace = minimize_mixture_kl(
+        w, value, trace = minimize_mixture_weights(
             ratios, n, MixtureWeights(np.array([0.5, 0.3, 0.2]))
         )
         assert trace["iterations"] > 2
         assert trace["converged"] and trace["gaps"][-1] <= 1e-8
         assert np.all(w.w > 0.0)
-        _, pair_value, _ = minimize_mixture_kl(
+        _, pair_value, _ = minimize_mixture_weights(
             ratios[:, 1:], n, MixtureWeights.uniform(2)
         )
         assert abs(value - pair_value) <= 1e-12
@@ -223,15 +237,14 @@ class TestMinimizeMixtureWeights:
         singular = log_likelihood_ratios(frozen, [models[0], models[0], models[1]])
         for name in ("lstsq", "solve", "pinv", "eigh", "inv"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        assert minimize_mixture_kl(interior, n, MixtureWeights.uniform(4))[2]["converged"]
+        assert minimize_mixture_weights(interior, n, MixtureWeights.uniform(4))[2]["converged"]
         init = MixtureWeights(np.array([0.5, 0.3, 0.2]))
-        assert minimize_mixture_kl(singular, n, init)[2]["converged"]
+        assert minimize_mixture_weights(singular, n, init)[2]["converged"]
 
-    def test_init_must_be_interior(self, flat_setup):
-        _, models, frozen, _ = flat_setup
+    def test_init_must_be_interior(self, flat_setup, flat_null):
         with pytest.raises(ParameterError):
             minimize_mixture_weights(
-                models, frozen, MixtureWeights(np.array([0.99, 0.01, 0.0]))
+                flat_null, flat_setup[3], MixtureWeights(np.array([0.99, 0.01, 0.0]))
             )
 
 
@@ -313,14 +326,14 @@ class TestKktCertificate:
 
 
 class TestUtility:
-    def test_zero_tilt_grid(self, flat_setup):
-        _, models, frozen, _ = flat_setup
-        assert utility(E1, E1, models, frozen, 1, [0.0])[0] == 0.0
+    def test_zero_tilt_grid(self, flat_setup, flat_null):
+        models = flat_setup[1]
+        assert utility(E1, E1, models, flat_null, 1, [0.0])[0] == 0.0
 
-    def test_singleton_matches_kl(self, flat_setup):
-        psds, models, frozen, n = flat_setup
+    def test_singleton_matches_kl(self, flat_setup, flat_null):
+        psds, models, _, n = flat_setup
         val, se = utility(
-            E1, E1, models, frozen, derive_seed(MASTER_SEED, "h1"),
+            E1, E1, models, flat_null, derive_seed(MASTER_SEED, "h1"),
             DEFAULT_TILT_GRID,
         )
         assert abs(val - kl_rate(psds[0], 1.0, n)) <= max(3.0 * se, 0.003)
@@ -331,7 +344,8 @@ class TestUtility:
         with pytest.raises(ParameterError):
             utility(
                 MixtureWeights.uniform(k_models), MixtureWeights.uniform(k_weights),
-                models[:k_models], frozen, 1, h1_trials=2000,
+                models[:k_models], log_likelihood_ratios(frozen, models[:k_models]), 1,
+                h1_trials=2000,
             )
 
     @pytest.mark.parametrize("k_detector", [1, 3])
@@ -340,31 +354,31 @@ class TestUtility:
         with pytest.raises(ParameterError, match=f"{k_detector} mixture weights for 2"):
             utility(
                 MixtureWeights.uniform(k_detector), MixtureWeights.uniform(2),
-                models[:2], frozen[:2000], 1,
+                models[:2], log_likelihood_ratios(frozen[:2000], models[:2]), 1,
             )
 
-    def test_grid_enlargement_monotone(self, flat_setup):
-        _, models, frozen, _ = flat_setup
-        small, _ = utility(E1, E1, models, frozen, 2, [-1.0, 0.0])
-        large, _ = utility(E1, E1, models, frozen, 2, [-2.0, -1.0, -0.5, 0.0])
+    def test_grid_enlargement_monotone(self, flat_setup, flat_null):
+        models = flat_setup[1]
+        small, _ = utility(E1, E1, models, flat_null, 2, [-1.0, 0.0])
+        large, _ = utility(E1, E1, models, flat_null, 2, [-2.0, -1.0, -0.5, 0.0])
         assert large >= small
 
-    def test_positive_tilt_rejected(self, flat_setup):
-        _, models, frozen, _ = flat_setup
+    def test_positive_tilt_rejected(self, flat_setup, flat_null):
+        models = flat_setup[1]
         with pytest.raises(ParameterError):
-            utility(E1, E1, models, frozen, 1, [0.5])
+            utility(E1, E1, models, flat_null, 1, [0.5])
 
-    def test_empty_tilt_grid_rejected(self, flat_setup):
-        _, models, frozen, _ = flat_setup
+    def test_empty_tilt_grid_rejected(self, flat_setup, flat_null):
+        models = flat_setup[1]
         with pytest.raises(ParameterError, match="nonempty"):
-            utility(E1, E1, models, frozen, 1, [])
+            utility(E1, E1, models, flat_null, 1, [])
 
 
 class TestRegularityProbe:
-    def test_no_perturbation_gives_zero_gaps(self, flat_setup):
-        _, models, frozen, _ = flat_setup
+    def test_no_perturbation_gives_zero_gaps(self, flat_setup, flat_null):
+        models = flat_setup[1]
         recs = regularity_probe(
-            E1, E1, [0.2, 0.1, 0.0], models, frozen, 3, DEFAULT_TILT_GRID
+            E1, E1, [0.2, 0.1, 0.0], models, flat_null, 3, DEFAULT_TILT_GRID
         )
         assert all(r["gap"] == 0.0 for r in recs)
 
@@ -375,58 +389,58 @@ class TestRegularityProbe:
         frozen = sample_gaussian(white_model(1.0, 4), 50000, derive_seed(MASTER_SEED, "frozen"))
         recs = regularity_probe(
             MixtureWeights(np.array([1.0, 0.0])), MixtureWeights.uniform(2),
-            [0.2, 0.025], models, frozen,
+            [0.2, 0.025], models, log_likelihood_ratios(frozen, models),
             derive_seed(MASTER_SEED, "h1"), DEFAULT_TILT_GRID, 50000,
         )
         ratios = [r["gap"] / r["beta"] for r in recs]
         assert ratios[1] < ratios[0]
         assert all(r["gap"] >= -3.0 * r["se"] for r in recs)
 
-    def test_matches_two_utilities_per_beta(self, flat_setup):
-        _, models, frozen, _ = flat_setup
+    def test_matches_two_utilities_per_beta(self, flat_setup, flat_null):
+        models = flat_setup[1]
         r_star, r_dir = E1, MixtureWeights.uniform(3)
         betas = [0.3, 0.1, 0.0]
         grid = [-1.0, -0.5, 0.0]
         recs = regularity_probe(
-            r_star, r_dir, betas, models, frozen[:6000], 5, grid, 5000
+            r_star, r_dir, betas, models, flat_null[:6000], 5, grid, 5000
         )
         expected = []
         for beta in betas:
             blend = MixtureWeights((1.0 - beta) * r_star.w + beta * r_dir.w)
             best, se_a = utility(
-                blend, blend, models, frozen[:6000], 5, grid, 5000
+                blend, blend, models, flat_null[:6000], 5, grid, 5000
             )
             cand, se_b = utility(
-                r_star, blend, models, frozen[:6000], 5, grid, 5000
+                r_star, blend, models, flat_null[:6000], 5, grid, 5000
             )
             expected.append(
                 {"beta": beta, "gap": best - cand, "se": float(np.hypot(se_a, se_b))}
             )
         assert recs == expected
 
-    def test_one_shot_tilt_grid(self, flat_setup):
-        _, models, frozen, _ = flat_setup
-        args = (E1, MixtureWeights.uniform(3), [0.3, 0.1], models, frozen[:6000], 5)
+    def test_one_shot_tilt_grid(self, flat_setup, flat_null):
+        models = flat_setup[1]
+        args = (E1, MixtureWeights.uniform(3), [0.3, 0.1], models, flat_null[:6000], 5)
         recs = regularity_probe(*args, (t for t in [-1.0, 0.0]), 5000)
         assert recs == regularity_probe(*args, [-1.0, 0.0], 5000)
 
-    def test_negative_beta_rejected(self, flat_setup):
-        _, models, frozen, _ = flat_setup
+    def test_negative_beta_rejected(self, flat_setup, flat_null):
+        models = flat_setup[1]
         with pytest.raises(ParameterError):
-            regularity_probe(E1, E1, [-0.1], models, frozen, 1)
+            regularity_probe(E1, E1, [-0.1], models, flat_null, 1)
 
 
 class TestSaddleSandwich:
-    def test_utility_and_optimizer_bracket_the_kl(self, flat_setup):
-        _, models, frozen, _ = flat_setup
-        sa = sample_average_kl(E1, models, frozen)
+    def test_utility_and_optimizer_bracket_the_kl(self, flat_setup, flat_null):
+        _, models, _, n = flat_setup
+        sa = sample_average_kl(E1, flat_null, n)
         val, se = utility(
-            E1, E1, models, frozen, derive_seed(MASTER_SEED, "sandwich"),
+            E1, E1, models, flat_null, derive_seed(MASTER_SEED, "sandwich"),
             DEFAULT_TILT_GRID,
         )
         assert val <= sa + 3.0 * se
         _, fw_value, _ = minimize_mixture_weights(
-            models, frozen, MixtureWeights.uniform(3)
+            flat_null, n, MixtureWeights.uniform(3)
         )
         assert fw_value <= sa + 1e-8
 

@@ -31,13 +31,7 @@ from robustspec.gaussian_model import (
     white_blocks,
     white_model,
 )
-from robustspec.minimax import (
-    kkt_certificate,
-    minimize_mixture_weights,
-    regularity_probe,
-    sample_average_kl,
-    utility,
-)
+from robustspec.minimax import kkt_certificate, regularity_probe, utility
 from robustspec.spectral import UncertaintySet
 
 PSDS = flat_set([1.0, 2.0])
@@ -78,6 +72,8 @@ def test_bad_noise_floor_raises_parameter_error(call, value):
 # flat 1 over two noise floors: each model is valid, the set is not
 MIXED = [build_model(PSDS[0], 1.0, 16), build_model(PSDS[0], 2.0, 16)]
 MIXED_ROWS = np.ones((4, 16))
+# the null's log-ratio rows against MIXED, as the game functions take them
+MIXED_RATIOS = np.zeros((4, 2))
 
 MIXED_CALLS = {
     "log_likelihood_ratios": lambda: log_likelihood_ratios(MIXED_ROWS, MIXED),
@@ -89,10 +85,8 @@ MIXED_CALLS = {
     "operating_characteristics": lambda: operating_characteristics(
         [MIXED], [MixtureWeights.singleton(k, 2) for k in range(2)], [0, 1], 20000, 0.05, 3
     ),
-    "sample_average_kl": lambda: sample_average_kl(UNIFORM, MIXED, MIXED_ROWS),
-    "minimize_mixture_weights": lambda: minimize_mixture_weights(MIXED, MIXED_ROWS, UNIFORM),
-    "utility": lambda: utility(UNIFORM, UNIFORM, MIXED, MIXED_ROWS, 1),
-    "regularity_probe": lambda: regularity_probe(UNIFORM, UNIFORM, [0.1], MIXED, MIXED_ROWS, 1),
+    "utility": lambda: utility(UNIFORM, UNIFORM, MIXED, MIXED_RATIOS, 1),
+    "regularity_probe": lambda: regularity_probe(UNIFORM, UNIFORM, [0.1], MIXED, MIXED_RATIOS, 1),
 }
 
 
@@ -120,6 +114,5 @@ def test_model_taking_functions_have_no_noise_floor_parameter():
                 assert not [p for p in params if "sigma2" in p], name
     assert {
         "log_likelihood_ratios", "ratio_rows", "mixture_statistics", "h0_statistics",
-        "calibrate_threshold", "estimate_error_probs", "sample_average_kl",
-        "minimize_mixture_weights", "utility", "regularity_probe",
+        "calibrate_threshold", "estimate_error_probs", "utility", "regularity_probe",
     } <= set(checked)

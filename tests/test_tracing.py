@@ -16,6 +16,7 @@ from pathlib import Path
 
 import robustspec.cli  # noqa: F401  (loads every traced module)
 from robustspec.gaussian_model import ToeplitzGaussian
+from robustspec.harness import parse_config, run_experiment
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 RUN = TRACING.parent / "run.py"
@@ -55,6 +56,24 @@ def test_install_then_uninstall_restores_every_binding():
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
     assert ToeplitzGaussian.__dict__["quad_forms"] is quad_forms
+
+
+def test_traced_minimax_run_counts_the_optimizer_iterations():
+    # the run's game solve goes through the traced solver
+    config = parse_config(json.dumps({
+        "mode": "minimax", "grid_size": 256, "n_values": [8], "trials": 1000,
+        "psds": [
+            {"label": "weak", "family": "flat", "params": {"level": 1.0}},
+            {"label": "strong", "family": "flat", "params": {"level": 2.0}},
+        ],
+    }))
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        run_experiment(config)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["minimax.fw.iterations"] > 0
 
 
 def test_bench_runs_one_traced_op_of_every_workload(tmp_path):
