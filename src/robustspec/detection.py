@@ -90,7 +90,8 @@ def log_likelihood_ratios(samples: np.ndarray, models: Sequence[ToeplitzGaussian
 def ratio_rows(blocks: Iterable[np.ndarray], models: Sequence[ToeplitzGaussian]) -> np.ndarray:
     """log_likelihood_ratios of a stream of sample blocks, stacked in one
     matrix: the scorer of one detector that weights every model scores the
-    whole stream, one column per model."""
+    whole stream, one column per model, stored model-major as the scorer's
+    rows are (concatenation keeps their layout)."""
     if not models:
         raise ParameterError("no models to score")
     scorer = _scorer(models, [MixtureWeights.uniform(len(models))])
@@ -106,8 +107,10 @@ def _log_sum_exp(x: np.ndarray) -> np.ndarray:
     """
     top = np.max(x, axis=-1, keepdims=True)
     top[~np.isfinite(top)] = 0.0
+    terms = x - top
+    np.exp(terms, out=terms)
     with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(x - top), axis=-1)) + top[..., 0]
+        return np.log(np.sum(terms, axis=-1)) + top[..., 0]
 
 
 def _mixture_log_ratios(ratios: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -134,7 +137,9 @@ class _Scorer:
     I/sigma - W_k for the model's `whitener` W_k; `offsets` holds c_k(n) by
     (end, model), `sigma2` the models' noise floor, `picks` each detector's
     (columns, weights), and `product` room for one chunk's product with the
-    widest block.
+    widest block.  Log-ratios are stored model-major, one contiguous row of
+    trials per (end, model), so the reductions over models in `statistics`
+    and the game solver run along contiguous trials.
 
     `product` is a scorer's only mutable state, so one scorer must not be
     shared across threads: two threads scoring through one scorer write
@@ -149,7 +154,8 @@ class _Scorer:
 
     def log_ratios(self, y: np.ndarray) -> np.ndarray:
         """(rows, ends x m) log(p_k/p_0) of each row's prefixes, column j m + k
-        for the j-th end and model k: with d = y/sigma - W_k y, one product per
+        for the j-th end and model k, the transposed view of a C-contiguous
+        (ends x m, rows) array: with d = y/sigma - W_k y, one product per
         segment, c_k(n) + sum_{i<n} d_i (2 y_i/sigma - d_i) / 2, which never
         subtracts y^T y / sigma2 and y^T C_k^{-1} y.  Rows go in chunks of
         TILE_ROWS: at n = 256 and m = 4, 1024-row chunks scored 16% slower and
@@ -162,38 +168,40 @@ class _Scorer:
         (rows, n), m = y.shape, self.offsets.size // len(self.ends)
         if n != self.ends[-1]:
             raise ParameterError(f"models have n={self.ends[-1]}, samples have n={n}")
-        quad = np.empty((rows, len(self.ends), m))
+        quad = np.empty((len(self.ends), m, rows))
         step, product, scale = TILE_ROWS, self.product, 1.0 / np.sqrt(self.sigma2)
         for start in range(0, rows, step):
             chunk = y[start : start + step]
-            total = np.zeros((len(chunk), m))
+            total = np.zeros((m, len(chunk)))
             for block in self.blocks:
                 e, width = block.shape
                 s = e - width // m
                 d = product[: len(chunk) * width].reshape(len(chunk), width)
                 np.matmul(chunk[:, :e], block, out=d)
                 d = d.reshape(len(chunk), m, e - s)
-                total += (2.0 * scale) * np.einsum("ikj,ij->ik", d, chunk[:, s:e])
-                total -= np.einsum("ikj,ikj->ik", d, d)
+                total += (2.0 * scale) * np.einsum("ikj,ij->ki", d, chunk[:, s:e])
+                total -= np.einsum("ikj,ikj->ki", d, d)
                 if e in self.ends:
-                    quad[start : start + step, self.ends.index(e)] = total
-        return self.offsets + 0.5 * quad.reshape(rows, -1)
+                    quad[self.ends.index(e), :, start : start + step] = total
+        return (self.offsets[:, np.newaxis] + 0.5 * quad.reshape(-1, rows)).T
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         """(ends x detectors, row) g values of each row's prefixes, row j d + i
-        for the j-th end and detector i; a singleton detector reads its column."""
+        for the j-th end and detector i; a singleton detector reads its row."""
         return self.statistics(self.log_ratios(y))
 
     def statistics(self, ratios: np.ndarray) -> np.ndarray:
         """The g values of `__call__` from the rows of `log_ratios`."""
         rows = len(ratios)
-        ratios = ratios.reshape(rows, len(self.ends), -1)
+        ratios = ratios.T.reshape(len(self.ends), -1, rows)
         stats = [
-            ratios[..., c[0]] if c.size == 1 else _mixture_log_ratios(ratios[..., c], w)
+            ratios[:, c[0]]
+            if c.size == 1
+            else _mixture_log_ratios(ratios[:, c].transpose(0, 2, 1), w)
             for c, w in self.picks
         ]
         ends = np.array(self.ends)[:, np.newaxis, np.newaxis]
-        return (np.stack(stats).transpose(2, 0, 1) / ends).reshape(-1, rows)
+        return (np.stack(stats, axis=1) / ends).reshape(-1, rows)
 
 
 def _white_null(models: Sequence[ToeplitzGaussian]) -> Tuple[int, float]:
@@ -453,8 +461,8 @@ def _error_counts(
     the miss counts, then scaled in place to the null sample sqrt(sigma2) z
     for the false alarms.  So every detector, truth and the null score
     coupled sample sets.  With `first_rows`, `null` is the (trials, m) null
-    log-ratios of the m scored models at the scorer's first end (None
-    otherwise).
+    log-ratios of the m scored models at the scorer's first end, stored
+    model-major as the scorer's (None otherwise).
     """
     if trials < MIN_MC_TRIALS:
         raise ParameterError(f"trials must be >= {MIN_MC_TRIALS}, got {trials}")
@@ -464,7 +472,7 @@ def _error_counts(
     fa = np.zeros(tau.shape[0], dtype=int)
     miss = np.zeros((tau.shape[0], len(truths)), dtype=int)
     m = score.offsets.size // len(score.ends)
-    null = np.empty((trials, m)) if first_rows else None
+    null = np.empty((m, trials)).T if first_rows else None
     factors = [models[t].factor.T for t in truths]
     scale, start = np.sqrt(score.sigma2), 0
     for z in normal_blocks(score.ends[-1], trials, derive_seed(seed, "h0")):

@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, its positivity and count
-checks, and the one log of its numerical fallbacks."""
+"""Exception types shared across the toolkit, its positivity, count and
+index checks, and the one log of its numerical fallbacks."""
 
 import numbers
 
@@ -42,13 +42,23 @@ def require_positive(name: str, value: float) -> None:
         raise ParameterError(f"{name} must be finite and > 0, got {value}")
 
 
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def require_count(name: str, value, top=None) -> None:
     """Raise ParameterError naming `name` unless value is an integer (not a
     bool) >= 1, and <= top when top is given."""
-    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if not integer or value < 1 or (top is not None and value > top):
+    if not _integer(value) or value < 1 or (top is not None and value > top):
         bound = ">= 1" if top is None else f"in [1, {top}]"
         raise ParameterError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def require_index(name: str, value, size: int) -> None:
+    """Raise ParameterError naming `name` unless value is an integer (not a
+    bool) in [0, size)."""
+    if not _integer(value) or not 0 <= value < size:
+        raise ParameterError(f"{name} must be an integer in [0, {size}), got {value!r}")
 
 
 def warn_fallback(message: str, *args) -> None:

@@ -14,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ParameterError, require_positive
+from .errors import require_count, require_positive
 from .gaussian_model import _durbin_with_jitter
 from .spectral import PsdGrid, UncertaintySet, autocovariance, circle_mean
 
@@ -47,8 +47,7 @@ def kl_rate(psd: PsdGrid, sigma2: float, n: int) -> float:
     predictor (the Gohberg-Semencul formula).  It is the pass a model runs at
     construction, jitter ladder included; no model or dense matrix is formed.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    require_count("n", n)
     require_positive("sigma2", sigma2)
     a, errors, _ = _durbin_with_jitter(autocovariance(psd, n - 1), sigma2, psd.label)
     trace = float(np.sum((n - 2.0 * np.arange(n)) * a * a)) * (sigma2 / errors[-1])

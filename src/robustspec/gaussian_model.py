@@ -219,7 +219,10 @@ def levinson_durbin(
     `label` when an error is not finite and positive.  A zeroed n x n `rows`
     gets the order-k predictor reversed in row k: the unit lower-triangular U
     with U C U^T = diag(errors), row k mapping y to its k-th innovation.
+    Raises ParameterError naming `r` unless it is a nonempty vector.
     """
+    if np.ndim(r) != 1 or np.size(r) < 1:
+        raise ParameterError(f"r must be a nonempty 1-D autocovariance, got shape {np.shape(r)}")
     n = r.size
     a = np.zeros(n)
     a[0] = 1.0

@@ -53,8 +53,9 @@ _PSD_BLOCK_KEYS = {"label", "family", "params"}
 #: temporaries are ceil(n/2)-row: at n = 1024 a three-member
 #: `kkt_certificate` peaks at 16.0 MiB under tracemalloc.  What grows with
 #: `trials` is the trials x K frozen null's log-ratio rows of `minimax` and
-#: `full`: at MAX_TRIALS one of its columns is 512 MiB, the budget of one
-#: n x n matrix at MAX_N.
+#: `full`, stored model-major: at MAX_TRIALS one of its columns, one
+#: contiguous row of trials, is 512 MiB, the budget of one n x n matrix at
+#: MAX_N.
 MAX_GRID_SIZE = 2**22
 MAX_N = 8192
 MAX_TRIALS = 2**26

@@ -23,7 +23,7 @@ from .detection import (
     ratio_rows,
     sample_mixture_blocks,
 )
-from .errors import ParameterError, require_count, require_positive
+from .errors import ParameterError, require_count, require_index, require_positive
 from .gaussian_model import RATIO_TOLERANCE, ToeplitzGaussian, ratio_expectations
 
 #: Default normalized tilt grid for Chernoff-type bounds: 41 points on [-2, 0].
@@ -56,10 +56,30 @@ class KktCertificate:
         }
 
 
+def _model_major(name: str, ratios: np.ndarray, k: int) -> np.ndarray:
+    """The log-ratio matrix `ratios` stored model-major, one contiguous row of
+    trials per model: free for the engine's rows, one copy otherwise.
+    Raises ParameterError naming `name` unless it is 2-D with at least one
+    row and k columns, and finite, as log-ratios of Gaussian densities are."""
+    ratios = np.asfortranarray(ratios, dtype=float)
+    if ratios.ndim != 2 or len(ratios) < 1:
+        raise ParameterError(
+            f"{name} must be a 2-D log-ratio matrix with >= 1 row, got shape {ratios.shape}"
+        )
+    if ratios.shape[1] != k:
+        raise ParameterError(
+            f"{k} mixture weights for {ratios.shape[1]} log-ratio columns of {name}"
+        )
+    if not np.all(np.isfinite(ratios)):
+        raise ParameterError(f"{name} must be finite")
+    return ratios
+
+
 def sample_average_kl(r: MixtureWeights, ratios: np.ndarray, n: int) -> float:
     """Sample-average (1/n) D(null || mixture r) from the log-ratio rows of a
     frozen null at dimension n, as `minimize_mixture_weights` reads them."""
     require_count("n", n)
+    ratios = _model_major("ratios", ratios, len(r))
     return float(-np.mean(_mixture_log_ratios(ratios, r.w))) / n
 
 
@@ -73,8 +93,14 @@ def minimize_mixture_weights(
     """Minimize (1/n) mean[-log sum_k r_k p_k/p_0] over r on the simplex.
 
     `ratios` holds log(p_k/p_0) of the frozen null samples at dimension n,
-    one row per sample and one column per model.  With m_k = mean(p_k/p_mix)
-    at the current point, gaps records the Frank-Wolfe duality gap, which is
+    one row per sample and one column per model (ParameterError unless it is
+    finite with at least one row and one column per weight of `init`).  It
+    is read model-major, one contiguous row of trials per model, so every
+    reduction over models runs along contiguous trials; the engine's rows
+    are stored so, and any other layout is copied once.  With m_k =
+    mean(p_k/p_mix) at the current point, a running sum over the trials in
+    order (the order in which a row-major matrix sums them, so no layout
+    moves a bit), gaps records the Frank-Wolfe duality gap, which is
     (max_k m_k - 1)/n since sum_k r_k m_k = 1: the sample KKT residual of
     the point divided by n.  The solve stops when it is <= tol.  Otherwise
     it takes a Newton step on the active face (`_face_step`), cut by a ratio
@@ -85,9 +111,8 @@ def minimize_mixture_weights(
     gap is <= tol.
     """
     require_count("n", n)
-    k = ratios.shape[1]
-    if len(init) != k:
-        raise ParameterError("init must match the number of models")
+    k = len(init)
+    ratios = _model_major("ratios", ratios, k)
     if np.any(init.w < 1.0 / (10.0 * k)):
         raise ParameterError(f"init must be strictly interior (all >= 1/(10K))")
     x = init.w.copy()
@@ -96,7 +121,7 @@ def minimize_mixture_weights(
     gaps: List[float] = []
     for _ in range(max_iters):
         p = np.exp(ratios - mix[:, np.newaxis])
-        m = np.mean(p, axis=0)
+        m = np.cumsum(p, axis=0)[-1] / len(p)
         if not np.all(np.isfinite(m)):
             raise ParameterError("non-finite gradient in the mixture-weight step")
         grad = -m / n
@@ -204,8 +229,7 @@ def kkt_certificate(
     sampling.  A member whose r_k is infinite diverged; its mu is -inf and
     it makes max_violation infinite.
     """
-    if not 0 <= candidate_index < len(models):
-        raise ParameterError(f"candidate_index {candidate_index} out of range")
+    require_index("candidate_index", candidate_index, len(models))
     require_positive("null_sigma2", null_sigma2)
     others = [model for k, model in enumerate(models) if k != candidate_index]
     ratios = ratio_expectations(null_sigma2, models[candidate_index], others)
@@ -242,7 +266,8 @@ def _utility(
     n: int,
     tilt_grid: Sequence[float],
 ) -> Tuple[float, float]:
-    """(utility, SE) of detector q from the null and mixture log-ratio rows."""
+    """(utility, SE) of detector q from the null and mixture log-ratio rows,
+    both stored model-major."""
     g0 = _mixture_log_ratios(ratios0, q.w) / n
     g1 = _mixture_log_ratios(ratios1, q.w) / n
     best, best_t = _chernoff_bound(float(np.mean(g0)), g1, n, tilt_grid)
@@ -270,6 +295,7 @@ def utility(
     draws derived from h1_sample_seed only (operating points are coupled).
     se is the delta-method standard error at the maximizing tilt.
     """
+    null_ratios = _model_major("null_ratios", null_ratios, len(models))
     trials = len(null_ratios) if h1_trials is None else h1_trials
     mixture = ratio_rows(sample_mixture_blocks(models, r, trials, h1_sample_seed), models)
     return _utility(q, null_ratios, mixture, models[0].n, tilt_grid)
@@ -298,6 +324,7 @@ def regularity_probe(
         raise ParameterError("beta values must be >= 0")
     tilt_grid = tuple(tilt_grid)  # read twice per beta
     n = models[0].n
+    null_ratios = _model_major("null_ratios", null_ratios, len(models))
     trials = len(null_ratios) if h1_trials is None else h1_trials
     records = []
     for beta in betas:

@@ -171,6 +171,16 @@ class TestRatioForms:
             for d, k in enumerate((2, 0, 1)):
                 assert np.array_equal(g[3 * j + d], ratios[:, 3 * j + k] / n)
 
+    def test_rows_are_stored_model_major(self):
+        # one contiguous row of trials per (end, model): the reductions over
+        # models in the statistics and the game solver run along it
+        models = [build_model(psd, 1.0, 17) for psd in SCORED_PSDS.values()]
+        z = standard_normal_block(8, 0, 300, 17)
+        scored = _scorer(models, [MixtureWeights.uniform(3)], [5, 17]).log_ratios(z)
+        stacked = ratio_rows([z[:100], z[100:]], models)
+        assert scored.shape == (300, 6) and stacked.shape == (300, 3)
+        assert scored.T.flags.c_contiguous and stacked.T.flags.c_contiguous
+
     def test_no_models_to_score(self):
         with pytest.raises(ParameterError, match="no models to score"):
             log_likelihood_ratios(np.zeros((2, 8)), [])
@@ -616,6 +626,13 @@ class TestOneWhiteStream:
             for est, other in zip(row, expected_row):
                 assert np.array_equal(est.fa_hat, other.fa_hat)
                 assert np.array_equal(est.miss_count, other.miss_count)
+
+    def test_first_rows_are_stored_model_major(self):
+        _, null = _operating_characteristics(
+            self.models_by_n, self.singletons, [0], self.TRIALS, 0.1, self.SEED,
+            first_rows=True,
+        )
+        assert null.shape == (self.TRIALS, 3) and null.T.flags.c_contiguous
 
     def test_first_rows_need_every_model_scored(self):
         with pytest.raises(ParameterError, match="every model"):

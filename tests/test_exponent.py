@@ -78,6 +78,13 @@ class TestKlRate:
         with pytest.raises(ParameterError):
             kl_rate(make_psd("flat", grid_size=8, level=1.0), 1.0, 0)
 
+    @pytest.mark.parametrize(
+        "n", [4.0, True, np.float64(4.0)], ids=["float", "bool", "numpy-float"]
+    )
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            kl_rate(make_psd("flat", grid_size=64, level=1.0), 1.0, n)
+
     def test_jitter_rung_is_logged_as_a_model_logs_it(self, caplog):
         # at sigma2 = 1e-12 this covariance fails Levinson-Durbin at rung 0
         # and passes at rung 1; grid 64 < n also logs aliasing, at every call

@@ -169,6 +169,11 @@ class TestLevinsonDurbin:
         with pytest.raises(NotPositiveDefiniteError, match="'bad'"):
             levinson_durbin(np.array([1.0, 2.0]), "bad")
 
+    @pytest.mark.parametrize("r", [np.eye(2), np.array([])], ids=["matrix", "empty"])
+    def test_r_must_be_a_nonempty_vector(self, r):
+        with pytest.raises(ParameterError, match="r must be a nonempty 1-D"):
+            levinson_durbin(r)
+
     @pytest.mark.parametrize("r0", [0.0, -1.0, float("nan")])
     def test_first_error_checked(self, r0):
         with pytest.raises(NotPositiveDefiniteError):

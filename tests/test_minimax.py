@@ -247,6 +247,47 @@ class TestMinimizeMixtureWeights:
                 flat_null, flat_setup[3], MixtureWeights(np.array([0.99, 0.01, 0.0]))
             )
 
+    @pytest.mark.parametrize("case", ["dominated", "interior"])
+    def test_row_and_model_major_rows_solve_bit_for_bit(self, request, case):
+        # the solver reads model-major rows; its sums over trials keep the
+        # order of a row-major matrix, so the layout moves no bit
+        if case == "dominated":
+            ratios = request.getfixturevalue("flat_null")
+            n = request.getfixturevalue("flat_setup")[3]
+        else:
+            models, frozen, n = request.getfixturevalue("interior_setup")
+            ratios = log_likelihood_ratios(frozen, models)
+        init = MixtureWeights.uniform(ratios.shape[1])
+        w_c, value_c, trace_c = minimize_mixture_weights(np.ascontiguousarray(ratios), n, init)
+        w_f, value_f, trace_f = minimize_mixture_weights(np.asfortranarray(ratios), n, init)
+        assert np.array_equal(w_c.w, w_f.w)
+        assert value_c == value_f
+        assert trace_c == trace_f
+
+
+#: Log-ratio matrices the game functions refuse, beside the flat set's 3 models.
+BAD_RATIOS = {
+    "vector": np.zeros(5),
+    "no-rows": np.zeros((0, 3)),
+    "nan": np.full((4, 3), np.nan),
+    "infinite": np.array([[0.0, -np.inf, 0.0]]),
+    "two-columns": np.zeros((4, 2)),
+}
+
+
+class TestLogRatioMatrix:
+    @pytest.mark.parametrize("ratios", BAD_RATIOS.values(), ids=BAD_RATIOS.keys())
+    def test_refused_naming_the_matrix(self, flat_setup, ratios):
+        models, n, uniform = flat_setup[1], flat_setup[3], MixtureWeights.uniform(3)
+        with pytest.raises(ParameterError, match="ratios"):
+            minimize_mixture_weights(ratios, n, uniform)
+        with pytest.raises(ParameterError, match="ratios"):
+            sample_average_kl(uniform, ratios, n)
+        with pytest.raises(ParameterError, match="null_ratios"):
+            utility(uniform, uniform, models, ratios, 1, h1_trials=1000)
+        with pytest.raises(ParameterError, match="null_ratios"):
+            regularity_probe(uniform, uniform, [0.1], models, ratios, 1, h1_trials=1000)
+
 
 class TestKktCertificate:
     def test_single_model(self, flat_setup):
@@ -291,6 +332,11 @@ class TestKktCertificate:
         _, models, _, _ = flat_setup
         with pytest.raises(ParameterError):
             kkt_certificate(5, models, 1.0)
+
+    @pytest.mark.parametrize("index", [True, 0.0])
+    def test_index_must_be_an_integer(self, flat_setup, index):
+        with pytest.raises(ParameterError, match="candidate_index"):
+            kkt_certificate(index, flat_setup[1], 1.0)
 
     def test_one_durbin_pass_per_model_and_no_factor(self, monkeypatch):
         calls = []
